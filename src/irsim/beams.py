@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (ChannelSet, cascaded_path_channel, check_unit_modulus,
+from .channels import (ChannelSet, _compose, _path_edges, check_unit_modulus,
                        effective_channel, effective_channel_affine, mrt_beam)
 
 
@@ -194,22 +194,17 @@ def optimize_path_phases(channels: ChannelSet, path, user: int = 1,
     MRT at the BS.
     """
     scene = channels.scene
-    target = scene.n_irs + user
+    edges = _path_edges(path, scene.n_irs + user)
     phases = {j: np.ones(scene.irs[j - 1].size, dtype=complex) for j in path}
-    gain = float(np.linalg.norm(cascaded_path_channel(channels, path, phases, user)) ** 2)
+    h = _compose(channels, edges, phases)
+    gain = float(np.linalg.norm(h) ** 2)
     for _ in range(max_sweeps):
-        h = cascaded_path_channel(channels, path, phases, user)
         w = mrt_beam(h)
-        for idx, j in enumerate(path):
-            left = channels.get(0, path[0]).matrix
-            for a, b in zip(path[:idx], path[1:idx + 1]):
-                left = channels.get(a, b).matrix @ (left * phases[a][:, None])
-            right = channels.get(path[-1], target).matrix
-            for a, b in zip(reversed(path[idx:-1]), reversed(path[idx + 1:])):
-                right = (right * phases[b][None, :]) @ channels.get(a, b).matrix
-            coeff = (right.ravel()[:, None] * left) @ w
-            _coordinate_phase_pass(0.0, coeff, phases[j])
-        new_gain = float(np.linalg.norm(cascaded_path_channel(channels, path, phases, user)) ** 2)
+        for j in path:
+            _, coeff = _compose(channels, edges, phases, j)
+            _coordinate_phase_pass(0.0, coeff @ w, phases[j])
+        h = _compose(channels, edges, phases)
+        new_gain = float(np.linalg.norm(h) ** 2)
         if new_gain - gain <= tol * max(gain, 1e-300):
             gain = max(gain, new_gain)
             break

@@ -11,7 +11,12 @@ a BS weight vector w; the matched (MRT) beam is conj(h)/norm(h).
 LoS components are far-field rank-one: H_los = rho * outer(a_rx, a_tx)
 with unit-modulus array responses and rho carrying the path gain and the
 carrier phase of the nominal distance.  Rician mixing adds an i.i.d.
-circularly-symmetric Gaussian part.
+circularly-symmetric Gaussian part; that law is written once (`_rician_draws`)
+and also serves the reference-point controller links of beam training.
+
+Every path or graph composition (one explicit path, the full path sum and
+its affine form in one surface's phases) goes through one dynamic program
+over an ordered edge list, `_compose`.
 """
 
 from __future__ import annotations
@@ -75,31 +80,41 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator) -> LinkCh
     kappa = inf gives the pure LoS rank-one channel; a geometrically
     blocked link is pure NLoS regardless of kappa.
     """
+    return next(_rician_draws(scene, i, j, rng))
+
+
+def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count: int = 1,
+                  rx_panel: bool = True, tx_panel: bool = True):
+    """Yield `count` Rician realizations of link i -> j drawn from one stream.
+
+    With `rx_panel`/`tx_panel` false that end is the node's single
+    reference-point (controller) antenna instead of its element panel.
+    """
     consts = scene.constants
     lam = consts.wavelength
     d = scene.distance(i, j)
     alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
     pl = path_loss(d, alpha, consts.beta)
-    n_rx, n_tx = scene.node_size(j), scene.node_size(i)
+    n_rx = scene.node_size(j) if rx_panel else 1
+    n_tx = scene.node_size(i) if tx_panel else 1
 
-    los = has_geometric_los(scene, i, j)
-    rho = a_rx = a_tx = None
-    if los:
+    rho = a_rx = a_tx = los_part = None
+    if has_geometric_los(scene, i, j):
         u = (scene.node_position(j) - scene.node_position(i)) / d
-        a_tx = _node_response(scene, i, u, lam)
-        a_rx = _node_response(scene, j, -u, lam)
+        a_tx = _node_response(scene, i, u, lam) if tx_panel else np.ones(1, dtype=complex)
+        a_rx = _node_response(scene, j, -u, lam) if rx_panel else np.ones(1, dtype=complex)
         rho = math.sqrt(pl) * np.exp(-2j * np.pi * d / lam)
-
-    if not los:
-        matrix = math.sqrt(pl) * _cn(rng, n_rx, n_tx)
-    elif math.isinf(kappa):
-        matrix = rho * np.outer(a_rx, a_tx)
-    else:
         los_part = rho * np.outer(a_rx, a_tx)
-        nlos_part = math.sqrt(pl) * _cn(rng, n_rx, n_tx)
-        matrix = math.sqrt(kappa / (1 + kappa)) * los_part + math.sqrt(1 / (1 + kappa)) * nlos_part
-    return LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
-                       los_gain=rho, los_rx=a_rx, los_tx=a_tx)
+
+    for _ in range(count):
+        if los_part is not None and math.isinf(kappa):
+            matrix = los_part
+        else:
+            nlos_part = math.sqrt(pl) * _cn(rng, n_rx, n_tx)
+            matrix = nlos_part if los_part is None else (
+                math.sqrt(kappa / (1 + kappa)) * los_part + math.sqrt(1 / (1 + kappa)) * nlos_part)
+        yield LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
+                          los_gain=rho, los_rx=a_rx, los_tx=a_tx)
 
 
 def _cn(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
@@ -119,6 +134,9 @@ class ChannelSet:
     scene: Scene
     seed: int
     links: dict = field(default_factory=dict)
+    # (user, los_only) -> ordered edge list of that reflection graph; threads
+    # that race to fill an entry compute the same list, so no lock is needed
+    _edge_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, i: int, j: int) -> LinkChannel:
         try:
@@ -180,21 +198,85 @@ def check_unit_modulus(phases: dict, tol: float = 1e-9) -> None:
 # Composition
 # ---------------------------------------------------------------------------
 
+def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None):
+    """Sum over every BS-to-user path of an ordered reflection edge list.
+
+    `edges` holds directed (a, b) node pairs grouped by source, the sources
+    in reverse topological order (the BS last) and each source's
+    successors in ascending order.  One tail pass builds down[v], the row
+    mapping the signal incident on v's elements to the user amplitude, so
+    h = down[0].  Given `irs`, one head pass also aggregates the BS-to-irs
+    channel (M, N_B) and the result is the pair (a, B) with
+    h = a + phases[irs] @ B; a surface no path crosses gets B = 0, a = h.
+    """
+    scene = channels.scene
+    down: dict[int, np.ndarray] = {}
+    for a, b in edges:
+        if scene.is_user(b):
+            term = channels.get(a, b).matrix
+        elif b in down:
+            term = (down[b] * phases[b][None, :]) @ channels.get(a, b).matrix
+        else:
+            continue                               # b reaches no user
+        down[a] = down[a] + term if a in down else term
+    h = down[0][0] if 0 in down else np.zeros(scene.n_bs, dtype=complex)
+    if irs is None:
+        return h
+
+    head: dict[int, np.ndarray] = {}
+    if irs in down:
+        for v in reversed(list(dict.fromkeys(a for a, _ in edges))):   # BS first
+            for p in sorted(a for a, b in edges if b == v):
+                if p == 0:
+                    term = channels.get(0, v).matrix
+                elif p in head:
+                    term = channels.get(p, v).matrix @ (head[p] * phases[p][:, None])
+                else:
+                    continue                       # p is out of the BS's reach
+                head[v] = head[v] + term if v in head else term
+            if v == irs:
+                break
+    if irs not in head:
+        return h, np.zeros((scene.node_size(irs), scene.n_bs), dtype=complex)
+    coeff = down[irs].ravel()[:, None] * head[irs]
+    return h - phases[irs] @ coeff, coeff
+
+
+def _path_edges(path, target: int) -> list:
+    """Edge list of one explicit reflection path (a chain graph), last hop
+    first as `_compose` expects."""
+    hops = [0, *path, target]
+    return list(zip(hops[:-1], hops[1:]))[::-1]
+
+
+def _graph_edges(channels: ChannelSet, user: int, los_only: bool, irs_subset=None) -> list:
+    """Edge list of a user's reflection graph restricted to `irs_subset`.
+
+    The graph's edges are derived once per channel set and cached on it.
+    """
+    key = (user, bool(los_only))
+    edges = channels._edge_cache.get(key)
+    if edges is None:
+        graph = build_los_graph(channels.scene, user, require_los=los_only)
+        order = sorted(graph.irs_nodes, key=lambda n: -graph.bs_distance[n]) + [0]
+        edges = channels._edge_cache[key] = [(v, w) for v in order
+                                             for w in graph.successors(v)]
+    if irs_subset is None:
+        return edges
+    keep = {0, *irs_subset}      # an excluded surface then never enters the DP
+    return [(a, b) for a, b in edges if a in keep]
+
+
 def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int | None = None) -> np.ndarray:
     """Effective BS-side channel vector of one reflection path.
 
     `path` is the ordered IRS index list; the terminal hop goes to the
     given user (default user 1).  Returns h with received amplitude h @ w.
     """
-    scene = channels.scene
-    target = scene.n_irs + (user if user is not None else 1)
     if not path:
         raise ValueError("a reflection path needs at least one IRS")
-    row = channels.get(path[-1], target).matrix  # (1, M)
-    for a, b in zip(reversed(path[:-1]), reversed(path[1:])):
-        row = (row * phases[b][None, :]) @ channels.get(a, b).matrix
-    row = (row * phases[path[0]][None, :]) @ channels.get(0, path[0]).matrix
-    return row[0]
+    target = channels.scene.n_irs + (user if user is not None else 1)
+    return _compose(channels, _path_edges(path, target), phases)
 
 
 def enumerate_graph_paths(graph: LosGraph, max_paths: int | None = None):
@@ -227,34 +309,9 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
     the graph to the named IRSs.  Computed by dynamic programming over the
     acyclic graph, which is equivalent to the explicit path sum.
     """
-    scene = channels.scene
-    graph = build_los_graph(scene, user, require_los=los_only)
-    h = _graph_channel_row(channels, graph, phases, irs_subset)
+    h = _compose(channels, _graph_edges(channels, user, los_only, irs_subset), phases)
     if include_direct:
         h = h + channels.direct(user)
-    return h
-
-
-def _graph_channel_row(channels: ChannelSet, graph: LosGraph, phases: dict, irs_subset=None) -> np.ndarray:
-    scene = channels.scene
-    allowed = set(graph.irs_nodes)
-    if irs_subset is not None:
-        allowed &= set(irs_subset)
-    target = graph.user_node
-    # tail[v]: row mapping the incident signal at IRS v to the user amplitude
-    tail: dict[int, np.ndarray] = {}
-    for v in sorted(allowed, key=lambda n: -graph.bs_distance[n]):
-        row = np.zeros((1, scene.node_size(v)), dtype=complex)
-        for w in graph.successors(v):
-            if w == target:
-                row = row + channels.get(v, target).matrix
-            elif w in allowed:
-                row = row + tail[w] @ channels.get(v, w).matrix
-        tail[v] = row * phases[v][None, :]
-    h = np.zeros(scene.n_bs, dtype=complex)
-    for a in graph.successors(0):
-        if a in allowed:
-            h = h + (tail[a] @ channels.get(0, a).matrix)[0]
     return h
 
 
@@ -266,49 +323,8 @@ def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs:
     Returns (a, B) with a of shape (N_B,) and B of shape (M, N_B), so the
     received amplitude for BS weights w is a @ w + theta @ (B @ w).
     """
-    scene = channels.scene
-    graph = build_los_graph(scene, user, require_los=los_only)
-    allowed = set(graph.irs_nodes)
-    if irs_subset is not None:
-        allowed &= set(irs_subset)
-    if irs not in allowed:
-        # the surface does not touch this user's composition at all
-        base = np.zeros(scene.n_bs, dtype=complex)
-        if include_direct:
-            base = base + channels.direct(user)
-        coeff = np.zeros((scene.node_size(irs), scene.n_bs), dtype=complex)
-        return base + _graph_channel_row(channels, graph, phases, irs_subset), coeff
-    target = graph.user_node
-
-    tail: dict[int, np.ndarray] = {}
-    down: dict[int, np.ndarray] = {}
-    for v in sorted(allowed, key=lambda n: -graph.bs_distance[n]):
-        row = np.zeros((1, scene.node_size(v)), dtype=complex)
-        for w in graph.successors(v):
-            if w == target:
-                row = row + channels.get(v, target).matrix
-            elif w in allowed:
-                row = row + tail[w] @ channels.get(v, w).matrix
-        down[v] = row
-        tail[v] = row * phases[v][None, :]
-
-    # head[v]: (M_v, N_B) aggregated channel from the BS to the elements of v
-    head: dict[int, np.ndarray] = {}
-    for v in sorted(allowed, key=lambda n: graph.bs_distance[n]):
-        mat = np.zeros((scene.node_size(v), scene.n_bs), dtype=complex)
-        if (0, v) in graph.edges:
-            mat = mat + channels.get(0, v).matrix
-        for p in graph.predecessors(v):
-            if p != 0 and p in allowed:
-                mat = mat + channels.get(p, v).matrix @ (head[p] * phases[p][:, None])
-        head[v] = mat
-
-    coeff = down[irs].ravel()[:, None] * head[irs]       # (M, N_B)
-    full = np.zeros(scene.n_bs, dtype=complex)
-    for a in graph.successors(0):
-        if a in allowed:
-            full = full + (tail[a] @ channels.get(0, a).matrix)[0]
-    base = full - phases[irs] @ coeff
+    base, coeff = _compose(channels, _graph_edges(channels, user, los_only, irs_subset),
+                           phases, irs)
     if include_direct:
         base = base + channels.direct(user)
     return base, coeff

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .experiments import ExperimentConfig, routes_payload, run_scenario
+from .experiments import ExperimentConfig, routes_payload, run_scenario, worker_count
 from .geometry import ConfigError, build_scene, load_scene
 from .routing import Infeasible, NoFeasiblePath
 from .scenarios import packaged_scene_path
@@ -65,6 +65,9 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
             if scene_config is not None:
                 build_scene(scene_config)            # validate eagerly
+            if args.trials < 1:
+                raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+            worker_count()                           # validate IRS_SIM_THREADS eagerly
             table = run_scenario(ExperimentConfig(
                 scenario=args.scenario, seed=args.seed, trials=args.trials,
                 scene_config=scene_config, out_path=args.out))

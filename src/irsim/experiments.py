@@ -20,7 +20,7 @@ import numpy as np
 from . import scenarios
 from .beams import linear_receivers, multi_hop_phases, optimize_path_phases
 from .channels import cascaded_path_channel, effective_channel, synthesize_channels, unit_phases
-from .geometry import Scene, build_los_graph, build_scene
+from .geometry import ConfigError, Scene, build_los_graph, build_scene
 from .routing import (interference_audit, optimal_multi_route,
                       optimal_single_route, unconstrained_multi_route)
 from .estimation import (overhead_benchmark_siso_general,
@@ -71,7 +71,15 @@ class ResultTable:
 
 
 def worker_count() -> int:
-    return max(1, int(os.environ.get("IRS_SIM_THREADS", "1")))
+    """Worker threads for run_trials: IRS_SIM_THREADS, a positive integer (default 1)."""
+    raw = os.environ.get("IRS_SIM_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"IRS_SIM_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_trials(fn, trials: int, seed: int):

@@ -18,6 +18,8 @@ from .beams import (bs_mrt_to_first_irs, closed_form_path_gain, multi_hop_phases
 from .channels import effective_channel, enumerate_graph_paths, unit_phases
 from .geometry import LosGraph, Scene, los_indicator
 
+enumerate_routes = enumerate_graph_paths     # public name of the route enumeration
+
 
 class NoFeasiblePath(RuntimeError):
     """No reflection route exists between the BS and the user."""
@@ -112,11 +114,6 @@ def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1
     _, _, seq = best[graph.user_node]
     return ReflectionPath(irs_sequence=seq, user=graph.user,
                           gain=path_gain(graph, seq, m_elements, beta, n_bs))
-
-
-def enumerate_routes(graph: LosGraph, max_paths: int | None = None) -> list[tuple[int, ...]]:
-    """All BS-to-user routes in lexicographic order of the IRS sequence."""
-    return enumerate_graph_paths(graph, max_paths)
 
 
 def optimal_single_route_with_direct(graph: LosGraph, m_elements, beta: float, n_bs: int,

@@ -14,12 +14,9 @@ Positions are meters; normals unit vectors.
 from __future__ import annotations
 
 import copy
-import json
 from importlib import resources
 
 import numpy as np
-
-from .geometry import Scene, build_scene
 
 
 def _unit(v) -> list:
@@ -109,49 +106,12 @@ def indoor_hall_config(m0: int = 24, kappa_db=20.0) -> dict:
     }
 
 
-_BUILTIN = {
-    "double_irs": double_irs_config,
-    "indoor_hall": indoor_hall_config,
-}
-
-
-def builtin_config(name: str, **kwargs) -> dict:
-    try:
-        return _BUILTIN[name](**kwargs)
-    except KeyError:
-        raise KeyError(f"unknown builtin scenario layout {name!r}") from None
-
-
-def builtin_scene(name: str, **kwargs) -> Scene:
-    return build_scene(builtin_config(name, **kwargs))
-
-
 def packaged_scene_path(name: str):
     """Path of a shipped scene JSON (for the CLI and tests)."""
     return resources.files("irsim") / "scenes" / f"{name}.json"
-
-
-def with_m0(config: dict, m0: int) -> dict:
-    """Copy of a config with every surface resized to m0 x m0."""
-    out = copy.deepcopy(config)
-    for ent in out["irs"]:
-        ent["m0"] = m0
-        ent.pop("shape", None)
-    return out
 
 
 def with_users(config: dict, users) -> dict:
     out = copy.deepcopy(config)
     out["users"] = [list(map(float, u)) for u in users]
     return out
-
-
-def write_packaged_scenes(directory) -> None:
-    """Regenerate the shipped scene JSON files (used at development time)."""
-    from pathlib import Path
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "double_irs.json", "w") as fh:
-        json.dump(double_irs_config(), fh, indent=1)
-    with open(directory / "indoor_hall.json", "w") as fh:
-        json.dump(indoor_hall_config(), fh, indent=1)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (ChannelSet, array_response, cascaded_path_channel,
-                       effective_channel, effective_channel_affine,
-                       enumerate_graph_paths, path_loss)
+from .channels import (ChannelSet, _compose, _graph_edges, _path_edges, _rician_draws,
+                       enumerate_graph_paths)
 from .geometry import Scene, build_los_graph, has_geometric_los, los_indicator
 from .routing import Infeasible, ReflectionPath, RoutingSolution, optimal_multi_route
 
@@ -74,8 +73,8 @@ def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
 class GainEvaluator:
     """Measures per-user SNR for beam combinations on realized channels.
 
-    `path` restricts the composition to one reflection route; otherwise the
-    full path sum over `irs_ids` applies.
+    `path` restricts the composition to one reflection route (without the
+    direct link); otherwise the full path sum over `irs_ids` applies.
     """
 
     def __init__(self, channels: ChannelSet, users, irs_ids=None, path=None,
@@ -88,15 +87,15 @@ class GainEvaluator:
                         sorted(irs_ids if irs_ids is not None else
                                range(1, self.scene.n_irs + 1)))
         self.los_only = los_only
-        self.include_direct = include_direct
+        self.include_direct = include_direct and path is None
+        self._edges = {k: (_path_edges(self.path, self.scene.n_irs + k) if path is not None
+                           else _graph_edges(channels, k, los_only, self.irs_ids))
+                       for k in self.users}
         self.evaluations = 0
 
     def _channel(self, user: int, phases: dict) -> np.ndarray:
-        if self.path is not None:
-            return cascaded_path_channel(self.channels, self.path, phases, user=user)
-        return effective_channel(self.channels, user, phases, los_only=self.los_only,
-                                 include_direct=self.include_direct,
-                                 irs_subset=self.irs_ids)
+        h = _compose(self.channels, self._edges[user], phases)
+        return h + self.channels.direct(user) if self.include_direct else h
 
     def snr(self, user: int, w: np.ndarray, phases: dict) -> float:
         consts = self.scene.constants
@@ -130,22 +129,8 @@ class GainEvaluator:
         return snrs
 
     def _affine(self, user: int, irs: int, phases: dict):
-        if self.path is None:
-            return effective_channel_affine(self.channels, user, phases, irs,
-                                            los_only=self.los_only,
-                                            include_direct=self.include_direct,
-                                            irs_subset=self.irs_ids)
-        idx = self.path.index(irs)
-        target = self.scene.n_irs + user
-        left = self.channels.get(0, self.path[0]).matrix
-        for a, b in zip(self.path[:idx], self.path[1:idx + 1]):
-            left = self.channels.get(a, b).matrix @ (left * phases[a][:, None])
-        right = self.channels.get(self.path[-1], target).matrix
-        for a, b in zip(reversed(self.path[idx:-1]), reversed(self.path[idx + 1:])):
-            right = (right * phases[b][None, :]) @ self.channels.get(a, b).matrix
-        coeff = right.ravel()[:, None] * left
-        base = np.zeros(self.scene.n_bs, dtype=complex)
-        return base, coeff
+        base, coeff = _compose(self.channels, self._edges[user], phases, irs)
+        return (base + self.channels.direct(user) if self.include_direct else base), coeff
 
 
 @dataclass
@@ -271,43 +256,6 @@ def _controller_rng(seed: int, owner: int, prev, nxt: int, kind: int = 0) -> np.
         np.random.SeedSequence(entropy=(seed, 7, owner, prev_id, nxt, kind)))
 
 
-def _controller_link(scene: Scene, i: int, j: int, rx_elements: bool, tx_elements: bool,
-                     rng, averages: int):
-    """Realizations of the link between node i and node j where at most one
-    side uses its element panel and the other is a reference-point
-    controller antenna.  Yields `averages` matrices (n_rx, n_tx)."""
-    consts = scene.constants
-    lam = consts.wavelength
-    d = scene.distance(i, j)
-    alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
-    pl = path_loss(d, alpha, consts.beta)
-    n_rx = scene.node_size(j) if rx_elements else 1
-    n_tx = scene.node_size(i) if tx_elements else 1
-    los = has_geometric_los(scene, i, j)
-    mean = None
-    if los:
-        u = (scene.node_position(j) - scene.node_position(i)) / d
-        a_tx = _panel_response(scene, i, u, lam) if tx_elements else np.ones(1, dtype=complex)
-        a_rx = _panel_response(scene, j, -u, lam) if rx_elements else np.ones(1, dtype=complex)
-        mean = math.sqrt(pl) * np.exp(-2j * np.pi * d / lam) * np.outer(a_rx, a_tx)
-    for _ in range(averages):
-        if los and math.isinf(kappa):
-            yield mean
-            continue
-        noise = math.sqrt(pl) * (rng.standard_normal((n_rx, n_tx))
-                                 + 1j * rng.standard_normal((n_rx, n_tx))) / math.sqrt(2)
-        if not los:
-            yield noise
-        else:
-            yield math.sqrt(kappa / (1 + kappa)) * mean + math.sqrt(1 / (1 + kappa)) * noise
-
-
-def _panel_response(scene: Scene, node: int, direction, lam: float) -> np.ndarray:
-    if node == 0:
-        return array_response(scene.bs, direction, lam)
-    return array_response(scene.irs[node - 1], direction, lam)
-
-
 def _bs_neighbors(scene: Scene) -> list[int]:
     out = [j for j in range(1, scene.n_irs + 1) if los_indicator(scene, 0, j)]
     out += [scene.n_irs + k for k in range(1, scene.n_users + 1)
@@ -337,9 +285,8 @@ def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = Non
     for nxt in (_bs_neighbors(scene) if next_nodes is None else next_nodes):
         rng = _controller_rng(seed, 0, None, nxt)
         rss = np.zeros(codebook.size)
-        for c in _controller_link(scene, 0, nxt, rx_elements=False, tx_elements=True,
-                                  rng=rng, averages=averages):
-            rss += np.abs(codebook.beams @ c[0]) ** 2
+        for c in _rician_draws(scene, 0, nxt, rng, averages, rx_panel=False):
+            rss += np.abs(codebook.beams @ c.matrix[0]) ** 2
         rss /= averages
         for beam, value in enumerate(rss):
             table.add(None, beam, nxt, float(value))
@@ -364,33 +311,24 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
     prev_nodes = default_prev if prev_nodes is None else list(prev_nodes)
     next_nodes = default_next if next_nodes is None else list(next_nodes)
     for prev in prev_nodes:
-        rng = _controller_rng(seed, irs, prev, irs)
+        # the BS sounds with its element panel, a surface with its controller
         if prev == 0:
             w = (np.ones(scene.n_bs, dtype=complex) / math.sqrt(scene.n_bs)
                  if bs_sounding_beam is None else bs_sounding_beam)
-            incident = [c @ w for c in _controller_link(scene, 0, irs, rx_elements=True,
-                                                        tx_elements=True, rng=rng,
-                                                        averages=averages)]
-            ref_draws = [c[0] @ w for c in _controller_link(scene, 0, irs, rx_elements=False,
-                                                            tx_elements=True,
-                                                            rng=_controller_rng(seed, irs, prev, irs, kind=1),
-                                                            averages=averages)]
         else:
-            incident = [c[:, 0] for c in _controller_link(scene, prev, irs, rx_elements=True,
-                                                          tx_elements=False, rng=rng,
-                                                          averages=averages)]
-            ref_draws = [c[0, 0] for c in _controller_link(scene, prev, irs, rx_elements=False,
-                                                           tx_elements=False,
-                                                           rng=_controller_rng(seed, irs, prev, irs, kind=1),
-                                                           averages=averages)]
+            w = np.ones(1, dtype=complex)
+        incident = [c.matrix @ w for c in _rician_draws(
+            scene, prev, irs, _controller_rng(seed, irs, prev, irs), averages, tx_panel=prev == 0)]
+        ref_draws = [c.matrix[0] @ w for c in _rician_draws(
+            scene, prev, irs, _controller_rng(seed, irs, prev, irs, kind=1), averages,
+            rx_panel=False, tx_panel=prev == 0)]
         table.reference_rss[prev] = float(np.mean([abs(r) ** 2 for r in ref_draws]))
         for nxt in next_nodes:
             out_rng = _controller_rng(seed, irs, prev, nxt)
             rss = np.zeros(codebook.size)
-            for t, out in enumerate(_controller_link(scene, irs, nxt, rx_elements=False,
-                                                     tx_elements=True, rng=out_rng,
-                                                     averages=averages)):
-                rss += np.abs(codebook.beams @ (out[0] * incident[t])) ** 2
+            for t, out in enumerate(_rician_draws(scene, irs, nxt, out_rng, averages,
+                                                  rx_panel=False)):
+                rss += np.abs(codebook.beams @ (out.matrix[0] * incident[t])) ** 2
             rss /= averages
             for beam, value in enumerate(rss):
                 table.add(prev, beam, nxt, float(value))

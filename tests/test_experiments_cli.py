@@ -80,6 +80,23 @@ def test_cli_custom_requires_config():
     assert main(["run", "--scenario", "custom"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_rejects_non_positive_trials(trials, tmp_path, capsys):
+    out = tmp_path / "fig7.csv"
+    assert main(["run", "--scenario", "fig7", "--trials", trials, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--trials must be at least 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-1"])
+def test_cli_rejects_bad_thread_count(threads, monkeypatch, capsys):
+    monkeypatch.setenv("IRS_SIM_THREADS", threads)
+    assert main(["run", "--scenario", "fig7", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "IRS_SIM_THREADS must be a positive integer" in err
+
+
 def test_cli_validate_ok_and_malformed(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(chain_config()))
