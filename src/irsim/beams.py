@@ -1,6 +1,9 @@
 """Passive and active beamforming: closed forms, alternating optimization,
 and linear multi-user receivers.
 
+Alternating optimization (AO) gives each surface in turn its exact closed-form
+phases; one alternation loop serves AO and the single-path phase optimizer.
+
 All closed forms assume the far-field rank-one LoS decompositions stored on
 the link channels.  Phase vectors are unit modulus throughout; BS weight
 vectors are unit norm.
@@ -134,15 +137,36 @@ def common_phase_combine(a_s: complex, a_d: complex) -> float:
     return float(np.angle(a_s / a_d))
 
 
-def _coordinate_phase_pass(base: complex, coeff: np.ndarray, theta: np.ndarray) -> complex:
-    """In-place per-element phase ascent of |base + theta @ coeff|."""
-    total = base + theta @ coeff
-    for m in range(len(theta)):
-        rest = total - theta[m] * coeff[m]
-        if coeff[m] != 0:
-            theta[m] = np.exp(1j * (np.angle(rest) - np.angle(coeff[m])))
-        total = rest + theta[m] * coeff[m]
-    return total
+def _align_phases(base: complex, coeff: np.ndarray, theta: np.ndarray) -> None:
+    """Set theta in place to the exact maximizer of |base + theta @ coeff|,
+    which attains |base| + sum|coeff| (Wu & Zhang, IEEE TWC 2019); entries
+    with a zero coefficient keep their phase."""
+    live = coeff != 0
+    theta[live] = np.exp(1j * (np.angle(base) - np.angle(coeff[live])))
+
+
+def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float):
+    """Alternate MRT at the BS with the exact update of each surface in turn.
+
+    `compose(phases, irs=None)` follows `channels._compose`: h, or (a, B)
+    with h = a + phases[irs] @ B.  Each step is exact, so |h @ w|^2 never
+    decreases.  Updates `phases` in place until a round gains at most tol
+    (relative); returns (w, objective, converged, iterations).
+    """
+    h = compose(phases)
+    w = mrt_beam(h)
+    objective = float(np.linalg.norm(h) ** 2)
+    for it in range(1, max_iters + 1):
+        for j in irs_ids:
+            base, coeff = compose(phases, j)
+            _align_phases(complex(base @ w), coeff @ w, phases[j])
+        h = compose(phases)
+        w = mrt_beam(h)
+        new_obj = float(np.linalg.norm(h) ** 2)
+        if new_obj - objective <= tol * max(objective, 1e-300):
+            return w, max(new_obj, objective), True, it
+        objective = new_obj
+    return w, objective, False, max_iters
 
 
 def ao_joint_beamforming(channels: ChannelSet, user: int = 1, init: dict | None = None,
@@ -151,34 +175,21 @@ def ao_joint_beamforming(channels: ChannelSet, user: int = 1, init: dict | None 
                          irs_subset=None) -> BeamSolution:
     """Alternating optimization of BS weights and all surface phases.
 
-    Alternates MRT at the BS with per-element closed-form coordinate
-    ascent at each surface; the objective |h @ w|^2 is nondecreasing at
-    every step.  Stops when the relative improvement of a full round falls
-    below tol.
+    Alternates MRT at the BS with the exact closed-form phases of each
+    surface in turn (the loop `optimize_path_phases` shares), so |h @ w|^2
+    never decreases; stops when a round's relative gain falls below tol.
     """
     scene = channels.scene
     phases = ({j: np.asarray(init[j], dtype=complex).copy() for j in init} if init
               else {j + 1: np.ones(scene.irs[j].size, dtype=complex) for j in range(scene.n_irs)})
     irs_ids = sorted(phases) if irs_subset is None else sorted(irs_subset)
-    compose = dict(los_only=los_only, include_direct=include_direct, irs_subset=irs_ids)
+    options = dict(los_only=los_only, include_direct=include_direct, irs_subset=irs_ids)
 
-    h = effective_channel(channels, user, phases, **compose)
-    w = mrt_beam(h)
-    objective = float(np.linalg.norm(h) ** 2)
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        for j in irs_ids:
-            base, coeff = effective_channel_affine(channels, user, phases, j, **compose)
-            _coordinate_phase_pass(complex(base @ w), coeff @ w, phases[j])
-        h = effective_channel(channels, user, phases, **compose)
-        w = mrt_beam(h)
-        new_obj = float(np.linalg.norm(h) ** 2)
-        if new_obj - objective <= tol * max(objective, 1e-300):
-            objective = max(new_obj, objective)
-            converged = True
-            break
-        objective = new_obj
+    def compose(phases, irs=None):
+        return (effective_channel(channels, user, phases, **options) if irs is None
+                else effective_channel_affine(channels, user, phases, irs, **options))
+
+    w, objective, converged, it = _alternate(compose, phases, irs_ids, max_iters, tol)
     check_unit_modulus(phases)
     return BeamSolution(phases=phases, bs_beams={user: w},
                         achieved_gains={user: objective},
@@ -187,28 +198,16 @@ def ao_joint_beamforming(channels: ChannelSet, user: int = 1, init: dict | None 
 
 def optimize_path_phases(channels: ChannelSet, path, user: int = 1,
                          max_sweeps: int = 30, tol: float = 1e-10):
-    """Coordinate-ascent phases maximizing one path's channel norm.
+    """Phases maximizing one path's channel norm, by the AO loop.
 
     Works on arbitrary (e.g. faded) link matrices where the closed-form
     alignment does not apply.  Returns (phases, gain) with the gain under
     MRT at the BS.
     """
-    scene = channels.scene
-    edges = _path_edges(path, scene.n_irs + user)
-    phases = {j: np.ones(scene.irs[j - 1].size, dtype=complex) for j in path}
-    h = _compose(channels, edges, phases)
-    gain = float(np.linalg.norm(h) ** 2)
-    for _ in range(max_sweeps):
-        w = mrt_beam(h)
-        for j in path:
-            _, coeff = _compose(channels, edges, phases, j)
-            _coordinate_phase_pass(0.0, coeff @ w, phases[j])
-        h = _compose(channels, edges, phases)
-        new_gain = float(np.linalg.norm(h) ** 2)
-        if new_gain - gain <= tol * max(gain, 1e-300):
-            gain = max(gain, new_gain)
-            break
-        gain = new_gain
+    edges = _path_edges(path, channels.scene.n_irs + user)
+    phases = {j: np.ones(channels.scene.irs[j - 1].size, dtype=complex) for j in path}
+    _, gain, _, _ = _alternate(lambda phases, irs=None: _compose(channels, edges, phases, irs),
+                               phases, path, max_sweeps, tol)
     return phases, gain
 
 

@@ -27,6 +27,19 @@ class ConfigError(ValueError):
     """Raised when a scenario description is malformed or inconsistent."""
 
 
+def _finite(value, what: str, shape: tuple) -> np.ndarray:
+    """`value` as a float array of the given shape with finite entries."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} is not numeric: {value!r}") from None
+    if arr.shape != shape:
+        raise ConfigError(f"{what} must have shape {shape}, got {value!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} is not finite: {value!r}")
+    return arr
+
+
 def _unit(v):
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
@@ -225,7 +238,9 @@ def build_scene(config: dict) -> Scene:
     Expected keys: bs, irs, users, obstacles, constants, effective_regions.
     Distances are meters, powers dBm, path loss dB; directions are unit
     vectors.  BS elements are half-wavelength spaced, IRS elements
-    quarter-wavelength.
+    quarter-wavelength.  Raises ConfigError for a missing field, a
+    non-numeric or non-finite number, coincident nodes (users excepted) or a
+    reference to a node or override field that does not exist.
     """
     try:
         consts = _parse_constants(config.get("constants", {}))
@@ -236,14 +251,14 @@ def build_scene(config: dict) -> Scene:
         if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
             raise ConfigError(f"bad BS array shape {shape}")
         bs = PanelArray(
-            center=np.asarray(bs_cfg["position"], dtype=float),
+            center=_finite(bs_cfg["position"], "BS position", (3,)),
             normal=_unit(bs_cfg.get("normal", (1.0, 0.0, 0.0))),
             shape=shape,
             spacing_m=lam / 2.0,
         )
 
         irs = []
-        for ent in config.get("irs", []):
+        for idx, ent in enumerate(config.get("irs", []), start=1):
             if "normal" not in ent:
                 raise ConfigError("IRS entry missing pointing normal")
             if "shape" in ent:
@@ -254,16 +269,18 @@ def build_scene(config: dict) -> Scene:
             if len(shape) != 2 or min(shape) < 1:
                 raise ConfigError(f"bad IRS element grid {shape}")
             irs.append(PanelArray(
-                center=np.asarray(ent["position"], dtype=float),
+                center=_finite(ent["position"], f"IRS {idx} position", (3,)),
                 normal=_unit(ent["normal"]),
                 shape=shape,
                 spacing_m=lam / 4.0,
             ))
 
-        users = np.asarray(config.get("users", []), dtype=float).reshape(-1, 3)
+        users = np.array([_finite(u, f"user {k} position", (3,))
+                          for k, u in enumerate(config.get("users", []), start=1)]).reshape(-1, 3)
         obstacles = tuple(
-            Box(lo=np.asarray(o["min"], dtype=float), hi=np.asarray(o["max"], dtype=float))
-            for o in config.get("obstacles", [])
+            Box(lo=_finite(o["min"], f"obstacle {n} min corner", (3,)),
+                hi=_finite(o["max"], f"obstacle {n} max corner", (3,)))
+            for n, o in enumerate(config.get("obstacles", []), start=1)
         )
         for box in obstacles:
             if np.any(box.lo > box.hi):
@@ -276,11 +293,21 @@ def build_scene(config: dict) -> Scene:
     scene = Scene(bs=bs, irs=tuple(irs), users=users, obstacles=obstacles,
                   constants=consts, effective_regions=regions)
 
-    for i in range(scene.n_irs + scene.n_users + 1):
+    n_nodes = scene.n_irs + scene.n_users + 1
+    for i in range(n_nodes):
         p = scene.node_position(i)
         for box in obstacles:
             if box.contains(p):
                 raise ConfigError(f"node {i} lies inside an obstacle")
+        if not scene.is_user(i):           # two users may share a spot: no link joins them
+            for j in range(i + 1, n_nodes):
+                if scene.distance(i, j) == 0.0:
+                    raise ConfigError(f"nodes {i} and {j} are at the same position")
+    links = {f"{i}-{j}" for i in range(n_nodes) for j in range(n_nodes) if i != j}
+    bad = sorted(set(consts.link_overrides) - links)
+    if bad:
+        raise ConfigError(f"link_overrides keys name no link 'i-j' between nodes "
+                          f"0..{n_nodes - 1}: {bad}")
     return scene
 
 
@@ -302,17 +329,23 @@ def _parse_constants(cfg: dict) -> Constants:
         raise ConfigError(f"unknown link classes in alpha map: {sorted(bad)}")
     overrides = {}
     for key, ov in cfg.get("link_overrides", {}).items():
+        unknown = set(ov) - {"alpha", "kappa_db"}
+        if unknown:
+            raise ConfigError(f"unknown fields in link_overrides[{key!r}]: {sorted(unknown)}")
         ent = {}
         if "alpha" in ov:
             ent["alpha"] = float(ov["alpha"])
         if "kappa_db" in ov:
             ent["kappa"] = _parse_kappa(ov["kappa_db"])
         overrides[key] = ent
+    carrier_hz = float(_finite(cfg.get("carrier_hz", 5e9), "carrier_hz", ()))
+    if carrier_hz <= 0.0:
+        raise ConfigError(f"carrier_hz must be positive, got {carrier_hz!r}")
     return Constants(
         beta_db=float(cfg.get("beta_db", -30.0)),
         alpha=alpha,
         kappa=kappa,
-        carrier_hz=float(cfg.get("carrier_hz", 5e9)),
+        carrier_hz=carrier_hz,
         noise_dbm=float(cfg.get("noise_dbm", -90.0)),
         tx_dbm=float(cfg.get("tx_dbm", 0.0)),
         link_overrides=overrides,
@@ -333,6 +366,9 @@ def _parse_regions(cfg, n_irs: int, n_users: int):
     full = frozenset(range(1, n_irs + 1))
     if cfg is None:
         return tuple(full for _ in range(n_users))
+    unknown = set(cfg) - {str(k) for k in range(1, n_users + 1)}
+    if unknown:
+        raise ConfigError(f"effective_regions name unknown users: {sorted(unknown, key=str)}")
     regions = []
     for k in range(1, n_users + 1):
         ids = cfg.get(str(k), sorted(full))

@@ -1,12 +1,16 @@
 """Scene construction, blockage tests, LoS indicators and graph invariants."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from irsim.cli import main
 from irsim.geometry import (Box, ConfigError, build_los_graph, build_scene,
                             half_space_ok, has_geometric_los, los_indicator)
+from irsim.scenarios import indoor_hall_config
 
 from conftest import chain_config, random_two_user_config, unit
 
@@ -55,6 +59,74 @@ def test_build_scene_bad_region_rejected():
     cfg["effective_regions"] = {"1": [1, 7]}
     with pytest.raises(ConfigError):
         build_scene(cfg)
+
+
+# Bad edits of the indoor hall (surfaces 1-8, users 9-10): (id, key path into
+# the config, new value, expected message).  Each must fail in build_scene.
+BAD_NUMBERS = [
+    ("nan_user", ("users", 0, 1), math.nan, "user 1 position is not finite"),
+    ("string_bs", ("bs", "position", 1), "abc", "BS position is not numeric"),
+    ("string_irs", ("irs", 2, "position", 0), "abc", "IRS 3 position is not numeric"),
+    ("string_user", ("users", 1, 2), "abc", "user 2 position is not numeric"),
+    ("inf_obstacle", ("obstacles", 0, "max", 2), math.inf,
+     "obstacle 1 max corner is not finite"),
+    ("short_user", ("users", 0), [36, 0], r"user 1 position must have shape \(3,\)"),
+    ("zero_carrier", ("constants", "carrier_hz"), 0, "carrier_hz must be positive"),
+    ("negative_carrier", ("constants", "carrier_hz"), -5e9, "carrier_hz must be positive"),
+    ("nan_carrier", ("constants", "carrier_hz"), math.nan, "carrier_hz is not finite"),
+]
+BAD_STRUCTURE = [
+    ("user_at_bs", ("users", 0), [0, 0, 2], "nodes 0 and 9 are at the same position"),
+    ("irs_on_irs", ("irs", 1, "position"), [10, 4, 2], "nodes 1 and 2 are at the same"),
+    ("unknown_override_field", ("constants", "link_overrides"), {"0-1": {"kapa_db": 10}},
+     r"unknown fields in link_overrides\['0-1'\]: \['kapa_db'\]"),
+    ("override_key_unknown_node", ("constants", "link_overrides"), {"99-2": {"alpha": 2}},
+     r"name no link 'i-j' between nodes 0..10: \['99-2'\]"),
+    ("override_key_not_canonical", ("constants", "link_overrides"), {"01-2": {"alpha": 2}},
+     r"name no link .*\['01-2'\]"),
+    ("region_of_unknown_user", ("effective_regions",), {"7": [1]},
+     r"effective_regions name unknown users: \['7'\]"),
+]
+
+
+def _edited_hall(keys, value):
+    cfg = indoor_hall_config(m0=4)
+    owner = cfg
+    for key in keys[:-1]:
+        owner = owner[key]
+    owner[keys[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("keys, value, message", [case[1:] for case in BAD_NUMBERS],
+                         ids=[case[0] for case in BAD_NUMBERS])
+def test_build_scene_rejects_bad_numbers(keys, value, message):
+    with pytest.raises(ConfigError, match=message):
+        build_scene(_edited_hall(keys, value))
+
+
+@pytest.mark.parametrize("keys, value, message", [case[1:] for case in BAD_STRUCTURE],
+                         ids=[case[0] for case in BAD_STRUCTURE])
+def test_build_scene_rejects_structural_mistakes(keys, value, message):
+    with pytest.raises(ConfigError, match=message):
+        build_scene(_edited_hall(keys, value))
+
+
+def test_build_scene_accepts_users_sharing_a_position():
+    scene = build_scene(_edited_hall(("users", 1), [36, 0, 1.5]))
+    assert scene.distance(9, 10) == 0.0
+
+
+@pytest.mark.parametrize("command", ["validate", "routes"])
+@pytest.mark.parametrize("keys, value", [case[1:3] for case in BAD_NUMBERS + BAD_STRUCTURE],
+                         ids=[case[0] for case in BAD_NUMBERS + BAD_STRUCTURE])
+def test_cli_bad_scene_exits_2_with_one_line(command, keys, value, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_edited_hall(keys, value)))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
