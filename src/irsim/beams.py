@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (ChannelSet, _compose, _path_edges, check_unit_modulus,
-                       effective_channel, effective_channel_affine, mrt_beam)
+                       effective_channel, effective_channel_affine, mrt_beam, unit_phases)
+from .geometry import route_links
 
 
 @dataclass
@@ -80,8 +81,7 @@ def multi_hop_phases(channels: ChannelSet, path, user: int = 1) -> dict:
     and outgoing transmit response, which turns every reflection bracket
     into its element count M.  Raises if any hop lacks an LoS component.
     """
-    target = channels.scene.n_irs + user
-    hops = [(0, path[0])] + list(zip(path[:-1], path[1:])) + [(path[-1], target)]
+    hops = route_links(path, channels.scene.n_irs + user)
     phases = {}
     for idx, irs in enumerate(path):
         incoming = channels.get(*hops[idx])
@@ -96,10 +96,7 @@ def multi_hop_phases(channels: ChannelSet, path, user: int = 1) -> dict:
 
 def bs_mrt_to_first_irs(bs_response: np.ndarray) -> np.ndarray:
     """Unit-norm MRT weights matched to the BS response of the first hop."""
-    n = np.linalg.norm(bs_response)
-    if n == 0.0:
-        raise ValueError("zero BS response vector")
-    return np.conj(bs_response) / n
+    return mrt_beam(bs_response)
 
 
 def closed_form_path_gain(n: int, m_elements, n_bs: int, beta: float, distances) -> float:
@@ -169,19 +166,17 @@ def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float):
     return w, objective, False, max_iters
 
 
-def ao_joint_beamforming(channels: ChannelSet, user: int = 1, init: dict | None = None,
-                         tol: float = 1e-12, max_iters: int = 200,
-                         include_direct: bool = False, los_only: bool = False,
-                         irs_subset=None) -> BeamSolution:
+def ao_joint_beamforming(channels: ChannelSet, user: int = 1, tol: float = 1e-12,
+                         max_iters: int = 200, include_direct: bool = False,
+                         los_only: bool = False, irs_subset=None) -> BeamSolution:
     """Alternating optimization of BS weights and all surface phases.
 
     Alternates MRT at the BS with the exact closed-form phases of each
     surface in turn (the loop `optimize_path_phases` shares), so |h @ w|^2
     never decreases; stops when a round's relative gain falls below tol.
+    Every surface starts at zero phase.
     """
-    scene = channels.scene
-    phases = ({j: np.asarray(init[j], dtype=complex).copy() for j in init} if init
-              else {j + 1: np.ones(scene.irs[j].size, dtype=complex) for j in range(scene.n_irs)})
+    phases = unit_phases(channels.scene)
     irs_ids = sorted(phases) if irs_subset is None else sorted(irs_subset)
     options = dict(los_only=los_only, include_direct=include_direct, irs_subset=irs_ids)
 

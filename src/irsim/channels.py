@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LosGraph, PanelArray, Scene, build_los_graph, has_geometric_los, is_admissible_link
+from .geometry import (LosGraph, PanelArray, Scene, build_los_graph, has_geometric_los,
+                       is_admissible_link, route_links)
 
 
 def array_response(panel: PanelArray, direction, wavelength: float) -> np.ndarray:
@@ -35,7 +36,7 @@ def array_response(panel: PanelArray, direction, wavelength: float) -> np.ndarra
     d = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(d) - 1.0) > 1e-9:
         raise ValueError("array_response requires a unit direction vector")
-    phase = (2.0 * np.pi / wavelength) * (panel.element_offsets() @ d)
+    phase = (2.0 * np.pi / wavelength) * (panel.element_offsets @ d)
     return np.exp(1j * phase)
 
 
@@ -245,8 +246,7 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None):
 def _path_edges(path, target: int) -> list:
     """Edge list of one explicit reflection path (a chain graph), last hop
     first as `_compose` expects."""
-    hops = [0, *path, target]
-    return list(zip(hops[:-1], hops[1:]))[::-1]
+    return route_links(path, target)[::-1]
 
 
 def _graph_edges(channels: ChannelSet, user: int, los_only: bool, irs_subset=None) -> list:

@@ -10,7 +10,7 @@ import json
 import sys
 
 from .experiments import ExperimentConfig, routes_payload, run_scenario, worker_count
-from .geometry import ConfigError, build_scene, load_scene
+from .geometry import ConfigError, _read_config, build_scene, load_scene
 from .routing import Infeasible, NoFeasiblePath
 from .scenarios import packaged_scene_path
 
@@ -42,14 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -59,7 +51,7 @@ def main(argv=None) -> int:
                 print(f"unknown scenario {args.scenario!r}; choose from {', '.join(_SCENARIOS)}",
                       file=sys.stderr)
                 return EXIT_CONFIG
-            scene_config = _load_config_file(args.config) if args.config else None
+            scene_config = _read_config(args.config) if args.config else None
             if args.scenario == "custom" and scene_config is None:
                 print("the custom scenario requires --config", file=sys.stderr)
                 return EXIT_CONFIG
@@ -74,7 +66,7 @@ def main(argv=None) -> int:
             if not args.out:
                 sys.stdout.write(table.to_csv())
         elif args.command == "validate":
-            scene = build_scene(_load_config_file(args.config))
+            scene = load_scene(args.config)
             print(f"ok: {scene.n_irs} surfaces, {scene.n_users} users, "
                   f"{len(scene.obstacles)} obstacles")
         elif args.command == "routes":

@@ -20,7 +20,7 @@ import numpy as np
 from . import scenarios
 from .beams import linear_receivers, multi_hop_phases, optimize_path_phases
 from .channels import cascaded_path_channel, effective_channel, synthesize_channels, unit_phases
-from .geometry import ConfigError, Scene, build_los_graph, build_scene
+from .geometry import ConfigError, Scene, build_los_graph, build_scene, route_links
 from .routing import (interference_audit, optimal_multi_route,
                       optimal_single_route, unconstrained_multi_route)
 from .estimation import (overhead_benchmark_siso_general,
@@ -331,17 +331,16 @@ def run_fig13(config: ExperimentConfig) -> ResultTable:
         scene = build_scene(scenarios.indoor_hall_config(m0=m0, kappa_db=kappa_db))
         averages = 1 if kappa_db == "inf" else 10
 
-        path_links = [(0, path[0]), *zip(path[:-1], path[1:]), (path[-1], scene.n_irs + 1)]
+        links = route_links(path, scene.n_irs + 1)
 
-        def trial(t, s, sc=scene, avg=averages):
-            channels = synthesize_channels(sc, s, links=path_links)
+        def trial(t, s, sc=scene, avg=averages, links=links):
+            channels = synthesize_channels(sc, s, links=links)
             seq = sequential_search(channels, [1], bs_cb, irs_cbs, path=path)
             gain_seq = _fig13_true_gain(channels, path, seq.w, seq.phases)
 
-            hops = [(0, path[0]), *zip(path[:-1], path[1:]), (path[-1], sc.n_irs + 1)]
             bs_table = build_bs_btt(sc, bs_cb, seed=s, averages=avg, next_nodes=[path[0]])
             irs_tables = [build_irs_btt(sc, j, irs_cbs[j], seed=s, averages=avg,
-                                        prev_nodes=[hops[i][0]], next_nodes=[hops[i + 1][1]])
+                                        prev_nodes=[links[i][0]], next_nodes=[links[i + 1][1]])
                           for i, j in enumerate(path)]
             gbtt = assemble_global_btt(bs_table, irs_tables)
             choices = best_beams_for_path(gbtt, path, sc.n_irs + 1)

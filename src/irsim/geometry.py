@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -81,14 +82,18 @@ class PanelArray:
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
 
+    @functools.cached_property
     def element_offsets(self) -> np.ndarray:
-        """(size, 3) element positions relative to the panel center."""
+        """(size, 3) element positions relative to the panel center, built
+        once per panel (read-only)."""
         n1, n2 = self.shape
         ax_h, ax_v = panel_axes(self.normal)
         ih = np.arange(n1) - (n1 - 1) / 2.0
         iv = np.arange(n2) - (n2 - 1) / 2.0
         grid = ih[:, None, None] * ax_h[None, None, :] + iv[None, :, None] * ax_v[None, None, :]
-        return (grid * self.spacing_m).reshape(n1 * n2, 3)
+        offsets = (grid * self.spacing_m).reshape(n1 * n2, 3)
+        offsets.flags.writeable = False
+        return offsets
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,12 @@ class Box:
         return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
     def intersects_segment(self, a, b) -> bool:
-        """Exact slab test of the closed box against segment [a, b]."""
+        """Slab test of the closed box against segment [a, b].
+
+        Each slab bound is one correctly rounded division.  That is not
+        exact arithmetic: an edge or corner contact can still be missed, or
+        a near miss counted, by one rounding.
+        """
         a = np.asarray(a, dtype=float)
         d = np.asarray(b, dtype=float) - a
         t0, t1 = 0.0, 1.0
@@ -112,9 +122,9 @@ class Box:
                 if a[ax] < self.lo[ax] or a[ax] > self.hi[ax]:
                     return False
                 continue
-            inv = 1.0 / d[ax]
-            tn = (self.lo[ax] - a[ax]) * inv
-            tf = (self.hi[ax] - a[ax]) * inv
+            # Python floats: a subnormal d gives +-inf, not a numpy overflow
+            tn = float(self.lo[ax] - a[ax]) / float(d[ax])
+            tf = float(self.hi[ax] - a[ax]) / float(d[ax])
             if tn > tf:
                 tn, tf = tf, tn
             t0 = max(t0, tn)
@@ -311,13 +321,17 @@ def build_scene(config: dict) -> Scene:
     return scene
 
 
-def load_scene(path) -> Scene:
+def _read_config(path) -> dict:
+    """Parsed JSON of a scene file; malformed JSON is a ConfigError."""
     with open(path) as fh:
         try:
-            config = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return build_scene(config)
+
+
+def load_scene(path) -> Scene:
+    return build_scene(_read_config(path))
 
 
 def _parse_constants(cfg: dict) -> Constants:
@@ -377,6 +391,13 @@ def _parse_regions(cfg, n_irs: int, n_users: int):
             raise ConfigError(f"effective region of user {k} names unknown IRSs: {sorted(reg - full)}")
         regions.append(reg)
     return tuple(regions)
+
+
+def route_links(path, target: int) -> list[tuple[int, int]]:
+    """Directed links of a route in propagation order: BS to the first
+    surface, surface to surface, and the last surface to `target`."""
+    nodes = [0, *path, target]
+    return list(zip(nodes[:-1], nodes[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +469,6 @@ class LosGraph:
 
     def successors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in self.nodes if (i, j) in self.edges)
-
-    def predecessors(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i in self.nodes if (i, j) in self.edges)
 
     @property
     def irs_nodes(self) -> tuple[int, ...]:

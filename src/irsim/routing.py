@@ -16,7 +16,7 @@ import numpy as np
 from .beams import (bs_mrt_to_first_irs, closed_form_path_gain, multi_hop_phases,
                     path_gain_with_direct)
 from .channels import effective_channel, enumerate_graph_paths, unit_phases
-from .geometry import LosGraph, Scene, los_indicator
+from .geometry import LosGraph, Scene, los_indicator, route_links
 
 enumerate_routes = enumerate_graph_paths     # public name of the route enumeration
 
@@ -76,8 +76,7 @@ def _graph_edge_weight(graph: LosGraph, i: int, j: int, m_elements, beta: float)
 
 
 def path_distances(graph: LosGraph, path) -> list[float]:
-    seq = [0, *path, graph.user_node]
-    return [graph.distances[(a, b)] for a, b in zip(seq[:-1], seq[1:])]
+    return [graph.distances[link] for link in route_links(path, graph.user_node)]
 
 
 def path_gain(graph: LosGraph, path, m_elements, beta: float, n_bs: int = 1) -> float:

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _graph_edges, _path_edges, _rician_draws,
-                       enumerate_graph_paths)
-from .geometry import Scene, build_los_graph, has_geometric_los, los_indicator
-from .routing import Infeasible, ReflectionPath, RoutingSolution, optimal_multi_route
+from .channels import ChannelSet, _compose, _graph_edges, _path_edges, _rician_draws
+from .geometry import Scene, build_los_graph, los_indicator, route_links
+from .routing import optimal_multi_route
 
 
 class NotTrainable(RuntimeError):
@@ -147,13 +146,6 @@ class TrainedBeams:
     sweeps: int = 0
 
 
-def _apply_indices(evaluator: GainEvaluator, bs_codebook: Codebook, irs_codebooks: dict,
-                   bs_idx: int, irs_idx: dict):
-    w = bs_codebook.beams[bs_idx]
-    phases = {j: irs_codebooks[j].beams[irs_idx[j]] for j in evaluator.irs_ids}
-    return w, phases
-
-
 def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
                       irs_codebooks: dict, path=None, los_only: bool = True,
                       include_direct: bool = False, max_combinations: int = 10_000_000) -> TrainedBeams:
@@ -173,14 +165,14 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
     for bs_idx in range(bs_codebook.size):
         for choice in itertools.product(*(range(irs_codebooks[j].size) for j in ids)):
             irs_idx = dict(zip(ids, choice))
-            w, phases = _apply_indices(evaluator, bs_codebook, irs_codebooks, bs_idx, irs_idx)
+            w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks,
+                                           {0: bs_idx, **irs_idx})
             obj = evaluator.min_snr(w, phases)
             key = (obj, -bs_idx, tuple(-c for c in choice))
             if best is None or key > best[0]:
-                best = (key, bs_idx, irs_idx, obj)
-    _, bs_idx, irs_idx, obj = best
-    w, phases = _apply_indices(evaluator, bs_codebook, irs_codebooks, bs_idx, irs_idx)
-    return TrainedBeams(bs_index=bs_idx, irs_indices=dict(irs_idx), w=w, phases=phases,
+                best = (key, bs_idx, irs_idx, obj, w, phases)
+    _, bs_idx, irs_idx, obj, w, phases = best
+    return TrainedBeams(bs_index=bs_idx, irs_indices=irs_idx, w=w, phases=phases,
                         objective=obj, evaluations=evaluator.evaluations,
                         combinations=combos)
 
@@ -196,30 +188,25 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
     evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path,
                               los_only=los_only, include_direct=include_direct)
     ids = evaluator.irs_ids
-    bs_idx = 0
-    irs_idx = {j: 0 for j in ids}
+    choices = {0: 0, **{j: 0 for j in ids}}        # node -> beam index, the BS first
     sweeps = 0
     objective = 0.0
     for sweeps in range(1, max_sweeps + 1):
         changed = False
-        w, phases = _apply_indices(evaluator, bs_codebook, irs_codebooks, bs_idx, irs_idx)
-        snrs = evaluator.sweep_bs(bs_codebook, phases)
-        new_bs = int(np.argmax(snrs))
-        if snrs[new_bs] > snrs[bs_idx]:
-            bs_idx, changed = new_bs, True
-        objective = float(snrs[bs_idx])
-        for j in ids:
-            w, phases = _apply_indices(evaluator, bs_codebook, irs_codebooks, bs_idx, irs_idx)
-            snrs = evaluator.sweep_irs(j, irs_codebooks[j], w, phases)
-            new_j = int(np.argmax(snrs))
-            if snrs[new_j] > snrs[irs_idx[j]]:
-                irs_idx[j], changed = new_j, True
-            objective = float(snrs[irs_idx[j]])
+        for node in choices:
+            w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks, choices)
+            snrs = (evaluator.sweep_bs(bs_codebook, phases) if node == 0
+                    else evaluator.sweep_irs(node, irs_codebooks[node], w, phases))
+            new = int(np.argmax(snrs))
+            if snrs[new] > snrs[choices[node]]:
+                choices[node], changed = new, True
+            objective = float(snrs[choices[node]])
         if not changed:
             break
-    w, phases = _apply_indices(evaluator, bs_codebook, irs_codebooks, bs_idx, irs_idx)
-    return TrainedBeams(bs_index=bs_idx, irs_indices=dict(irs_idx), w=w, phases=phases,
-                        objective=objective, evaluations=evaluator.evaluations, sweeps=sweeps)
+    w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks, choices)
+    return TrainedBeams(bs_index=choices[0], irs_indices={j: choices[j] for j in ids},
+                        w=w, phases=phases, objective=objective,
+                        evaluations=evaluator.evaluations, sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +243,33 @@ def _controller_rng(seed: int, owner: int, prev, nxt: int, kind: int = 0) -> np.
         np.random.SeedSequence(entropy=(seed, 7, owner, prev_id, nxt, kind)))
 
 
-def _bs_neighbors(scene: Scene) -> list[int]:
-    out = [j for j in range(1, scene.n_irs + 1) if los_indicator(scene, 0, j)]
-    out += [scene.n_irs + k for k in range(1, scene.n_users + 1)
-            if los_indicator(scene, 0, scene.n_irs + k) and has_geometric_los(scene, 0, scene.n_irs + k)]
-    return out
-
-
 def irs_neighbor_sets(scene: Scene, j: int):
-    """(previous, next) node sets of surface j per the LoS indicators."""
-    prev = [0] if los_indicator(scene, 0, j) else []
-    prev += [i for i in range(1, scene.n_irs + 1) if i != j and los_indicator(scene, i, j)]
-    nxt = [w for w in range(1, scene.n_irs + 1) if w != j and los_indicator(scene, j, w)]
-    nxt += [scene.n_irs + k for k in range(1, scene.n_users + 1)
-            if los_indicator(scene, j, scene.n_irs + k)]
-    return prev, nxt
+    """(previous, next) node sets of node j (0 for the BS) per the LoS
+    indicators."""
+    nodes = range(scene.n_irs + scene.n_users + 1)
+    return ([i for i in nodes if los_indicator(scene, i, j)],
+            [w for w in nodes if los_indicator(scene, j, w)])
+
+
+def _bs_neighbors(scene: Scene) -> list[int]:
+    return irs_neighbor_sets(scene, 0)[1]
+
+
+def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Codebook,
+           next_nodes, seed: int, averages: int) -> None:
+    """Add the time-averaged RSS of every beam of `table.owner` at each next
+    node's controller; `incident[t]` scales the owner's elements in
+    realization t (1.0 for the BS, which transmits itself)."""
+    for nxt in next_nodes:
+        draws = _rician_draws(scene, table.owner, nxt,
+                              _controller_rng(seed, table.owner, prev, nxt), averages,
+                              rx_panel=False)
+        rss = np.zeros(codebook.size)
+        for t, out in enumerate(draws):
+            rss += np.abs(codebook.beams @ (out.matrix[0] * incident[t])) ** 2
+        rss /= averages
+        for beam, value in enumerate(rss):
+            table.add(prev, beam, nxt, float(value))
 
 
 def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = None,
@@ -282,20 +281,13 @@ def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = Non
     """
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=0, threshold=thr)
-    for nxt in (_bs_neighbors(scene) if next_nodes is None else next_nodes):
-        rng = _controller_rng(seed, 0, None, nxt)
-        rss = np.zeros(codebook.size)
-        for c in _rician_draws(scene, 0, nxt, rng, averages, rx_panel=False):
-            rss += np.abs(codebook.beams @ c.matrix[0]) ** 2
-        rss /= averages
-        for beam, value in enumerate(rss):
-            table.add(None, beam, nxt, float(value))
+    _sound(table, scene, None, [1.0] * averages, codebook,
+           _bs_neighbors(scene) if next_nodes is None else next_nodes, seed, averages)
     return table
 
 
 def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float | None = None,
                   seed: int = 0, averages: int = 10,
-                  bs_sounding_beam: np.ndarray | None = None,
                   prev_nodes=None, next_nodes=None) -> BeamTrainingTable:
     """Table of surface `irs`: RSS at each next node for every (previous
     node, passive beam) pair, plus the unreflected reference RSS of each
@@ -307,31 +299,22 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
     """
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=irs, threshold=thr)
-    default_prev, default_next = irs_neighbor_sets(scene, irs)
-    prev_nodes = default_prev if prev_nodes is None else list(prev_nodes)
-    next_nodes = default_next if next_nodes is None else list(next_nodes)
+    if prev_nodes is None or next_nodes is None:
+        default_prev, default_next = irs_neighbor_sets(scene, irs)
+        prev_nodes = default_prev if prev_nodes is None else prev_nodes
+        next_nodes = default_next if next_nodes is None else next_nodes
+    next_nodes = list(next_nodes)
     for prev in prev_nodes:
         # the BS sounds with its element panel, a surface with its controller
-        if prev == 0:
-            w = (np.ones(scene.n_bs, dtype=complex) / math.sqrt(scene.n_bs)
-                 if bs_sounding_beam is None else bs_sounding_beam)
-        else:
-            w = np.ones(1, dtype=complex)
+        w = (np.ones(scene.n_bs, dtype=complex) / math.sqrt(scene.n_bs) if prev == 0
+             else np.ones(1, dtype=complex))
         incident = [c.matrix @ w for c in _rician_draws(
             scene, prev, irs, _controller_rng(seed, irs, prev, irs), averages, tx_panel=prev == 0)]
         ref_draws = [c.matrix[0] @ w for c in _rician_draws(
             scene, prev, irs, _controller_rng(seed, irs, prev, irs, kind=1), averages,
             rx_panel=False, tx_panel=prev == 0)]
         table.reference_rss[prev] = float(np.mean([abs(r) ** 2 for r in ref_draws]))
-        for nxt in next_nodes:
-            out_rng = _controller_rng(seed, irs, prev, nxt)
-            rss = np.zeros(codebook.size)
-            for t, out in enumerate(_rician_draws(scene, irs, nxt, out_rng, averages,
-                                                  rx_panel=False)):
-                rss += np.abs(codebook.beams @ (out.matrix[0] * incident[t])) ** 2
-            rss /= averages
-            for beam, value in enumerate(rss):
-                table.add(prev, beam, nxt, float(value))
+        _sound(table, scene, prev, incident, codebook, next_nodes, seed, averages)
     return table
 
 
@@ -358,6 +341,18 @@ def assemble_global_btt(bs_table: BeamTrainingTable, irs_tables) -> GlobalBtt:
     return GlobalBtt(bs_table=bs_table, irs_tables=merged)
 
 
+def _route_walk(gbtt: GlobalBtt, path, user_node: int):
+    """Yield (node, table, previous node, next node) along a route: the BS
+    (previous node None), then each surface in order."""
+    links = route_links(path, user_node)
+    yield 0, gbtt.bs_table, None, links[0][1]
+    for (prev, node), (_, nxt) in zip(links, links[1:]):
+        table = gbtt.irs_tables.get(node)
+        if table is None:
+            raise NotTrainable(f"no table for surface {node}")
+        yield node, table, prev, nxt
+
+
 def approx_gain(gbtt: GlobalBtt, path, user_node: int, beam_choices: dict) -> float:
     """Composed end-to-end gain estimate of a route under given beams.
 
@@ -365,40 +360,24 @@ def approx_gain(gbtt: GlobalBtt, path, user_node: int, beam_choices: dict) -> fl
     divided by the unreflected incoming reference; exact under pure LoS.
     `beam_choices` maps node id (0 for the BS) to the beam index used.
     """
-    path = tuple(path)
-    key = (None, beam_choices[0], path[0])
-    if key not in gbtt.bs_table.rows:
-        raise NotTrainable(f"BS table has no row {key}")
-    estimate = gbtt.bs_table.rows[key]
-    hops = [(0, path[0])] + list(zip(path[:-1], path[1:]))
-    for (prev, node), nxt in zip(hops, list(path[1:]) + [user_node]):
-        table = gbtt.irs_tables.get(node)
-        if table is None:
-            raise NotTrainable(f"no table for surface {node}")
+    estimate = 1.0
+    for node, table, prev, nxt in _route_walk(gbtt, path, user_node):
         row = (prev, beam_choices[node], nxt)
-        if row not in table.rows or prev not in table.reference_rss:
-            raise NotTrainable(f"surface {node} has no trained row {row}")
-        estimate *= table.rows[row] / table.reference_rss[prev]
+        reference = 1.0 if prev is None else table.reference_rss.get(prev)
+        if row not in table.rows or reference is None:
+            raise NotTrainable(f"node {node} has no trained row {row}")
+        estimate *= table.rows[row] / reference
     return float(estimate)
 
 
 def best_beams_for_path(gbtt: GlobalBtt, path, user_node: int):
     """Per-hop argmax beam choices; the estimate factorizes per hop."""
     choices = {}
-    bs_rows = [(rss, beam) for (prev, beam, nxt), rss in gbtt.bs_table.rows.items()
-               if nxt == path[0]]
-    if not bs_rows:
-        raise NotTrainable(f"no BS rows toward surface {path[0]}")
-    choices[0] = max(bs_rows, key=lambda t: (t[0], -t[1]))[1]
-    hops = [(0, path[0])] + list(zip(path[:-1], path[1:]))
-    for (prev, node), nxt in zip(hops, list(path[1:]) + [user_node]):
-        table = gbtt.irs_tables.get(node)
-        if table is None:
-            raise NotTrainable(f"no table for surface {node}")
+    for node, table, prev, nxt in _route_walk(gbtt, path, user_node):
         rows = [(rss, beam) for (p, beam, n), rss in table.rows.items()
                 if p == prev and n == nxt]
         if not rows:
-            raise NotTrainable(f"surface {node} never trained hop ({prev} -> {nxt})")
+            raise NotTrainable(f"node {node} never trained hop ({prev} -> {nxt})")
         choices[node] = max(rows, key=lambda t: (t[0], -t[1]))[1]
     return choices
 
@@ -408,9 +387,10 @@ def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, bs_codebook: Code
     """Joint route and beam selection from the global table alone.
 
     Picks per-hop beams maximizing the composed estimate for every
-    candidate route, then routes one user by the best estimate or several
-    users by separated max-min on the estimates.  Returns the routing
-    solution plus the chosen beam indices per user.
+    candidate route, then routes the users by separated max-min on the
+    estimates (for one user: the best estimate, ties to fewer hops, then
+    the smaller surface sequence).  Returns the routing solution plus the
+    chosen beam indices per user.
     """
     users = list(users) if users is not None else list(range(1, scene.n_users + 1))
     graphs = {k: build_los_graph(scene, k) for k in users}
@@ -423,28 +403,10 @@ def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, bs_codebook: Code
         except NotTrainable:
             return None
 
-    if len(users) == 1:
-        k = users[0]
-        target = scene.n_irs + k
-        best = None
-        for seq in enumerate_graph_paths(graphs[k]):
-            g = trained_gain(k, seq)
-            if g is not None and (best is None or g > best[0]):
-                best = (g, seq)
-        if best is None:
-            raise Infeasible(f"no trainable route for user {k}", {k: 0})
-        solution = RoutingSolution(
-            paths={k: ReflectionPath(irs_sequence=best[1], user=k, gain=best[0])},
-            objective=best[0], separation_ok=True)
-    else:
-        solution = optimal_multi_route(scene, graphs, m_elements=0, beta=scene.constants.beta,
-                                       budget=budget, gain_fn=trained_gain)
-
-    beam_choices = {}
-    for k, refl in solution.paths.items():
-        target = scene.n_irs + k
-        beam_choices[k] = best_beams_for_path(gbtt, refl.irs_sequence, target)
-    return solution, beam_choices
+    solution = optimal_multi_route(scene, graphs, m_elements=0, beta=scene.constants.beta,
+                                   budget=budget, gain_fn=trained_gain)
+    return solution, {k: best_beams_for_path(gbtt, refl.irs_sequence, scene.n_irs + k)
+                      for k, refl in solution.paths.items()}
 
 
 def beams_from_choices(scene: Scene, bs_codebook: Codebook, irs_codebooks: dict,

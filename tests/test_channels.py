@@ -57,6 +57,35 @@ def test_non_unit_direction_rejected():
         array_response(_panel(), [1.0, 1.0, 0.0], WAVELENGTH)
 
 
+def test_element_grid_cached_once_under_concurrent_readers():
+    import sys
+    import threading
+    panel = _panel(6)
+    reads, errors = [], []
+
+    def read():
+        try:
+            reads.append(panel.element_offsets)
+        except Exception as exc:               # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    fresh = _panel(6).element_offsets
+    assert len(reads) == 16 and all(np.array_equal(r, fresh) for r in reads)
+    assert panel.element_offsets is panel.element_offsets
+    assert not panel.element_offsets.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # path loss
 # ---------------------------------------------------------------------------

@@ -198,6 +198,15 @@ def test_segment_box_matches_rational_oracle():
     assert agreements == 500
 
 
+def test_segment_touching_box_corner_counts_as_blocked():
+    # reaches the corner (-1, -2, 2) at t = 0.6, where a rounded reciprocal
+    # of the direction used to put the entry just after the exit
+    a, b, lo, hi = [2, 7, 5], [-3, -8, 0], [-4, -2, 1], [-1, -1, 2]
+    box = Box(lo=np.array(lo, dtype=float), hi=np.array(hi, dtype=float))
+    assert _segment_box_oracle(a, b, lo, hi)
+    assert box.intersects_segment(np.array(a, dtype=float), np.array(b, dtype=float))
+
+
 def test_removing_obstacle_never_removes_los():
     rng = np.random.default_rng(3)
     for trial in range(20):

@@ -383,3 +383,37 @@ def test_distributed_untrainable_raises():
     from irsim.routing import Infeasible
     with pytest.raises(Infeasible):
         distributed_route_and_beams(scene, gbtt, bs_cb, irs_cbs, users=[1])
+
+
+@pytest.mark.parametrize("kappa_db", [5.0, 10.0, 15.0, 20.0])
+def test_best_beams_maximize_composed_estimate(kappa_db):
+    # the estimate is a product of per-hop factors, so the per-hop argmax
+    # beats every other beam combination of the route
+    import itertools
+    path = (1, 2)
+    for seed in range(3):
+        scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2, kappa_db=kappa_db))
+        bs_cb = dft_codebook(2, 2, kind="active")
+        irs_cbs = {j: planar_passive_codebook(2, 2) for j in path}
+        bs_table = build_bs_btt(scene, bs_cb, threshold=0.0, seed=300 + seed, averages=10)
+        tables = [build_irs_btt(scene, j, irs_cbs[j], threshold=0.0, seed=300 + seed,
+                                averages=10) for j in path]
+        gbtt = assemble_global_btt(bs_table, tables)
+        user = scene.n_irs + 1
+        best = approx_gain(gbtt, path, user, best_beams_for_path(gbtt, path, user))
+        for b0, b1, b2 in itertools.product(range(2), range(4), range(4)):
+            assert best >= approx_gain(gbtt, path, user, {0: b0, 1: b1, 2: b2})
+
+
+def test_irs_btt_with_both_neighbor_lists_skips_neighbor_search(monkeypatch):
+    import irsim.training as training
+
+    def forbidden(scene, j):
+        raise AssertionError("neighbor sets computed although both lists were given")
+
+    scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2))
+    monkeypatch.setattr(training, "irs_neighbor_sets", forbidden)
+    table = build_irs_btt(scene, 1, planar_passive_codebook(2, 2), threshold=0.0, seed=1,
+                          averages=1, prev_nodes=[0], next_nodes=[2])
+    assert set(table.reference_rss) == {0}
+    assert {(p, n) for p, _, n in table.rows} == {(0, 2)}
