@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (LosGraph, PanelArray, Scene, build_los_graph, has_geometric_los,
-                       is_admissible_link, route_links)
+                       route_links)
 
 
 def array_response(panel: PanelArray, direction, wavelength: float) -> np.ndarray:
@@ -155,30 +155,13 @@ def _link_rng(seed: int, i: int, j: int) -> np.random.Generator:
 
 
 def synthesize_channels(scene: Scene, seed: int, links=None) -> ChannelSet:
-    """Synthesize every admissible link plus the direct channels.
+    """Synthesize every admissible link, the direct BS-user links included.
 
     `links` restricts synthesis to the named (i, j) pairs; thanks to the
     per-link seed substreams the drawn channels are identical either way.
     """
     cs = ChannelSet(scene=scene, seed=seed)
-    if links is not None:
-        for (i, j) in links:
-            cs.links[(i, j)] = synth_link(scene, i, j, _link_rng(seed, i, j))
-        return cs
-    J, K = scene.n_irs, scene.n_users
-    pairs = []
-    for j in range(1, J + 1):
-        if is_admissible_link(scene, 0, j):
-            pairs.append((0, j))
-        for i in range(1, J + 1):
-            if i != j and is_admissible_link(scene, i, j):
-                pairs.append((i, j))
-    for k in range(1, K + 1):
-        pairs.append((0, J + k))
-        for j in sorted(scene.effective_regions[k - 1]):
-            if is_admissible_link(scene, j, J + k):
-                pairs.append((j, J + k))
-    for (i, j) in pairs:
+    for (i, j) in (scene._links[0] if links is None else links):
         cs.links[(i, j)] = synth_link(scene, i, j, _link_rng(seed, i, j))
     return cs
 

@@ -9,7 +9,8 @@ import argparse
 import json
 import sys
 
-from .experiments import ExperimentConfig, routes_payload, run_scenario, worker_count
+from .experiments import (DEFAULT_TRIALS, RUNNERS, ExperimentConfig, routes_payload,
+                          run_scenario, worker_count)
 from .geometry import ConfigError, _read_config, build_scene, load_scene
 from .routing import Infeasible, NoFeasiblePath
 from .scenarios import packaged_scene_path
@@ -17,8 +18,6 @@ from .scenarios import packaged_scene_path
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-
-_SCENARIOS = ("fig6", "fig7", "fig8", "fig9", "fig11", "fig13", "custom")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True)
     run.add_argument("--config", help="scene JSON (required for the custom scenario)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--trials", type=int, default=100)
+    run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     run.add_argument("--out", help="CSV output path (default: stdout)")
 
     val = sub.add_parser("validate", help="validate a scene JSON file")
@@ -47,8 +46,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            if args.scenario not in _SCENARIOS:
-                print(f"unknown scenario {args.scenario!r}; choose from {', '.join(_SCENARIOS)}",
+            if args.scenario not in RUNNERS:
+                print(f"unknown scenario {args.scenario!r}; choose from {', '.join(RUNNERS)}",
                       file=sys.stderr)
                 return EXIT_CONFIG
             scene_config = _read_config(args.config) if args.config else None
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
                     fh.write(text + "\n")
             else:
                 print(text)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoFeasiblePath, Infeasible) as exc:

@@ -165,7 +165,7 @@ def run_fig6(config: ExperimentConfig) -> ResultTable:
 FIG7_POWERS_DBM = [-10, 0, 10, 20, 30, 40]
 
 
-def _fig7_channels(scene, channels, irs_subset, phases, n_users):
+def _fig7_channels(channels, irs_subset, phases, n_users):
     cols = [effective_channel(channels, k, phases, los_only=False,
                               include_direct=False, irs_subset=irs_subset)
             for k in range(1, n_users + 1)]
@@ -193,8 +193,8 @@ def run_fig7(config: ExperimentConfig) -> ResultTable:
 
         phases_d = {**unit_phases(scene), **multi_hop_phases(channels, [1, 2], user=1)}
         phases_s = {**unit_phases(scene), **multi_hop_phases(channels, [2], user=1)}
-        h_double = _fig7_channels(scene, channels, [1, 2], phases_d, n_users)
-        h_single = _fig7_channels(scene, channels, [2], phases_s, n_users)
+        h_double = _fig7_channels(channels, [1, 2], phases_d, n_users)
+        h_single = _fig7_channels(channels, [2], phases_s, n_users)
 
         noise = scene.constants.noise_power
         out = {}

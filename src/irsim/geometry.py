@@ -41,6 +41,32 @@ def _finite(value, what: str, shape: tuple) -> np.ndarray:
     return arr
 
 
+def _number(value, what: str) -> float:
+    return float(_finite(value, what, ()))
+
+
+def _count(value, what: str) -> int:
+    """`value` as a positive integer; 4 and 4.0 pass, 2.7 and 0 do not."""
+    n = _number(value, what)
+    if n < 1 or not n.is_integer():
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return int(n)
+
+
+def _grid(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{what} must be two positive integers, got {value!r}")
+    return tuple(_count(n, f"{what} entry") for n in value)
+
+
+def _expect(value, kind: type, what: str):
+    """`value` when it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise ConfigError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, "
+                          f"got {value!r}")
+    return value
+
+
 def _unit(v):
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
@@ -241,6 +267,15 @@ class Scene:
             return "bs_user" if self.is_user(j) else "bs_irs"
         return "irs_user" if self.is_user(j) else "irs_irs"
 
+    @functools.cached_property
+    def _links(self) -> tuple[tuple, frozenset]:
+        """(admissible, los): every admissible directed link, direct BS-user
+        links included, by target node then source node, and the set of
+        those with geometric LoS.  Built once per scene (read-only)."""
+        nodes = range(self.n_irs + self.n_users + 1)
+        admissible = tuple((i, j) for j in nodes for i in nodes if is_admissible_link(self, i, j))
+        return admissible, frozenset(ij for ij in admissible if has_geometric_los(self, *ij))
+
 
 def build_scene(config: dict) -> Scene:
     """Validate a scenario description (parsed JSON) and build a Scene.
@@ -248,50 +283,50 @@ def build_scene(config: dict) -> Scene:
     Expected keys: bs, irs, users, obstacles, constants, effective_regions.
     Distances are meters, powers dBm, path loss dB; directions are unit
     vectors.  BS elements are half-wavelength spaced, IRS elements
-    quarter-wavelength.  Raises ConfigError for a missing field, a
-    non-numeric or non-finite number, coincident nodes (users excepted) or a
+    quarter-wavelength.  Raises ConfigError for a missing field, a field of
+    the wrong JSON type, a non-numeric or non-finite number, a grid size that
+    is not a positive integer, coincident nodes (users excepted) or a
     reference to a node or override field that does not exist.
     """
+    _expect(config, dict, "a scene description")
     try:
         consts = _parse_constants(config.get("constants", {}))
         lam = consts.wavelength
 
-        bs_cfg = config["bs"]
-        shape = tuple(bs_cfg.get("shape", (1, int(bs_cfg["n_elements"]))))
-        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-            raise ConfigError(f"bad BS array shape {shape}")
+        bs_cfg = _expect(config["bs"], dict, "bs")
+        n_elements = _count(bs_cfg["n_elements"], "BS n_elements")
+        shape = _grid(bs_cfg["shape"], "BS array shape") if "shape" in bs_cfg else (1, n_elements)
         bs = PanelArray(
             center=_finite(bs_cfg["position"], "BS position", (3,)),
-            normal=_unit(bs_cfg.get("normal", (1.0, 0.0, 0.0))),
+            normal=_unit(_finite(bs_cfg.get("normal", (1.0, 0.0, 0.0)), "BS normal", (3,))),
             shape=shape,
             spacing_m=lam / 2.0,
         )
 
         irs = []
-        for idx, ent in enumerate(config.get("irs", []), start=1):
-            if "normal" not in ent:
+        for idx, ent in enumerate(_expect(config.get("irs", []), list, "irs"), start=1):
+            if "normal" not in _expect(ent, dict, f"IRS {idx}"):
                 raise ConfigError("IRS entry missing pointing normal")
             if "shape" in ent:
-                shape = tuple(int(x) for x in ent["shape"])
+                shape = _grid(ent["shape"], f"IRS {idx} element grid")
             else:
-                m0 = int(ent["m0"])
+                m0 = _count(ent["m0"], f"IRS {idx} m0")
                 shape = (m0, m0)
-            if len(shape) != 2 or min(shape) < 1:
-                raise ConfigError(f"bad IRS element grid {shape}")
             irs.append(PanelArray(
                 center=_finite(ent["position"], f"IRS {idx} position", (3,)),
-                normal=_unit(ent["normal"]),
+                normal=_unit(_finite(ent["normal"], f"IRS {idx} normal", (3,))),
                 shape=shape,
                 spacing_m=lam / 4.0,
             ))
 
+        user_cfg = _expect(config.get("users", []), list, "users")
         users = np.array([_finite(u, f"user {k} position", (3,))
-                          for k, u in enumerate(config.get("users", []), start=1)]).reshape(-1, 3)
-        obstacles = tuple(
-            Box(lo=_finite(o["min"], f"obstacle {n} min corner", (3,)),
-                hi=_finite(o["max"], f"obstacle {n} max corner", (3,)))
-            for n, o in enumerate(config.get("obstacles", []), start=1)
-        )
+                          for k, u in enumerate(user_cfg, start=1)]).reshape(-1, 3)
+        obstacles = []
+        for n, o in enumerate(_expect(config.get("obstacles", []), list, "obstacles"), start=1):
+            _expect(o, dict, f"obstacle {n}")
+            obstacles.append(Box(lo=_finite(o["min"], f"obstacle {n} min corner", (3,)),
+                                 hi=_finite(o["max"], f"obstacle {n} max corner", (3,))))
         for box in obstacles:
             if np.any(box.lo > box.hi):
                 raise ConfigError("obstacle with min corner beyond max corner")
@@ -300,7 +335,7 @@ def build_scene(config: dict) -> Scene:
     except KeyError as exc:
         raise ConfigError(f"missing required field {exc}") from exc
 
-    scene = Scene(bs=bs, irs=tuple(irs), users=users, obstacles=obstacles,
+    scene = Scene(bs=bs, irs=tuple(irs), users=users, obstacles=tuple(obstacles),
                   constants=consts, effective_regions=regions)
 
     n_nodes = scene.n_irs + scene.n_users + 1
@@ -335,33 +370,35 @@ def load_scene(path) -> Scene:
 
 
 def _parse_constants(cfg: dict) -> Constants:
+    _expect(cfg, dict, "constants")
     kappa = _parse_kappa(cfg.get("kappa_db", "inf"))
     alpha = dict(Constants().alpha)
-    alpha.update(cfg.get("alpha", {}))
+    alpha.update(_expect(cfg.get("alpha", {}), dict, "alpha map"))
     bad = set(alpha) - set(_LINK_CLASSES)
     if bad:
         raise ConfigError(f"unknown link classes in alpha map: {sorted(bad)}")
+    alpha = {cls: _number(a, f"alpha of {cls}") for cls, a in alpha.items()}
     overrides = {}
-    for key, ov in cfg.get("link_overrides", {}).items():
-        unknown = set(ov) - {"alpha", "kappa_db"}
+    for key, ov in _expect(cfg.get("link_overrides", {}), dict, "link_overrides").items():
+        unknown = set(_expect(ov, dict, f"link_overrides[{key!r}]")) - {"alpha", "kappa_db"}
         if unknown:
             raise ConfigError(f"unknown fields in link_overrides[{key!r}]: {sorted(unknown)}")
         ent = {}
         if "alpha" in ov:
-            ent["alpha"] = float(ov["alpha"])
+            ent["alpha"] = _number(ov["alpha"], f"link_overrides[{key!r}] alpha")
         if "kappa_db" in ov:
             ent["kappa"] = _parse_kappa(ov["kappa_db"])
         overrides[key] = ent
-    carrier_hz = float(_finite(cfg.get("carrier_hz", 5e9), "carrier_hz", ()))
+    carrier_hz = _number(cfg.get("carrier_hz", 5e9), "carrier_hz")
     if carrier_hz <= 0.0:
         raise ConfigError(f"carrier_hz must be positive, got {carrier_hz!r}")
     return Constants(
-        beta_db=float(cfg.get("beta_db", -30.0)),
+        beta_db=_number(cfg.get("beta_db", -30.0), "beta_db"),
         alpha=alpha,
         kappa=kappa,
         carrier_hz=carrier_hz,
-        noise_dbm=float(cfg.get("noise_dbm", -90.0)),
-        tx_dbm=float(cfg.get("tx_dbm", 0.0)),
+        noise_dbm=_number(cfg.get("noise_dbm", -90.0), "noise_dbm"),
+        tx_dbm=_number(cfg.get("tx_dbm", 0.0), "tx_dbm"),
         link_overrides=overrides,
     )
 
@@ -373,20 +410,26 @@ def _parse_kappa(value) -> float:
         if value.lower() == "-inf":
             return 0.0
         raise ConfigError(f"bad kappa_db value {value!r}")
-    return 10.0 ** (float(value) / 10.0)
+    try:
+        db = float(value)               # +-inf allowed, as with the strings
+    except (TypeError, ValueError):
+        raise ConfigError(f"kappa_db is not numeric: {value!r}") from None
+    if math.isnan(db):
+        raise ConfigError(f"kappa_db is not a number: {value!r}")
+    return 10.0 ** (db / 10.0)
 
 
 def _parse_regions(cfg, n_irs: int, n_users: int):
     full = frozenset(range(1, n_irs + 1))
     if cfg is None:
         return tuple(full for _ in range(n_users))
-    unknown = set(cfg) - {str(k) for k in range(1, n_users + 1)}
+    unknown = set(_expect(cfg, dict, "effective_regions")) - {str(k) for k in range(1, n_users + 1)}
     if unknown:
         raise ConfigError(f"effective_regions name unknown users: {sorted(unknown, key=str)}")
     regions = []
     for k in range(1, n_users + 1):
-        ids = cfg.get(str(k), sorted(full))
-        reg = frozenset(int(j) for j in ids)
+        ids = _expect(cfg.get(str(k), sorted(full)), list, f"effective region of user {k}")
+        reg = frozenset(_count(j, f"effective region of user {k} entry") for j in ids)
         if not reg <= full:
             raise ConfigError(f"effective region of user {k} names unknown IRSs: {sorted(reg - full)}")
         regions.append(reg)
@@ -485,20 +528,11 @@ def build_los_graph(scene: Scene, user: int, require_los: bool = True) -> LosGra
     if not 1 <= user <= scene.n_users:
         raise ValueError(f"no user {user} in scene")
     target = scene.n_irs + user
-    region = sorted(scene.effective_regions[user - 1])
-    nodes = (0, *region, target)
-    test = los_indicator if require_los else (
-        lambda sc, i, j, u=None: int(is_admissible_link(sc, i, j, u)))
-    edges = set()
-    for j in region:
-        if test(scene, 0, j):
-            edges.add((0, j))
-        if test(scene, j, target, user):
-            edges.add((j, target))
-        for i in region:
-            if i != j and test(scene, i, j):
-                edges.add((i, j))
+    nodes = (0, *sorted(scene.effective_regions[user - 1]), target)
+    admissible, los = scene._links
+    edges = frozenset((i, j) for (i, j) in (los if require_los else admissible)
+                      if i in nodes and j in nodes and (i, j) != (0, target))
     distances = {(i, j): scene.distance(i, j) for (i, j) in edges}
     bs_distance = {n: (0.0 if n == 0 else scene.distance(0, n)) for n in nodes}
-    return LosGraph(user=user, user_node=target, nodes=nodes, edges=frozenset(edges),
+    return LosGraph(user=user, user_node=target, nodes=nodes, edges=edges,
                     distances=distances, bs_distance=bs_distance)

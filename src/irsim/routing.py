@@ -16,7 +16,7 @@ import numpy as np
 from .beams import (bs_mrt_to_first_irs, closed_form_path_gain, multi_hop_phases,
                     path_gain_with_direct)
 from .channels import effective_channel, enumerate_graph_paths, unit_phases
-from .geometry import LosGraph, Scene, los_indicator, route_links
+from .geometry import LosGraph, Scene, route_links
 
 enumerate_routes = enumerate_graph_paths     # public name of the route enumeration
 
@@ -79,11 +79,15 @@ def path_distances(graph: LosGraph, path) -> list[float]:
     return [graph.distances[link] for link in route_links(path, graph.user_node)]
 
 
+def _route_elements(m_elements, path):
+    """Element counts along a route: the common scalar, or one per surface."""
+    return m_elements if np.isscalar(m_elements) else [m_elements[j] for j in path]
+
+
 def path_gain(graph: LosGraph, path, m_elements, beta: float, n_bs: int = 1) -> float:
     """Closed-form LoS gain of a route in the graph."""
-    m = (m_elements if np.isscalar(m_elements)
-         else [m_elements[j] for j in path])
-    return closed_form_path_gain(len(path), m, n_bs, beta, path_distances(graph, path))
+    return closed_form_path_gain(len(path), _route_elements(m_elements, path), n_bs, beta,
+                                 path_distances(graph, path))
 
 
 def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1) -> ReflectionPath:
@@ -123,21 +127,17 @@ def optimal_single_route_with_direct(graph: LosGraph, m_elements, beta: float, n
     that link.  Falls back to the empty path (direct only) when the graph
     is disconnected but the direct channel is nonzero.
     """
-    routes = enumerate_routes(graph)
+    def gain(_, seq):
+        return path_gain_with_direct(len(seq), _route_elements(m_elements, seq), n_bs, beta,
+                                     path_distances(graph, seq), f_direct, bs_responses[seq[0]])
+
+    best = _candidate_routes(graph, graph.user, m_elements, beta, n_bs, 1, gain)
+    if best:
+        return best[0]
     f_norm = float(np.linalg.norm(f_direct))
-    if not routes:
-        if f_norm == 0.0:
-            raise NoFeasiblePath("no route and no direct channel")
-        return ReflectionPath(irs_sequence=(), user=graph.user, gain=f_norm ** 2)
-    scored = []
-    for seq in routes:
-        m = m_elements if np.isscalar(m_elements) else [m_elements[j] for j in seq]
-        g = path_gain_with_direct(len(seq), m, n_bs, beta, path_distances(graph, seq),
-                                  f_direct, bs_responses[seq[0]])
-        scored.append((-g, len(seq), seq))
-    scored.sort()
-    neg_gain, _, seq = scored[0]
-    return ReflectionPath(irs_sequence=seq, user=graph.user, gain=-neg_gain)
+    if f_norm == 0.0:
+        raise NoFeasiblePath("no route and no direct channel")
+    return ReflectionPath(irs_sequence=(), user=graph.user, gain=f_norm ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +149,9 @@ def _path_node_set(scene: Scene, path: ReflectionPath):
 
 
 def _nodes_coupled(scene: Scene, a: int, b: int) -> bool:
-    """LoS coupling between two non-BS nodes, checked in every direction
-    the indicator is defined for."""
-    coupled = False
-    if not scene.is_user(a):
-        coupled = coupled or bool(los_indicator(scene, a, b))
-    if not scene.is_user(b):
-        coupled = coupled or bool(los_indicator(scene, b, a))
-    return coupled
+    """LoS coupling between two non-BS nodes, in either direction."""
+    _, los = scene._links
+    return (a, b) in los or (b, a) in los
 
 
 def check_path_separation(scene: Scene, paths: dict) -> bool:
@@ -167,8 +162,10 @@ def check_path_separation(scene: Scene, paths: dict) -> bool:
                for idx, k in enumerate(users) for kp in users[idx + 1:])
 
 
-def _candidate_routes(scene: Scene, graph: LosGraph, user: int, m_elements, beta: float,
-                      n_bs: int, budget, gain_fn):
+def _candidate_routes(graph: LosGraph, user: int, m_elements, beta: float, n_bs: int,
+                      budget, gain_fn):
+    """The `budget` best routes of a graph (all when None), ranked by gain,
+    then fewer hops, then the smaller surface sequence."""
     cands = []
     for seq in enumerate_routes(graph):
         if gain_fn is not None:
@@ -198,8 +195,7 @@ def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
     cands = {}
     diagnostics = {}
     for k in users:
-        cands[k] = _candidate_routes(scene, graphs[k], k, m_elements, beta, n_bs,
-                                     budget, gain_fn)
+        cands[k] = _candidate_routes(graphs[k], k, m_elements, beta, n_bs, budget, gain_fn)
         diagnostics[k] = len(cands[k])
         if not cands[k]:
             raise Infeasible(f"user {k} has no feasible route", diagnostics)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelSet, _compose, _graph_edges, _path_edges, _rician_draws
-from .geometry import Scene, build_los_graph, los_indicator, route_links
+from .geometry import Scene, build_los_graph, route_links
 from .routing import optimal_multi_route
 
 
@@ -246,9 +246,10 @@ def _controller_rng(seed: int, owner: int, prev, nxt: int, kind: int = 0) -> np.
 def irs_neighbor_sets(scene: Scene, j: int):
     """(previous, next) node sets of node j (0 for the BS) per the LoS
     indicators."""
-    nodes = range(scene.n_irs + scene.n_users + 1)
-    return ([i for i in nodes if los_indicator(scene, i, j)],
-            [w for w in nodes if los_indicator(scene, j, w)])
+    scene.node_position(j)               # a ValueError for a node the scene lacks
+    _, los = scene._links
+    return (sorted(i for i, w in los if w == j),
+            sorted(w for i, w in los if i == j))
 
 
 def _bs_neighbors(scene: Scene) -> list[int]:

@@ -74,6 +74,26 @@ BAD_NUMBERS = [
     ("zero_carrier", ("constants", "carrier_hz"), 0, "carrier_hz must be positive"),
     ("negative_carrier", ("constants", "carrier_hz"), -5e9, "carrier_hz must be positive"),
     ("nan_carrier", ("constants", "carrier_hz"), math.nan, "carrier_hz is not finite"),
+    ("string_n_elements", ("bs", "n_elements"), "abc", "BS n_elements is not numeric"),
+    ("string_bs_shape", ("bs", "shape", 0), "abc", "BS array shape entry is not numeric"),
+    ("fractional_bs_shape", ("bs", "shape", 1), 1.5,
+     "BS array shape entry must be a positive integer, got 1.5"),
+    ("string_m0", ("irs", 4, "m0"), "abc", "IRS 5 m0 is not numeric"),
+    ("fractional_m0", ("irs", 0, "m0"), 2.7, "IRS 1 m0 must be a positive integer, got 2.7"),
+    ("string_irs_shape", ("irs", 0, "shape"), [4, "abc"], "IRS 1 element grid entry is not numeric"),
+    ("string_bs_normal", ("bs", "normal", 0), "abc", "BS normal is not numeric"),
+    ("string_irs_normal", ("irs", 1, "normal", 0), "abc", "IRS 2 normal is not numeric"),
+    ("string_beta", ("constants", "beta_db"), "abc", "beta_db is not numeric"),
+    ("nan_beta", ("constants", "beta_db"), math.nan, "beta_db is not finite"),
+    ("string_tx", ("constants", "tx_dbm"), "abc", "tx_dbm is not numeric"),
+    ("inf_noise", ("constants", "noise_dbm"), math.inf, "noise_dbm is not finite"),
+    ("nan_kappa", ("constants", "kappa_db"), math.nan, "kappa_db is not a number"),
+    ("string_alpha", ("constants", "alpha", "bs_user"), "abc", "alpha of bs_user is not numeric"),
+    ("nan_alpha", ("constants", "alpha", "irs_irs"), math.nan, "alpha of irs_irs is not finite"),
+    ("string_override_alpha", ("constants", "link_overrides"), {"0-1": {"alpha": "abc"}},
+     r"link_overrides\['0-1'\] alpha is not numeric"),
+    ("nan_override_alpha", ("constants", "link_overrides"), {"1-2": {"alpha": math.nan}},
+     r"link_overrides\['1-2'\] alpha is not finite"),
 ]
 BAD_STRUCTURE = [
     ("user_at_bs", ("users", 0), [0, 0, 2], "nodes 0 and 9 are at the same position"),
@@ -86,6 +106,22 @@ BAD_STRUCTURE = [
      r"name no link .*\['01-2'\]"),
     ("region_of_unknown_user", ("effective_regions",), {"7": [1]},
      r"effective_regions name unknown users: \['7'\]"),
+    ("bs_not_object", ("bs",), [0, 0, 2], "bs must be a JSON object"),
+    ("constants_not_object", ("constants",), [], "constants must be a JSON object"),
+    ("users_not_list", ("users",), 5, "users must be a JSON list"),
+    ("irs_entry_not_object", ("irs", 0), 5, "IRS 1 must be a JSON object"),
+    ("obstacles_not_list", ("obstacles",), 5, "obstacles must be a JSON list"),
+    ("obstacle_not_object", ("obstacles", 0), [17, -1, 0], "obstacle 1 must be a JSON object"),
+    ("alpha_map_not_object", ("constants", "alpha"), 2.0, "alpha map must be a JSON object"),
+    ("override_not_object", ("constants", "link_overrides"), {"0-1": 2.5},
+     r"link_overrides\['0-1'\] must be a JSON object"),
+    ("overrides_not_object", ("constants", "link_overrides"), [], "link_overrides must be a JSON object"),
+    ("regions_not_object", ("effective_regions",), [[1]], "effective_regions must be a JSON object"),
+    ("region_not_list", ("effective_regions",), {"1": 3}, "effective region of user 1 must be a JSON list"),
+    ("region_entry_string", ("effective_regions",), {"2": ["a"]},
+     "effective region of user 2 entry is not numeric"),
+    ("region_entry_fractional", ("effective_regions",), {"1": [1.5]},
+     "effective region of user 1 entry must be a positive integer, got 1.5"),
 ]
 
 
