@@ -54,15 +54,15 @@ def optimal_double_reflection_phases(v1: np.ndarray, v2: np.ndarray):
     return np.exp(-1j * np.angle(v1)), np.exp(-1j * np.angle(v2))
 
 
-def double_reflection_factors(channels: ChannelSet, user: int = 1):
+def double_reflection_factors(channels: ChannelSet):
     """(rho, v1, v2) of the factored pure-LoS double-reflection channel.
 
-    Uses the SISO reduction of the BS->IRS1->IRS2->user link: the scalar
+    Uses the SISO reduction of the BS->IRS1->IRS2->user-1 link: the scalar
     channel is rho * (v1 @ phi1) * (v2 @ phi2) for a single-antenna BS.
     """
     q = channels.get(0, 1)
     s = channels.get(1, 2)
-    g = channels.get(2, channels.scene.n_irs + user)
+    g = channels.get(2, channels.scene.n_irs + 1)
     for link in (q, s, g):
         if link.los_gain is None:
             raise ValueError(f"link ({link.i}, {link.j}) has no LoS decomposition")
@@ -191,18 +191,17 @@ def ao_joint_beamforming(channels: ChannelSet, user: int = 1, tol: float = 1e-12
                         converged=converged, iterations=it)
 
 
-def optimize_path_phases(channels: ChannelSet, path, user: int = 1,
-                         max_sweeps: int = 30, tol: float = 1e-10):
+def optimize_path_phases(channels: ChannelSet, path, user: int = 1, max_sweeps: int = 30):
     """Phases maximizing one path's channel norm, by the AO loop.
 
     Works on arbitrary (e.g. faded) link matrices where the closed-form
-    alignment does not apply.  Returns (phases, gain) with the gain under
-    MRT at the BS.
+    alignment does not apply; stops when a sweep gains at most 1e-10
+    (relative).  Returns (phases, gain) with the gain under MRT at the BS.
     """
     edges = _path_edges(path, channels.scene.n_irs + user)
     phases = {j: np.ones(channels.scene.irs[j - 1].size, dtype=complex) for j in path}
     _, gain, _, _ = _alternate(lambda phases, irs=None: _compose(channels, edges, phases, irs),
-                               phases, path, max_sweeps, tol)
+                               phases, path, max_sweeps, 1e-10)
     return phases, gain
 
 
@@ -213,11 +212,11 @@ def optimize_path_phases(channels: ChannelSet, path, user: int = 1,
 RANK_TOLERANCE = 1e-9
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_TOLERANCE) -> int:
+def numerical_rank(matrix: np.ndarray) -> int:
     s = np.linalg.svd(matrix, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > RANK_TOLERANCE * s[0]))
 
 
 @dataclass

@@ -171,10 +171,10 @@ def unit_phases(scene: Scene) -> dict:
     return {j + 1: np.ones(scene.irs[j].size, dtype=complex) for j in range(scene.n_irs)}
 
 
-def check_unit_modulus(phases: dict, tol: float = 1e-9) -> None:
+def check_unit_modulus(phases: dict) -> None:
     for j, theta in phases.items():
         err = np.max(np.abs(np.abs(theta) - 1.0))
-        if err > tol:
+        if err > 1e-9:
             raise ValueError(f"phase vector of IRS {j} is not unit modulus (max dev {err:.2e})")
 
 

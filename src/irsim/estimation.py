@@ -44,12 +44,11 @@ def overhead_benchmark_siso_general(m_elements: int) -> int:
     return int(m_elements) ** 2
 
 
-def dft_training_patterns(m_elements: int, count: int | None = None) -> np.ndarray:
-    """Unit-modulus training reflections: rows of an extended DFT grid."""
+def dft_training_patterns(m_elements: int) -> np.ndarray:
+    """Unit-modulus training reflections: the rows of the M-point DFT grid."""
     m = int(m_elements)
-    count = m if count is None else count
-    idx = np.arange(count)[:, None]
-    return np.exp(-2j * np.pi * idx * np.arange(m)[None, :] / max(count, 1))
+    idx = np.arange(m)[:, None]
+    return np.exp(-2j * np.pi * idx * np.arange(m)[None, :] / m)
 
 
 def default_training_pairs(m_elements: int) -> tuple[np.ndarray, np.ndarray]:

@@ -259,10 +259,8 @@ def routes_payload(scene: Scene) -> dict:
     return out
 
 
-def run_fig9_11(config: ExperimentConfig) -> ResultTable:
-    """Single-user hop counts vs element count, and the two-user routing
-    with and without path-separation constraints (with the interference
-    audit of both pairings)."""
+def run_fig9(config: ExperimentConfig) -> ResultTable:
+    """Single-user hop counts vs element count."""
     table = ResultTable()
     for m0 in FIG9_M0_SWEEP:
         scene = build_scene(scenarios.indoor_hall_config(m0=m0))
@@ -271,7 +269,13 @@ def run_fig9_11(config: ExperimentConfig) -> ResultTable:
         table.add("fig9", "m0", m0, "user1_hops", path.hops, 1, config.seed)
         table.add("fig9", "m0", m0, "user1_gain_db", 10 * math.log10(path.gain),
                   1, config.seed)
+    return table
 
+
+def run_fig11(config: ExperimentConfig) -> ResultTable:
+    """Two-user routing with and without path-separation constraints, with
+    the interference audit of both pairings."""
+    table = ResultTable()
     m0 = 24
     scene = build_scene(scenarios.indoor_hall_config(m0=m0))
     beta = scene.constants.beta
@@ -376,8 +380,8 @@ RUNNERS = {
     "fig6": run_fig6,
     "fig7": run_fig7,
     "fig8": run_fig8,
-    "fig9": run_fig9_11,
-    "fig11": run_fig9_11,
+    "fig9": run_fig9,
+    "fig11": run_fig11,
     "fig13": run_fig13,
     "custom": run_custom,
 }
@@ -389,8 +393,6 @@ def run_scenario(config: ExperimentConfig) -> ResultTable:
     except KeyError:
         raise KeyError(f"unknown scenario {config.scenario!r}") from None
     table = runner(config)
-    if config.scenario in ("fig9", "fig11"):
-        table.rows = [r for r in table.rows if r[0] == config.scenario]
     if config.out_path:
         table.write(config.out_path)
     return table

@@ -392,7 +392,7 @@ def _parse_constants(cfg: dict) -> Constants:
     carrier_hz = _number(cfg.get("carrier_hz", 5e9), "carrier_hz")
     if carrier_hz <= 0.0:
         raise ConfigError(f"carrier_hz must be positive, got {carrier_hz!r}")
-    return Constants(
+    consts = Constants(
         beta_db=_number(cfg.get("beta_db", -30.0), "beta_db"),
         alpha=alpha,
         kappa=kappa,
@@ -401,6 +401,16 @@ def _parse_constants(cfg: dict) -> Constants:
         tx_dbm=_number(cfg.get("tx_dbm", 0.0), "tx_dbm"),
         link_overrides=overrides,
     )
+    for name, power in (("beta_db", "beta"), ("noise_dbm", "noise_power"),
+                        ("tx_dbm", "tx_power")):
+        try:
+            linear = getattr(consts, power)
+        except OverflowError:
+            linear = math.inf
+        if linear == 0.0 or math.isinf(linear):
+            raise ConfigError(f"{name} {getattr(consts, name)!r} overflows or underflows "
+                              f"in linear scale")
+    return consts
 
 
 def _parse_kappa(value) -> float:
@@ -416,7 +426,10 @@ def _parse_kappa(value) -> float:
         raise ConfigError(f"kappa_db is not numeric: {value!r}") from None
     if math.isnan(db):
         raise ConfigError(f"kappa_db is not a number: {value!r}")
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)      # +-inf give inf and 0; an underflow to 0 is Rayleigh
+    except OverflowError:
+        raise ConfigError(f"kappa_db {value!r} overflows in linear scale") from None
 
 
 def _parse_regions(cfg, n_irs: int, n_users: int):

@@ -54,9 +54,8 @@ class RoutingSolution:
 
 
 def _irs_elements(j: int, m_elements) -> float:
-    if np.isscalar(m_elements):
-        return float(m_elements)
-    return float(m_elements[j])
+    """Element count of surface j: the common scalar, or its own entry."""
+    return float(m_elements if np.isscalar(m_elements) else m_elements[j])
 
 
 def edge_weight(edge, distance: float, m_elements, beta: float) -> float:
@@ -79,15 +78,10 @@ def path_distances(graph: LosGraph, path) -> list[float]:
     return [graph.distances[link] for link in route_links(path, graph.user_node)]
 
 
-def _route_elements(m_elements, path):
-    """Element counts along a route: the common scalar, or one per surface."""
-    return m_elements if np.isscalar(m_elements) else [m_elements[j] for j in path]
-
-
 def path_gain(graph: LosGraph, path, m_elements, beta: float, n_bs: int = 1) -> float:
     """Closed-form LoS gain of a route in the graph."""
-    return closed_form_path_gain(len(path), _route_elements(m_elements, path), n_bs, beta,
-                                 path_distances(graph, path))
+    return closed_form_path_gain(len(path), [_irs_elements(j, m_elements) for j in path],
+                                 n_bs, beta, path_distances(graph, path))
 
 
 def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1) -> ReflectionPath:
@@ -128,8 +122,9 @@ def optimal_single_route_with_direct(graph: LosGraph, m_elements, beta: float, n
     is disconnected but the direct channel is nonzero.
     """
     def gain(_, seq):
-        return path_gain_with_direct(len(seq), _route_elements(m_elements, seq), n_bs, beta,
-                                     path_distances(graph, seq), f_direct, bs_responses[seq[0]])
+        return path_gain_with_direct(len(seq), [_irs_elements(j, m_elements) for j in seq],
+                                     n_bs, beta, path_distances(graph, seq), f_direct,
+                                     bs_responses[seq[0]])
 
     best = _candidate_routes(graph, graph.user, m_elements, beta, n_bs, 1, gain)
     if best:

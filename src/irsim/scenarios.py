@@ -24,9 +24,9 @@ def _unit(v) -> list:
     return (v / np.linalg.norm(v)).tolist()
 
 
-def double_irs_config(n_bs: int = 1, irs_shape=(20, 20), n_users: int = 1,
-                      kappa_db="inf", inter_irs_alpha: float = 2.0,
-                      inter_irs_kappa_db="inf", bs_irs1_kappa_db=None) -> dict:
+def double_irs_config(n_bs: int = 1, irs_shape=(20, 20), kappa_db="inf",
+                      inter_irs_alpha: float = 2.0, inter_irs_kappa_db="inf",
+                      bs_irs1_kappa_db=None) -> dict:
     """Two-surface link: surface 1 by the BS, surface 2 by the user cluster.
 
     `irs_shape` sets the per-surface element grid (both surfaces alike);
@@ -38,7 +38,6 @@ def double_irs_config(n_bs: int = 1, irs_shape=(20, 20), n_users: int = 1,
         overrides["1-2"] = {"alpha": inter_irs_alpha, "kappa_db": inter_irs_kappa_db}
     if bs_irs1_kappa_db is not None:
         overrides["0-1"] = {"kappa_db": bs_irs1_kappa_db}
-    users = [[50.0, -2.0, 1.5]][:n_users] or [[50.0, -2.0, 1.5]]
     return {
         "bs": {"position": [0, 0, 2], "normal": [1, 0, 0],
                "shape": [n_bs, 1], "n_elements": n_bs},
@@ -48,7 +47,7 @@ def double_irs_config(n_bs: int = 1, irs_shape=(20, 20), n_users: int = 1,
             {"position": [48, 1, 2], "normal": _unit([-0.34, -0.94, 0]),
              "m0": irs_shape[0], "shape": list(irs_shape)},
         ],
-        "users": users,
+        "users": [[50.0, -2.0, 1.5]],
         "obstacles": [
             {"min": [24, -1.5, 0], "max": [26, -0.3, 3]},
         ],

@@ -2,8 +2,8 @@
 distributed table-driven protocol with offline/online phases.
 
 Beam training never touches explicit CSI: the searches probe the realized
-channels combination by combination, while the distributed protocol builds
-per-node tables of received signal strengths (RSS) measured at the IRS
+channels one node's codebook sweep at a time, while the distributed protocol
+builds per-node tables of received signal strengths (RSS) measured at the IRS
 controllers and composes them into end-to-end gain estimates.  Controller
 measurements average over a configurable number of fading realizations;
 with a pure-LoS channel they are deterministic and the composed estimate
@@ -70,66 +70,43 @@ def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
 # ---------------------------------------------------------------------------
 
 class GainEvaluator:
-    """Measures per-user SNR for beam combinations on realized channels.
+    """Scores codebook beams by their min-user SNR on realized channels.
 
-    `path` restricts the composition to one reflection route (without the
-    direct link); otherwise the full path sum over `irs_ids` applies.
+    `path` restricts the composition to one reflection route; otherwise the
+    path sum runs over the LoS reflection graph of the surfaces `irs_ids`.
+    The direct link is never included.  `sweep` scores one node's whole
+    codebook with every other node held fixed, which serves both searches.
     """
 
-    def __init__(self, channels: ChannelSet, users, irs_ids=None, path=None,
-                 los_only: bool = True, include_direct: bool = False):
+    def __init__(self, channels: ChannelSet, users, irs_ids=None, path=None):
         self.channels = channels
-        self.scene = channels.scene
         self.users = list(users)
-        self.path = tuple(path) if path is not None else None
-        self.irs_ids = (list(self.path) if path is not None else
-                        sorted(irs_ids if irs_ids is not None else
-                               range(1, self.scene.n_irs + 1)))
-        self.los_only = los_only
-        self.include_direct = include_direct and path is None
-        self._edges = {k: (_path_edges(self.path, self.scene.n_irs + k) if path is not None
-                           else _graph_edges(channels, k, los_only, self.irs_ids))
+        scene = channels.scene
+        self.irs_ids = (list(path) if path is not None else
+                        sorted(irs_ids if irs_ids is not None else range(1, scene.n_irs + 1)))
+        self._edges = {k: (_path_edges(path, scene.n_irs + k) if path is not None
+                           else _graph_edges(channels, k, True, self.irs_ids))
                        for k in self.users}
         self.evaluations = 0
 
     def _channel(self, user: int, phases: dict) -> np.ndarray:
-        h = _compose(self.channels, self._edges[user], phases)
-        return h + self.channels.direct(user) if self.include_direct else h
+        return _compose(self.channels, self._edges[user], phases)
 
-    def snr(self, user: int, w: np.ndarray, phases: dict) -> float:
-        consts = self.scene.constants
-        amp = self._channel(user, phases) @ w
-        self.evaluations += 1
-        return float(consts.tx_power * abs(amp) ** 2 / consts.noise_power)
-
-    def min_snr(self, w: np.ndarray, phases: dict) -> float:
-        return min(self.snr(k, w, phases) for k in self.users)
-
-    def sweep_bs(self, codebook: Codebook, phases: dict) -> np.ndarray:
-        """Min-user SNR for every active beam; one evaluation per beam."""
-        consts = self.scene.constants
+    def sweep(self, node: int, codebook: Codebook, w: np.ndarray, phases: dict) -> np.ndarray:
+        """Min-user SNR of every beam in the codebook of `node` (0 for the BS,
+        whose sweep ignores `w`), the other nodes held at `w` and `phases`;
+        counts one evaluation per beam."""
+        consts = self.channels.scene.constants
         snrs = np.full(codebook.size, np.inf)
         for k in self.users:
-            h = self._channel(k, phases)
-            amps = codebook.beams @ h
+            if node == 0:
+                amps = codebook.beams @ self._channel(k, phases)
+            else:
+                base, coeff = _compose(self.channels, self._edges[k], phases, node)
+                amps = codebook.beams @ (coeff @ w) + base @ w
             snrs = np.minimum(snrs, consts.tx_power * np.abs(amps) ** 2 / consts.noise_power)
         self.evaluations += codebook.size
         return snrs
-
-    def sweep_irs(self, irs: int, codebook: Codebook, w: np.ndarray, phases: dict) -> np.ndarray:
-        """Min-user SNR for every passive beam of one surface."""
-        consts = self.scene.constants
-        snrs = np.full(codebook.size, np.inf)
-        for k in self.users:
-            base, coeff = self._affine(k, irs, phases)
-            amps = codebook.beams @ (coeff @ w) + base @ w
-            snrs = np.minimum(snrs, consts.tx_power * np.abs(amps) ** 2 / consts.noise_power)
-        self.evaluations += codebook.size
-        return snrs
-
-    def _affine(self, user: int, irs: int, phases: dict):
-        base, coeff = _compose(self.channels, self._edges[user], phases, irs)
-        return (base + self.channels.direct(user) if self.include_direct else base), coeff
 
 
 @dataclass
@@ -147,56 +124,58 @@ class TrainedBeams:
 
 
 def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
-                      irs_codebooks: dict, path=None, los_only: bool = True,
-                      include_direct: bool = False, max_combinations: int = 10_000_000) -> TrainedBeams:
+                      irs_codebooks: dict, path=None,
+                      max_combinations: int = 10_000_000) -> TrainedBeams:
     """Global search over every active/passive beam combination.
 
+    Sweeps the whole BS codebook once per surface-beam combination, so it
+    counts one evaluation per combination.  The highest min-user SNR wins,
+    ties going to the lowest BS index, then the lowest surface indices.
     Refuses when the combination count D_B * prod(D_I) exceeds
     max_combinations.
     """
-    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path,
-                              los_only=los_only, include_direct=include_direct)
+    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path)
     ids = evaluator.irs_ids
     combos = bs_codebook.size * int(np.prod([irs_codebooks[j].size for j in ids]))
     if combos > max_combinations:
         raise ValueError(f"exhaustive search would need {combos} combinations "
                          f"(cap {max_combinations})")
     best = None
-    for bs_idx in range(bs_codebook.size):
-        for choice in itertools.product(*(range(irs_codebooks[j].size) for j in ids)):
-            irs_idx = dict(zip(ids, choice))
-            w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks,
-                                           {0: bs_idx, **irs_idx})
-            obj = evaluator.min_snr(w, phases)
-            key = (obj, -bs_idx, tuple(-c for c in choice))
-            if best is None or key > best[0]:
-                best = (key, bs_idx, irs_idx, obj, w, phases)
-    _, bs_idx, irs_idx, obj, w, phases = best
+    for choice in itertools.product(*(range(irs_codebooks[j].size) for j in ids)):
+        irs_idx = dict(zip(ids, choice))
+        _, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks,
+                                       {0: 0, **irs_idx})
+        snrs = evaluator.sweep(0, bs_codebook, None, phases)
+        bs_idx = int(np.argmax(snrs))                # the lowest BS index among ties
+        key = (float(snrs[bs_idx]), -bs_idx)
+        if best is None or key > best[0]:            # strict: earlier surface indices win ties
+            best = (key, bs_idx, irs_idx)
+    (obj, _), bs_idx, irs_idx = best
+    w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks,
+                                   {0: bs_idx, **irs_idx})
     return TrainedBeams(bs_index=bs_idx, irs_indices=irs_idx, w=w, phases=phases,
                         objective=obj, evaluations=evaluator.evaluations,
                         combinations=combos)
 
 
 def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
-                      irs_codebooks: dict, path=None, los_only: bool = True,
-                      include_direct: bool = False, max_sweeps: int = 20) -> TrainedBeams:
+                      irs_codebooks: dict, path=None, max_sweeps: int = 20) -> TrainedBeams:
     """Cyclic per-node beam updates until a full sweep changes nothing.
 
     Each sweep costs D_B + sum_j D_I(j) evaluations; the min-user SNR is
     nondecreasing across updates.
     """
-    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path,
-                              los_only=los_only, include_direct=include_direct)
+    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path)
     ids = evaluator.irs_ids
-    choices = {0: 0, **{j: 0 for j in ids}}        # node -> beam index, the BS first
+    codebooks = {0: bs_codebook, **{j: irs_codebooks[j] for j in ids}}
+    choices = dict.fromkeys(codebooks, 0)          # node -> beam index, the BS first
     sweeps = 0
     objective = 0.0
     for sweeps in range(1, max_sweeps + 1):
         changed = False
-        for node in choices:
+        for node, codebook in codebooks.items():
             w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks, choices)
-            snrs = (evaluator.sweep_bs(bs_codebook, phases) if node == 0
-                    else evaluator.sweep_irs(node, irs_codebooks[node], w, phases))
+            snrs = evaluator.sweep(node, codebook, w, phases)
             new = int(np.argmax(snrs))
             if snrs[new] > snrs[choices[node]]:
                 choices[node], changed = new, True
@@ -384,7 +363,7 @@ def best_beams_for_path(gbtt: GlobalBtt, path, user_node: int):
 
 
 def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, bs_codebook: Codebook,
-                                irs_codebooks: dict, users=None, budget: int | None = None):
+                                irs_codebooks: dict, users=None):
     """Joint route and beam selection from the global table alone.
 
     Picks per-hop beams maximizing the composed estimate for every
@@ -405,7 +384,7 @@ def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, bs_codebook: Code
             return None
 
     solution = optimal_multi_route(scene, graphs, m_elements=0, beta=scene.constants.beta,
-                                   budget=budget, gain_fn=trained_gain)
+                                   gain_fn=trained_gain)
     return solution, {k: best_beams_for_path(gbtt, refl.irs_sequence, scene.n_irs + k)
                       for k, refl in solution.paths.items()}
 

@@ -46,6 +46,19 @@ def test_scenario_reruns_byte_identical(scenario):
     assert a == b
 
 
+def test_fig9_runs_without_channel_synthesis(monkeypatch):
+    # fig9 is the closed-form m0 sweep alone: fig11's channels and audits stay out of it
+    import irsim.experiments as experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fig9 synthesized channels")
+
+    monkeypatch.setattr(experiments, "synthesize_channels", forbidden)
+    rows = run_scenario(ExperimentConfig(scenario="fig9", seed=0, trials=5)).rows
+    assert {r[0] for r in rows} == {"fig9"}
+    assert len(rows) == 2 * len(experiments.FIG9_M0_SWEEP)
+
+
 def test_fig6_workers_byte_identical(monkeypatch):
     monkeypatch.setenv("IRS_SIM_THREADS", "1")
     a = run_scenario(ExperimentConfig(scenario="fig6", seed=3, trials=10)).to_csv()

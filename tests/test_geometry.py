@@ -94,6 +94,16 @@ BAD_NUMBERS = [
      r"link_overrides\['0-1'\] alpha is not numeric"),
     ("nan_override_alpha", ("constants", "link_overrides"), {"1-2": {"alpha": math.nan}},
      r"link_overrides\['1-2'\] alpha is not finite"),
+    ("overflow_beta", ("constants", "beta_db"), 4000, "beta_db 4000.0 overflows or underflows"),
+    ("underflow_beta", ("constants", "beta_db"), -5000, "beta_db -5000.0 overflows or underflows"),
+    ("overflow_noise", ("constants", "noise_dbm"), 5000, "noise_dbm 5000.0 overflows or underflows"),
+    ("underflow_noise", ("constants", "noise_dbm"), -5000,
+     "noise_dbm -5000.0 overflows or underflows"),
+    ("overflow_tx", ("constants", "tx_dbm"), 5000, "tx_dbm 5000.0 overflows or underflows"),
+    ("underflow_tx", ("constants", "tx_dbm"), -5000, "tx_dbm -5000.0 overflows or underflows"),
+    ("overflow_kappa", ("constants", "kappa_db"), 5000, "kappa_db 5000 overflows"),
+    ("overflow_override_kappa", ("constants", "link_overrides"), {"0-1": {"kappa_db": 5000}},
+     "kappa_db 5000 overflows"),
 ]
 BAD_STRUCTURE = [
     ("user_at_bs", ("users", 0), [0, 0, 2], "nodes 0 and 9 are at the same position"),
@@ -146,6 +156,17 @@ def test_build_scene_rejects_bad_numbers(keys, value, message):
 def test_build_scene_rejects_structural_mistakes(keys, value, message):
     with pytest.raises(ConfigError, match=message):
         build_scene(_edited_hall(keys, value))
+
+
+@pytest.mark.parametrize("kappa_db, kappa", [(-5000, 0.0), ("-inf", 0.0), (-math.inf, 0.0),
+                                             ("inf", math.inf), (math.inf, math.inf)])
+def test_build_scene_accepts_kappa_underflow_and_infinities(kappa_db, kappa):
+    # an underflow to 0 is a Rayleigh link and +-inf are the two limits; only a
+    # finite kappa_db whose linear value overflows is an error
+    scene = build_scene(_edited_hall(("constants", "link_overrides"),
+                                     {"0-1": {"kappa_db": kappa_db}}))
+    assert scene.constants.link_params(0, 1, "bs_irs")[1] == kappa
+    assert build_scene(_edited_hall(("constants", "kappa_db"), kappa_db)).constants.kappa == kappa
 
 
 def test_build_scene_accepts_users_sharing_a_position():

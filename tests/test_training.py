@@ -1,15 +1,18 @@
 """Codebooks, beam searches, and the distributed training tables."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from irsim.beams import bs_mrt_to_first_irs, closed_form_path_gain, multi_hop_phases
 from irsim.channels import cascaded_path_channel, synthesize_channels
 from irsim.geometry import build_scene
-from irsim.training import (Codebook, NotTrainable, approx_gain, assemble_global_btt,
-                            beams_from_choices, build_bs_btt, build_irs_btt,
-                            dft_codebook, distributed_route_and_beams, dump_btt,
-                            exhaustive_search, irs_neighbor_sets, load_btt,
+from irsim.scenarios import with_users
+from irsim.training import (Codebook, GainEvaluator, NotTrainable, approx_gain,
+                            assemble_global_btt, beams_from_choices, build_bs_btt,
+                            build_irs_btt, dft_codebook, distributed_route_and_beams,
+                            dump_btt, exhaustive_search, irs_neighbor_sets, load_btt,
                             planar_passive_codebook, sequential_search,
                             best_beams_for_path)
 
@@ -65,6 +68,54 @@ def test_exhaustive_combination_count():
     result = exhaustive_search(channels, [1], bs_cb, irs_cbs)
     assert result.combinations == 2 * 4
     assert result.evaluations == 2 * 4          # one user, one eval per combo
+
+
+def _two_user_setup(seed, n_hops, kappa_db=8):
+    """The tiny zigzag with a second user that also sees every surface."""
+    scene = build_scene(with_users(zigzag_config(n_hops=n_hops, m0=2, n_bs=2, kappa_db=kappa_db),
+                                   [[24, -2, 1.5], [22, 4, 1.5]]))
+    irs_cbs = {j: planar_passive_codebook(2, 2) for j in range(1, n_hops + 1)}
+    return scene, synthesize_channels(scene, seed), dft_codebook(2, 2, kind="active"), irs_cbs
+
+
+def test_exhaustive_counts_one_evaluation_per_combination_for_two_users():
+    _, channels, bs_cb, irs_cbs = _two_user_setup(seed=72, n_hops=2)
+    result = exhaustive_search(channels, [1, 2], bs_cb, irs_cbs)
+    assert result.combinations == 2 * 4 * 4
+    assert result.evaluations == result.combinations
+
+
+def _brute_force_search(channels, users, bs_cb, irs_cbs, path):
+    """(objective, BS index, surface indices) of the best combination, each
+    scored alone by an evaluator sweep over a one-beam BS codebook; ties go
+    to the lowest BS index, then the lowest surface indices."""
+    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_cbs), path=path)
+    ids = evaluator.irs_ids
+    best = None
+    for b in range(bs_cb.size):
+        one_beam = Codebook(kind="active", beams=bs_cb.beams[b:b + 1])
+        for choice in itertools.product(*(range(irs_cbs[j].size) for j in ids)):
+            irs_idx = dict(zip(ids, choice))
+            _, phases = beams_from_choices(channels.scene, bs_cb, irs_cbs, {0: b, **irs_idx})
+            obj = float(evaluator.sweep(0, one_beam, None, phases)[0])
+            if best is None or obj > best[0]:
+                best = (obj, b, irs_idx)
+    return best
+
+
+@pytest.mark.parametrize("n_hops", [1, 2])
+@pytest.mark.parametrize("mode", ["graph", "path"])
+def test_exhaustive_returns_brute_force_argmax(n_hops, mode):
+    for seed, users in itertools.product(range(3), ([1], [1, 2])):
+        _, channels, bs_cb, irs_cbs = _two_user_setup(seed=80 + seed, n_hops=n_hops)
+        path = tuple(range(1, n_hops + 1)) if mode == "path" else None
+        obj, bs_idx, irs_idx = _brute_force_search(channels, users, bs_cb, irs_cbs, path)
+        result = exhaustive_search(channels, users, bs_cb, irs_cbs, path=path)
+        assert (result.bs_index, result.irs_indices) == (bs_idx, irs_idx)
+        assert result.objective == pytest.approx(obj, rel=1e-12)
+        w, phases = beams_from_choices(channels.scene, bs_cb, irs_cbs, {0: bs_idx, **irs_idx})
+        assert np.array_equal(result.w, w)
+        assert all(np.array_equal(result.phases[j], phases[j]) for j in phases)
 
 
 def test_exhaustive_refuses_oversized_search():
