@@ -27,21 +27,8 @@ class BeamSolution:
     phases: dict                      # irs id -> unit-modulus vector
     bs_beams: dict                    # user -> unit-norm weight vector
     achieved_gains: dict = field(default_factory=dict)   # user -> |h @ w|^2
-    sinrs: dict = field(default_factory=dict)
     converged: bool = True
     iterations: int = 0
-
-    def as_dict(self) -> dict:
-        """JSON-serializable fixture form ([re, im] pairs for vectors)."""
-        pack = lambda v: [[float(x.real), float(x.imag)] for x in np.asarray(v)]
-        return {
-            "phases": {str(j): pack(v) for j, v in self.phases.items()},
-            "bs_beams": {str(k): pack(v) for k, v in self.bs_beams.items()},
-            "achieved_gains": {str(k): float(v) for k, v in self.achieved_gains.items()},
-            "sinrs": {str(k): float(v) for k, v in self.sinrs.items()},
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
 
 
 def optimal_double_reflection_phases(v1: np.ndarray, v2: np.ndarray):

@@ -21,7 +21,6 @@ over an ordered edge list, `_compose`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -59,12 +58,6 @@ class LinkChannel:
     los_gain: complex | None    # rho; None when geometrically blocked
     los_rx: np.ndarray | None   # response at node j
     los_tx: np.ndarray | None   # response at node i
-
-    @property
-    def los_component(self) -> np.ndarray | None:
-        if self.los_gain is None:
-            return None
-        return self.los_gain * np.outer(self.los_rx, self.los_tx)
 
 
 def _node_response(scene: Scene, node: int, direction, lam: float) -> np.ndarray:
@@ -262,14 +255,12 @@ def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int | 
     return _compose(channels, _path_edges(path, target), phases)
 
 
-def enumerate_graph_paths(graph: LosGraph, max_paths: int | None = None):
+def enumerate_graph_paths(graph: LosGraph):
     """All BS-to-user IRS sequences of a reflection graph, in lexicographic
     order of the IRS index sequence."""
     paths = []
 
     def visit(node, seq):
-        if max_paths is not None and len(paths) >= max_paths:
-            return
         succ = sorted(graph.successors(node))
         if graph.user_node in succ:
             paths.append(tuple(seq))
@@ -279,7 +270,7 @@ def enumerate_graph_paths(graph: LosGraph, max_paths: int | None = None):
 
     for j in sorted(graph.successors(0)):
         visit(j, [j])
-    return paths[:max_paths] if max_paths is not None else paths
+    return paths
 
 
 def effective_channel(channels: ChannelSet, user: int, phases: dict,
@@ -320,28 +311,3 @@ def mrt_beam(h: np.ndarray) -> np.ndarray:
         raise ValueError("cannot form an MRT beam for a zero channel")
     return np.conj(h) / n
 
-
-# ---------------------------------------------------------------------------
-# Fixture serialization
-# ---------------------------------------------------------------------------
-
-def dump_channels(channels: ChannelSet, path) -> None:
-    """Write the raw link matrices as nested JSON arrays of [re, im] pairs."""
-    payload = {"seed": channels.seed, "links": {}}
-    for (i, j), link in sorted(channels.links.items()):
-        stacked = np.stack([link.matrix.real, link.matrix.imag], axis=-1)
-        payload["links"][f"{i}-{j}"] = stacked.tolist()
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_channel_matrices(path) -> dict:
-    """Read back the matrices written by dump_channels."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    out = {}
-    for key, ent in payload["links"].items():
-        i, j = (int(x) for x in key.split("-"))
-        arr = np.asarray(ent)
-        out[(i, j)] = arr[..., 0] + 1j * arr[..., 1]
-    return out

@@ -58,6 +58,8 @@ def main(argv=None) -> int:
                 build_scene(scene_config)            # validate eagerly
             if args.trials < 1:
                 raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             worker_count()                           # validate IRS_SIM_THREADS eagerly
             table = run_scenario(ExperimentConfig(
                 scenario=args.scenario, seed=args.seed, trials=args.trials,
@@ -80,7 +82,7 @@ def main(argv=None) -> int:
                     fh.write(text + "\n")
             else:
                 print(text)
-    except (ConfigError, OSError, KeyError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoFeasiblePath, Infeasible) as exc:

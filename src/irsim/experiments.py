@@ -348,7 +348,7 @@ def run_fig13(config: ExperimentConfig) -> ResultTable:
                           for i, j in enumerate(path)]
             gbtt = assemble_global_btt(bs_table, irs_tables)
             choices = best_beams_for_path(gbtt, path, sc.n_irs + 1)
-            w, phases = beams_from_choices(sc, bs_cb, irs_cbs, choices)
+            w, phases = beams_from_choices(bs_cb, irs_cbs, choices)
             gain_dist = _fig13_true_gain(channels, path, w, phases)
             return gain_seq, gain_dist
 

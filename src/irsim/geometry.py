@@ -357,12 +357,15 @@ def build_scene(config: dict) -> Scene:
 
 
 def _read_config(path) -> dict:
-    """Parsed JSON of a scene file; malformed JSON is a ConfigError."""
-    with open(path) as fh:
+    """Parsed JSON of a scene file; malformed or non-UTF-8 JSON, or nesting
+    too deep to parse, is a ConfigError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def load_scene(path) -> Scene:
@@ -478,7 +481,7 @@ def half_space_ok(scene: Scene, j: int, point) -> bool:
     return float(np.dot(panel.normal, np.asarray(point, dtype=float) - panel.center)) > 0.0
 
 
-def is_admissible_link(scene: Scene, i: int, j: int, user: int | None = None) -> bool:
+def is_admissible_link(scene: Scene, i: int, j: int) -> bool:
     """Reflection-geometry admissibility of directed link (i, j).
 
     Checks everything except blockage: outward distance ordering (unless j
@@ -488,8 +491,7 @@ def is_admissible_link(scene: Scene, i: int, j: int, user: int | None = None) ->
     if i == j or scene.is_user(i) or j == 0:
         return False
     if scene.is_user(j):
-        k = scene.user_index(j) if user is None else user
-        if i != 0 and i not in scene.effective_regions[k - 1]:
+        if i != 0 and i not in scene.effective_regions[scene.user_index(j) - 1]:
             return False
     elif scene.distance(0, j) <= (0.0 if i == 0 else scene.distance(0, i)):
         return False
@@ -500,9 +502,9 @@ def is_admissible_link(scene: Scene, i: int, j: int, user: int | None = None) ->
     return True
 
 
-def los_indicator(scene: Scene, i: int, j: int, user: int | None = None) -> int:
+def los_indicator(scene: Scene, i: int, j: int) -> int:
     """Binary effective-LoS indicator of directed link (i, j)."""
-    if not is_admissible_link(scene, i, j, user):
+    if not is_admissible_link(scene, i, j):
         return 0
     return 1 if has_geometric_los(scene, i, j) else 0
 

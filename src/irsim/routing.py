@@ -126,7 +126,7 @@ def optimal_single_route_with_direct(graph: LosGraph, m_elements, beta: float, n
                                      n_bs, beta, path_distances(graph, seq), f_direct,
                                      bs_responses[seq[0]])
 
-    best = _candidate_routes(graph, graph.user, m_elements, beta, n_bs, 1, gain)
+    best = _candidate_routes(graph, graph.user, m_elements, beta, n_bs, gain)
     if best:
         return best[0]
     f_norm = float(np.linalg.norm(f_direct))
@@ -158,9 +158,9 @@ def check_path_separation(scene: Scene, paths: dict) -> bool:
 
 
 def _candidate_routes(graph: LosGraph, user: int, m_elements, beta: float, n_bs: int,
-                      budget, gain_fn):
-    """The `budget` best routes of a graph (all when None), ranked by gain,
-    then fewer hops, then the smaller surface sequence."""
+                      gain_fn):
+    """Every route of a graph, ranked by gain, then fewer hops, then the
+    smaller surface sequence."""
     cands = []
     for seq in enumerate_routes(graph):
         if gain_fn is not None:
@@ -171,18 +171,16 @@ def _candidate_routes(graph: LosGraph, user: int, m_elements, beta: float, n_bs:
             g = path_gain(graph, seq, m_elements, beta, n_bs)
         cands.append(ReflectionPath(irs_sequence=seq, user=user, gain=g))
     cands.sort(key=lambda p: (-p.gain, p.hops, p.irs_sequence))
-    return cands if budget is None else cands[:budget]
+    return cands
 
 
 def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
-                        n_bs: int = 1, budget: int | None = None,
-                        gain_fn=None) -> RoutingSolution:
+                        n_bs: int = 1, gain_fn=None) -> RoutingSolution:
     """Max-min multi-user routing under the path-separation constraints.
 
-    Recursive partial enumeration: users are ordered by their best
-    single-route gain, each keeps its `budget` strongest candidate routes
-    (all of them when budget is None, which is exact), and assignments are
-    searched depth-first with min-gain pruning.  `gain_fn(user, seq)` may
+    Exact recursive enumeration: users are ordered by their best
+    single-route gain, each keeps all its candidate routes, and assignments
+    are searched depth-first with min-gain pruning.  `gain_fn(user, seq)` may
     replace the closed-form gain (e.g. trained approximate gains);
     returning None drops a candidate.
     """
@@ -190,7 +188,7 @@ def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
     cands = {}
     diagnostics = {}
     for k in users:
-        cands[k] = _candidate_routes(graphs[k], k, m_elements, beta, n_bs, budget, gain_fn)
+        cands[k] = _candidate_routes(graphs[k], k, m_elements, beta, n_bs, gain_fn)
         diagnostics[k] = len(cands[k])
         if not cands[k]:
             raise Infeasible(f"user {k} has no feasible route", diagnostics)

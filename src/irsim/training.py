@@ -13,7 +13,6 @@ is exact for any beam choice.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -143,16 +142,14 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
     best = None
     for choice in itertools.product(*(range(irs_codebooks[j].size) for j in ids)):
         irs_idx = dict(zip(ids, choice))
-        _, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks,
-                                       {0: 0, **irs_idx})
+        _, phases = beams_from_choices(bs_codebook, irs_codebooks, {0: 0, **irs_idx})
         snrs = evaluator.sweep(0, bs_codebook, None, phases)
         bs_idx = int(np.argmax(snrs))                # the lowest BS index among ties
         key = (float(snrs[bs_idx]), -bs_idx)
         if best is None or key > best[0]:            # strict: earlier surface indices win ties
             best = (key, bs_idx, irs_idx)
     (obj, _), bs_idx, irs_idx = best
-    w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks,
-                                   {0: bs_idx, **irs_idx})
+    w, phases = beams_from_choices(bs_codebook, irs_codebooks, {0: bs_idx, **irs_idx})
     return TrainedBeams(bs_index=bs_idx, irs_indices=irs_idx, w=w, phases=phases,
                         objective=obj, evaluations=evaluator.evaluations,
                         combinations=combos)
@@ -174,7 +171,7 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
     for sweeps in range(1, max_sweeps + 1):
         changed = False
         for node, codebook in codebooks.items():
-            w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks, choices)
+            w, phases = beams_from_choices(bs_codebook, irs_codebooks, choices)
             snrs = evaluator.sweep(node, codebook, w, phases)
             new = int(np.argmax(snrs))
             if snrs[new] > snrs[choices[node]]:
@@ -182,7 +179,7 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
             objective = float(snrs[choices[node]])
         if not changed:
             break
-    w, phases = beams_from_choices(channels.scene, bs_codebook, irs_codebooks, choices)
+    w, phases = beams_from_choices(bs_codebook, irs_codebooks, choices)
     return TrainedBeams(bs_index=choices[0], irs_indices={j: choices[j] for j in ids},
                         w=w, phases=phases, objective=objective,
                         evaluations=evaluator.evaluations, sweeps=sweeps)
@@ -211,9 +208,6 @@ class BeamTrainingTable:
     def add(self, prev, beam: int, nxt: int, rss: float) -> None:
         if rss >= self.threshold:
             self.rows[(prev, beam, nxt)] = rss
-
-    def online_rows(self, scene: Scene) -> dict:
-        return {key: v for key, v in self.rows.items() if scene.is_user(key[2])}
 
 
 def _controller_rng(seed: int, owner: int, prev, nxt: int, kind: int = 0) -> np.random.Generator:
@@ -305,12 +299,6 @@ class GlobalBtt:
     bs_table: BeamTrainingTable
     irs_tables: dict               # irs id -> BeamTrainingTable
 
-    def row_count(self) -> int:
-        return len(self.bs_table.rows) + sum(len(t.rows) for t in self.irs_tables.values())
-
-    def online_row_count(self, scene: Scene) -> int:
-        return sum(len(t.online_rows(scene)) for t in self.irs_tables.values())
-
 
 def assemble_global_btt(bs_table: BeamTrainingTable, irs_tables) -> GlobalBtt:
     merged = {}
@@ -362,8 +350,7 @@ def best_beams_for_path(gbtt: GlobalBtt, path, user_node: int):
     return choices
 
 
-def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, bs_codebook: Codebook,
-                                irs_codebooks: dict, users=None):
+def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, users=None):
     """Joint route and beam selection from the global table alone.
 
     Picks per-hop beams maximizing the composed estimate for every
@@ -389,33 +376,9 @@ def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, bs_codebook: Code
                       for k, refl in solution.paths.items()}
 
 
-def beams_from_choices(scene: Scene, bs_codebook: Codebook, irs_codebooks: dict,
-                       choices: dict):
+def beams_from_choices(bs_codebook: Codebook, irs_codebooks: dict, choices: dict):
     """Materialize (w, phases) from one user's chosen beam indices."""
     w = bs_codebook.beams[choices[0]]
     phases = {j: irs_codebooks[j].beams[idx] for j, idx in choices.items() if j != 0}
     return w, phases
 
-
-def dump_btt(table: BeamTrainingTable, path) -> None:
-    """Serialize a table (the simulated controller feedback wire format)."""
-    payload = {
-        "owner": table.owner,
-        "threshold": table.threshold,
-        "reference_rss": {str(k): v for k, v in table.reference_rss.items()},
-        "rows": [{"prev": prev, "beam": beam, "next": nxt, "rss": rss}
-                 for (prev, beam, nxt), rss in sorted(table.rows.items(),
-                                                      key=lambda kv: (str(kv[0][0]), kv[0][1], kv[0][2]))],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_btt(path) -> BeamTrainingTable:
-    with open(path) as fh:
-        payload = json.load(fh)
-    table = BeamTrainingTable(owner=payload["owner"], threshold=payload["threshold"])
-    table.reference_rss = {int(k): v for k, v in payload["reference_rss"].items()}
-    for row in payload["rows"]:
-        table.rows[(row["prev"], row["beam"], row["next"])] = row["rss"]
-    return table

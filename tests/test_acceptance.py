@@ -157,7 +157,7 @@ def test_criterion_3_routing_oracles():
                 obj = min(p.gain for p in paths.values())
                 best = obj if best is None or obj > best else best
         try:
-            got = optimal_multi_route(scene, graphs, 4, beta, 4, budget=None)
+            got = optimal_multi_route(scene, graphs, 4, beta, 4)
             if best is not None and abs(got.objective - best) <= 1e-9 * best:
                 joint_ok += 1
         except Infeasible:
@@ -310,7 +310,7 @@ def test_criterion_9_training_hierarchy(monkeypatch):
                   for j in path]
         gbtt = assemble_global_btt(bs_table, tables)
         choices = best_beams_for_path(gbtt, path, scene.n_irs + 1)
-        w, phases = beams_from_choices(scene, bs_cb, irs_cbs, choices)
+        w, phases = beams_from_choices(bs_cb, irs_cbs, choices)
         h = cascaded_path_channel(channels, list(path), phases, user=1)
         c = scene.constants
         dist_true = float(c.tx_power * abs(h @ w) ** 2 / c.noise_power)

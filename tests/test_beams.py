@@ -418,14 +418,3 @@ def test_rank_gain_check_on_double_irs_instance():
     assert report.rank_double == 3          # all users separable again
     assert report.satisfied
 
-
-def test_beam_solution_json_fixture(double_scene, tmp_path):
-    import json
-    channels = synthesize_channels(double_scene, 101)
-    sol = ao_joint_beamforming(channels, user=1, los_only=True)
-    payload = sol.as_dict()
-    text = json.dumps(payload)
-    back = json.loads(text)
-    theta = np.array([complex(re, im) for re, im in back["phases"]["1"]])
-    assert np.allclose(theta, sol.phases[1])
-    assert back["achieved_gains"]["1"] == pytest.approx(sol.achieved_gains[1])

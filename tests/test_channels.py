@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from irsim.channels import (array_response, cascaded_path_channel, dump_channels,
-                            effective_channel, effective_channel_affine,
-                            enumerate_graph_paths, load_channel_matrices, mrt_beam,
+from irsim.channels import (array_response, cascaded_path_channel, effective_channel,
+                            effective_channel_affine, enumerate_graph_paths, mrt_beam,
                             path_loss, synth_link, synthesize_channels, unit_phases)
 from irsim.geometry import PanelArray, build_los_graph, build_scene
 
@@ -119,7 +118,7 @@ def test_path_loss_requires_positive_distance():
 
 def test_pure_los_link_equals_los_component(chain_scene):
     link = synth_link(chain_scene, 0, 1, np.random.default_rng(1))
-    assert np.allclose(link.matrix, link.los_component)
+    assert np.allclose(link.matrix, link.los_gain * np.outer(link.los_rx, link.los_tx))
     assert np.allclose(np.abs(link.los_rx), 1.0)
     assert abs(link.los_gain) == pytest.approx(math.sqrt(link.path_loss_linear))
 
@@ -145,7 +144,7 @@ def test_rician_power_split_20db():
 
 def test_blocked_link_is_pure_nlos(chain_scene):
     link = synth_link(chain_scene, 0, 2, np.random.default_rng(3))
-    assert link.los_gain is None and link.los_component is None
+    assert link.los_gain is None and link.los_rx is None and link.los_tx is None
     assert np.any(link.matrix != 0)
 
 
@@ -292,11 +291,3 @@ def test_mrt_beam_unit_norm_and_gain():
     assert np.linalg.norm(w) == pytest.approx(1.0)
     assert abs(h @ w) == pytest.approx(np.linalg.norm(h))
 
-
-def test_channel_dump_roundtrip(tmp_path, chain_scene):
-    channels = synthesize_channels(chain_scene, 18)
-    path = tmp_path / "channels.json"
-    dump_channels(channels, path)
-    loaded = load_channel_matrices(path)
-    for key, link in channels.links.items():
-        assert np.allclose(loaded[key], link.matrix)

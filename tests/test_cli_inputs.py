@@ -1,13 +1,16 @@
 """CLI inputs that no edit inside a valid scene can express: a scene file
-whose top level is not a JSON object, and a path that names a directory.
+whose top level is not a JSON object, a file that is not UTF-8 or is nested
+too deeply to parse, a path that names a directory, and a negative seed.
 Each must exit 2 with a one-line message."""
 
 import json
 
 import pytest
 
+from irsim import cli
 from irsim.cli import main
-from irsim.geometry import ConfigError, build_scene
+from irsim.experiments import RUNNERS
+from irsim.geometry import ConfigError, build_scene, load_scene
 
 
 def _assert_config_error(capsys):
@@ -37,3 +40,33 @@ def test_scene_that_is_not_an_object_rejected(payload, tmp_path, capsys):
 def test_directory_path_exits_2(argv, tmp_path, capsys):
     assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
     _assert_config_error(capsys)
+
+
+@pytest.mark.parametrize("content", [b"\x7fELF\x02\x01\x01\x00\xd0\x80\xff", b"[" * 200_000],
+                         ids=["not_utf8", "over_nested"])
+def test_unreadable_scene_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_scene(path)
+    for argv in (["validate", "--config", str(path)], ["routes", "--config", str(path)],
+                 ["run", "--scenario", "custom", "--config", str(path)]):
+        assert main(argv) == 2
+        _assert_config_error(capsys)
+
+
+@pytest.mark.parametrize("scenario", ["fig11", "fig8"])     # seeded, unseeded
+def test_negative_seed_exits_2_before_running(scenario, monkeypatch, capsys):
+    def never(config):
+        raise AssertionError("the scenario ran")
+    monkeypatch.setattr(cli, "run_scenario", never)
+    assert main(["run", "--scenario", scenario, "--seed", "-1"]) == 2
+    _assert_config_error(capsys)
+
+
+def test_key_error_in_a_runner_is_not_a_configuration_error(monkeypatch):
+    def broken(config):
+        raise KeyError("no link channel (0, 9) in this set")
+    monkeypatch.setitem(RUNNERS, "fig8", broken)
+    with pytest.raises(KeyError, match="no link channel"):
+        main(["run", "--scenario", "fig8"])

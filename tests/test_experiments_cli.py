@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from irsim import scenarios
 from irsim.cli import main
 from irsim.experiments import (ExperimentConfig, ResultTable, routes_payload,
                                run_scenario, run_trials)
@@ -153,6 +154,7 @@ def test_packaged_scenes_load():
         assert scene.n_irs >= 2
 
 
-def test_packaged_indoor_hall_in_sync_with_builder():
-    shipped = json.loads(packaged_scene_path("indoor_hall").read_text())
-    assert shipped == json.loads(json.dumps(indoor_hall_config()))
+@pytest.mark.parametrize("name", ["indoor_hall", "double_irs"])
+def test_packaged_scene_in_sync_with_builder(name):
+    shipped = json.loads(packaged_scene_path(name).read_text())
+    assert shipped == json.loads(json.dumps(getattr(scenarios, f"{name}_config")()))

@@ -326,7 +326,7 @@ def test_outside_effective_region_masks_user_edge():
     cfg = chain_config()
     cfg["effective_regions"] = {"1": []}
     scene = build_scene(cfg)
-    assert los_indicator(scene, 1, 2, user=1) == 0
+    assert los_indicator(scene, 1, 2) == 0
 
 
 def test_los_indicator_deterministic(chain_scene):

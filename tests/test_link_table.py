@@ -17,9 +17,9 @@ def test_link_rule_evaluated_once_per_scene(monkeypatch):
     rule = geometry.is_admissible_link
     calls = []
 
-    def counted(scene, i, j, user=None):
+    def counted(scene, i, j):
         calls.append((i, j))
-        return rule(scene, i, j, user)
+        return rule(scene, i, j)
 
     monkeypatch.setattr(geometry, "is_admissible_link", counted)
     build_los_graph(scene, 1)

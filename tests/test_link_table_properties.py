@@ -73,7 +73,7 @@ def test_table_readers_match_brute_force_rule(scene):
         for require_los in (True, False):
             rule = los_indicator if require_los else is_admissible_link
             want = {(i, j) for i in graph_nodes for j in graph_nodes
-                    if (i, j) != (0, target) and rule(scene, i, j, user)}
+                    if (i, j) != (0, target) and rule(scene, i, j)}
             assert build_los_graph(scene, user, require_los).edges == want
 
     assert list(synthesize_channels(scene, 0).links) == _reference_synthesis_order(scene)

@@ -12,9 +12,8 @@ from irsim.scenarios import with_users
 from irsim.training import (Codebook, GainEvaluator, NotTrainable, approx_gain,
                             assemble_global_btt, beams_from_choices, build_bs_btt,
                             build_irs_btt, dft_codebook, distributed_route_and_beams,
-                            dump_btt, exhaustive_search, irs_neighbor_sets, load_btt,
-                            planar_passive_codebook, sequential_search,
-                            best_beams_for_path)
+                            exhaustive_search, irs_neighbor_sets, planar_passive_codebook,
+                            sequential_search, best_beams_for_path)
 
 from conftest import chain_config, zigzag_config
 
@@ -96,7 +95,7 @@ def _brute_force_search(channels, users, bs_cb, irs_cbs, path):
         one_beam = Codebook(kind="active", beams=bs_cb.beams[b:b + 1])
         for choice in itertools.product(*(range(irs_cbs[j].size) for j in ids)):
             irs_idx = dict(zip(ids, choice))
-            _, phases = beams_from_choices(channels.scene, bs_cb, irs_cbs, {0: b, **irs_idx})
+            _, phases = beams_from_choices(bs_cb, irs_cbs, {0: b, **irs_idx})
             obj = float(evaluator.sweep(0, one_beam, None, phases)[0])
             if best is None or obj > best[0]:
                 best = (obj, b, irs_idx)
@@ -113,7 +112,7 @@ def test_exhaustive_returns_brute_force_argmax(n_hops, mode):
         result = exhaustive_search(channels, users, bs_cb, irs_cbs, path=path)
         assert (result.bs_index, result.irs_indices) == (bs_idx, irs_idx)
         assert result.objective == pytest.approx(obj, rel=1e-12)
-        w, phases = beams_from_choices(channels.scene, bs_cb, irs_cbs, {0: bs_idx, **irs_idx})
+        w, phases = beams_from_choices(bs_cb, irs_cbs, {0: bs_idx, **irs_idx})
         assert np.array_equal(result.w, w)
         assert all(np.array_equal(result.phases[j], phases[j]) for j in phases)
 
@@ -225,10 +224,7 @@ def test_online_rows_flagged_by_user_target():
     scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2))
     cb = planar_passive_codebook(2, 2)
     table = build_irs_btt(scene, 2, cb, threshold=0.0, seed=5)
-    online = table.online_rows(scene)
-    assert online and all(scene.is_user(key[2]) for key in online)
-    offline = set(table.rows) - set(online)
-    assert all(not scene.is_user(key[2]) for key in offline)
+    assert any(scene.is_user(nxt) for _, _, nxt in table.rows)   # online rows exist
 
 
 def test_raising_threshold_never_adds_rows():
@@ -248,8 +244,8 @@ def test_global_btt_assembly_and_counts():
     bs_table = build_bs_btt(scene, bs_cb, threshold=0.0, seed=7)
     tables = [build_irs_btt(scene, j, cb, threshold=0.0, seed=7) for j in (1, 2)]
     gbtt = assemble_global_btt(bs_table, tables)
-    assert gbtt.row_count() == len(bs_table.rows) + sum(len(t.rows) for t in tables)
-    assert gbtt.online_row_count(scene) == sum(len(t.online_rows(scene)) for t in tables)
+    assert gbtt.bs_table is bs_table
+    assert gbtt.irs_tables == {1: tables[0], 2: tables[1]}
     with pytest.raises(ValueError, match="duplicate"):
         assemble_global_btt(bs_table, tables + [tables[0]])
 
@@ -259,20 +255,8 @@ def test_empty_irs_tables_leave_bs_only():
     bs_cb = dft_codebook(2, 2, kind="active")
     bs_table = build_bs_btt(scene, bs_cb, threshold=0.0, seed=8)
     gbtt = assemble_global_btt(bs_table, [])
-    assert gbtt.row_count() == len(bs_table.rows)
+    assert gbtt.bs_table is bs_table and gbtt.irs_tables == {}
 
-
-def test_btt_serialization_roundtrip(tmp_path):
-    scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2))
-    cb = planar_passive_codebook(2, 2)
-    table = build_irs_btt(scene, 1, cb, threshold=0.0, seed=9)
-    path = tmp_path / "btt.json"
-    dump_btt(table, path)
-    loaded = load_btt(path)
-    assert loaded.owner == table.owner
-    assert loaded.threshold == table.threshold
-    assert loaded.rows == table.rows
-    assert loaded.reference_rss == table.reference_rss
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +295,7 @@ def test_estimate_exact_under_pure_los_any_beams():
         for j in path:
             choices[j] = int(rng.integers(irs_cbs[j].size))
         est = approx_gain(gbtt, path, scene.n_irs + 1, choices)
-        w, phases = beams_from_choices(scene, bs_cb, irs_cbs, choices)
+        w, phases = beams_from_choices(bs_cb, irs_cbs, choices)
         h = cascaded_path_channel(channels, list(path), phases, user=1)
         true = float(abs(h @ w) ** 2)
         assert est == pytest.approx(true, rel=1e-9)
@@ -344,7 +328,7 @@ def test_estimate_inexact_under_fading():
               for j in path]
     gbtt = assemble_global_btt(bs_table, tables)
     est = approx_gain(gbtt, path, scene.n_irs + 1, {0: 0, 1: 0, 2: 0})
-    w, phases = beams_from_choices(scene, bs_cb, irs_cbs, {0: 0, 1: 0, 2: 0})
+    w, phases = beams_from_choices(bs_cb, irs_cbs, {0: 0, 1: 0, 2: 0})
     h = cascaded_path_channel(channels, list(path), phases, user=1)
     true = float(abs(h @ w) ** 2)
     # the gap exists but stays within a couple of orders of magnitude
@@ -391,8 +375,7 @@ def test_distributed_matches_model_based_route_at_pure_los():
     tables = [build_irs_btt(scene, j, irs_cbs[j], seed=17, averages=1)
               for j in range(1, scene.n_irs + 1)]
     gbtt = assemble_global_btt(bs_table, tables)
-    solution, choices = distributed_route_and_beams(scene, gbtt, bs_cb, irs_cbs,
-                                                    users=[1])
+    solution, choices = distributed_route_and_beams(scene, gbtt, users=[1])
     assert solution.paths[1].irs_sequence == model.irs_sequence
     assert solution.paths[1].gain == pytest.approx(model.gain, rel=1e-9)
 
@@ -415,7 +398,7 @@ def test_training_hierarchy_on_random_instances():
                   for j in path]
         gbtt = assemble_global_btt(bs_table, tables)
         choices = best_beams_for_path(gbtt, path, scene.n_irs + 1)
-        w, phases = beams_from_choices(scene, bs_cb, irs_cbs, choices)
+        w, phases = beams_from_choices(bs_cb, irs_cbs, choices)
         h = cascaded_path_channel(channels, list(path), phases, user=1)
         c = scene.constants
         dist_true = float(c.tx_power * abs(h @ w) ** 2 / c.noise_power)
@@ -428,12 +411,11 @@ def test_training_hierarchy_on_random_instances():
 def test_distributed_untrainable_raises():
     scene = build_scene(zigzag_config(n_hops=1, m0=2, n_bs=2))
     bs_cb = dft_codebook(2, 2, kind="active")
-    irs_cbs = {1: planar_passive_codebook(2, 2)}
     empty_bs = build_bs_btt(scene, bs_cb, threshold=1e9, seed=19)
     gbtt = assemble_global_btt(empty_bs, [])
     from irsim.routing import Infeasible
     with pytest.raises(Infeasible):
-        distributed_route_and_beams(scene, gbtt, bs_cb, irs_cbs, users=[1])
+        distributed_route_and_beams(scene, gbtt, users=[1])
 
 
 @pytest.mark.parametrize("kappa_db", [5.0, 10.0, 15.0, 20.0])
