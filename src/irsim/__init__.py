@@ -7,11 +7,10 @@ from .geometry import (Box, ConfigError, Constants, LosGraph, PanelArray, Scene,
 from .channels import (ChannelSet, LinkChannel, array_response, cascaded_path_channel,
                        effective_channel, effective_channel_affine, mrt_beam,
                        path_loss, synth_link, synthesize_channels, unit_phases)
-from .beams import (BeamSolution, ao_joint_beamforming, bs_mrt_to_first_irs,
-                    channel_rank_gain_check, closed_form_path_gain,
-                    common_phase_combine, double_reflection_factors,
-                    linear_receivers, multi_hop_phases,
-                    optimal_double_reflection_phases, path_gain_with_direct)
+from .beams import (BeamSolution, ao_joint_beamforming, channel_rank_gain_check,
+                    closed_form_path_gain, common_phase_combine, double_reflection_factors,
+                    linear_receivers, multi_hop_phases, optimal_double_reflection_phases,
+                    path_gain_with_direct)
 from .routing import (Infeasible, NoFeasiblePath, ReflectionPath, RoutingSolution,
                       check_path_separation, edge_weight, enumerate_routes,
                       interference_audit, optimal_multi_route, optimal_single_route,

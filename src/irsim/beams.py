@@ -81,11 +81,6 @@ def multi_hop_phases(channels: ChannelSet, path, user: int = 1) -> dict:
     return phases
 
 
-def bs_mrt_to_first_irs(bs_response: np.ndarray) -> np.ndarray:
-    """Unit-norm MRT weights matched to the BS response of the first hop."""
-    return mrt_beam(bs_response)
-
-
 def closed_form_path_gain(n: int, m_elements, n_bs: int, beta: float, distances) -> float:
     """Peak power gain of an n-reflection LoS path (active gain included).
 
@@ -104,9 +99,7 @@ def path_gain_with_direct(n: int, m_elements, n_bs: int, beta: float, distances,
     """Peak gain of a reflection path coherently combined with the direct
     channel (MRT at the BS plus a common phase shift on one surface)."""
     reflect = closed_form_path_gain(n, m_elements, n_bs, beta, distances)
-    m = np.broadcast_to(np.asarray(m_elements, dtype=float), (n,))
-    amp = float(np.prod(m)) * beta ** ((n + 1) / 2.0) * float(np.prod(np.asarray(distances, dtype=float) ** -1.0))
-    cross = 2.0 * amp * abs(np.vdot(bs_response, f_direct))
+    cross = 2.0 * np.sqrt(reflect / n_bs) * abs(np.vdot(bs_response, f_direct))
     return float(np.linalg.norm(f_direct) ** 2 + reflect + cross)
 
 

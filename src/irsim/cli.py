@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 routing infeasibility.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario and write a CSV result table")
     run.add_argument("--scenario", required=True)
-    run.add_argument("--config", help="scene JSON (required for the custom scenario)")
+    run.add_argument("--config", help="scene JSON (the custom scenario only, and required there)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     run.add_argument("--out", help="CSV output path (default: stdout)")
@@ -41,6 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path):
+    """--out, truncated now as a shell redirect would truncate it, or stdout."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -50,10 +56,9 @@ def main(argv=None) -> int:
                 print(f"unknown scenario {args.scenario!r}; choose from {', '.join(RUNNERS)}",
                       file=sys.stderr)
                 return EXIT_CONFIG
+            if (args.scenario == "custom") != bool(args.config):
+                raise ConfigError("the custom scenario requires --config, and no other reads it")
             scene_config = _read_config(args.config) if args.config else None
-            if args.scenario == "custom" and scene_config is None:
-                print("the custom scenario requires --config", file=sys.stderr)
-                return EXIT_CONFIG
             if scene_config is not None:
                 build_scene(scene_config)            # validate eagerly
             if args.trials < 1:
@@ -61,27 +66,18 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             worker_count()                           # validate IRS_SIM_THREADS eagerly
-            table = run_scenario(ExperimentConfig(
-                scenario=args.scenario, seed=args.seed, trials=args.trials,
-                scene_config=scene_config, out_path=args.out))
-            if not args.out:
-                sys.stdout.write(table.to_csv())
+            with _open_out(args.out) as out:
+                out.write(run_scenario(ExperimentConfig(
+                    scenario=args.scenario, seed=args.seed, trials=args.trials,
+                    scene_config=scene_config)).to_csv())
         elif args.command == "validate":
             scene = load_scene(args.config)
             print(f"ok: {scene.n_irs} surfaces, {scene.n_users} users, "
                   f"{len(scene.obstacles)} obstacles")
         elif args.command == "routes":
-            if args.config:
-                scene = load_scene(args.config)
-            else:
-                scene = load_scene(packaged_scene_path("indoor_hall"))
-            payload = routes_payload(scene)
-            text = json.dumps(payload, indent=1, sort_keys=True)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
+            scene = load_scene(args.config or packaged_scene_path("indoor_hall"))
+            with _open_out(args.out) as out:
+                out.write(json.dumps(routes_payload(scene), indent=1, sort_keys=True) + "\n")
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .training import dft_codebook
+
 
 class RankDeficientTraining(ValueError):
     """The training patterns do not span the coefficient space."""
@@ -46,9 +48,7 @@ def overhead_benchmark_siso_general(m_elements: int) -> int:
 
 def dft_training_patterns(m_elements: int) -> np.ndarray:
     """Unit-modulus training reflections: the rows of the M-point DFT grid."""
-    m = int(m_elements)
-    idx = np.arange(m)[:, None]
-    return np.exp(-2j * np.pi * idx * np.arange(m)[None, :] / m)
+    return dft_codebook(int(m_elements), int(m_elements)).beams
 
 
 def default_training_pairs(m_elements: int) -> tuple[np.ndarray, np.ndarray]:

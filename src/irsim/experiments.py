@@ -38,7 +38,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = DEFAULT_TRIALS
     scene_config: dict | None = None
-    out_path: str | None = None
 
 
 @dataclass
@@ -64,10 +63,6 @@ class ResultTable:
             buf.write(f"{scenario},{sweep_name},{sweep_value},{metric},"
                       f"{mean:.12g},{stderr:.12g},{trials},{seed}\n")
         return buf.getvalue()
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def worker_count() -> int:
@@ -392,7 +387,4 @@ def run_scenario(config: ExperimentConfig) -> ResultTable:
         runner = RUNNERS[config.scenario]
     except KeyError:
         raise KeyError(f"unknown scenario {config.scenario!r}") from None
-    table = runner(config)
-    if config.out_path:
-        table.write(config.out_path)
-    return table
+    return runner(config)

@@ -68,11 +68,14 @@ def _expect(value, kind: type, what: str):
 
 
 def _unit(v):
+    """v / |v|, first scaled by its largest entry when squaring would over- or underflow."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
+    scale = np.max(np.abs(v))
+    if scale == 0.0:
         raise ConfigError("zero-length vector where a direction is required")
-    return v / n
+    if not 1e-150 < scale < 1e150:
+        v = v / scale
+    return v / np.linalg.norm(v)
 
 
 def panel_axes(normal):

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import (bs_mrt_to_first_irs, closed_form_path_gain, multi_hop_phases,
-                    path_gain_with_direct)
-from .channels import effective_channel, enumerate_graph_paths, unit_phases
+from .beams import closed_form_path_gain, multi_hop_phases, path_gain_with_direct
+from .channels import effective_channel, enumerate_graph_paths, mrt_beam, unit_phases
 from .geometry import LosGraph, Scene, route_links
 
 enumerate_routes = enumerate_graph_paths     # public name of the route enumeration
@@ -69,11 +68,6 @@ def edge_weight(edge, distance: float, m_elements, beta: float) -> float:
     return w
 
 
-def _graph_edge_weight(graph: LosGraph, i: int, j: int, m_elements, beta: float) -> float:
-    into_user = j == graph.user_node
-    return edge_weight((i, j, into_user), graph.distances[(i, j)], m_elements, beta)
-
-
 def path_distances(graph: LosGraph, path) -> list[float]:
     return [graph.distances[link] for link in route_links(path, graph.user_node)]
 
@@ -98,7 +92,8 @@ def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1
             if i not in best:
                 continue
             w0, hops, seq = best[i]
-            cand = (w0 + _graph_edge_weight(graph, i, j, m_elements, beta),
+            cand = (w0 + edge_weight((i, j, j == graph.user_node), graph.distances[(i, j)],
+                                     m_elements, beta),
                     hops + 1,
                     seq if j == graph.user_node else seq + (j,))
             if j not in best or cand < best[j]:
@@ -121,12 +116,12 @@ def optimal_single_route_with_direct(graph: LosGraph, m_elements, beta: float, n
     that link.  Falls back to the empty path (direct only) when the graph
     is disconnected but the direct channel is nonzero.
     """
-    def gain(_, seq):
+    def gain(seq):
         return path_gain_with_direct(len(seq), [_irs_elements(j, m_elements) for j in seq],
                                      n_bs, beta, path_distances(graph, seq), f_direct,
                                      bs_responses[seq[0]])
 
-    best = _candidate_routes(graph, graph.user, m_elements, beta, n_bs, gain)
+    best = _candidate_routes(graph, graph.user, gain)
     if best:
         return best[0]
     f_norm = float(np.linalg.norm(f_direct))
@@ -157,19 +152,14 @@ def check_path_separation(scene: Scene, paths: dict) -> bool:
                for idx, k in enumerate(users) for kp in users[idx + 1:])
 
 
-def _candidate_routes(graph: LosGraph, user: int, m_elements, beta: float, n_bs: int,
-                      gain_fn):
-    """Every route of a graph, ranked by gain, then fewer hops, then the
-    smaller surface sequence."""
+def _candidate_routes(graph: LosGraph, user: int, gain):
+    """Every route of a graph that `gain(seq)` scores (None drops it), ranked
+    by gain, then fewer hops, then the smaller surface sequence."""
     cands = []
     for seq in enumerate_routes(graph):
-        if gain_fn is not None:
-            g = gain_fn(user, seq)
-            if g is None:
-                continue
-        else:
-            g = path_gain(graph, seq, m_elements, beta, n_bs)
-        cands.append(ReflectionPath(irs_sequence=seq, user=user, gain=g))
+        g = gain(seq)
+        if g is not None:
+            cands.append(ReflectionPath(irs_sequence=seq, user=user, gain=g))
     cands.sort(key=lambda p: (-p.gain, p.hops, p.irs_sequence))
     return cands
 
@@ -184,11 +174,14 @@ def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
     replace the closed-form gain (e.g. trained approximate gains);
     returning None drops a candidate.
     """
+    if gain_fn is None:
+        def gain_fn(k, seq):
+            return path_gain(graphs[k], seq, m_elements, beta, n_bs)
     users = sorted(graphs)
     cands = {}
     diagnostics = {}
     for k in users:
-        cands[k] = _candidate_routes(graphs[k], k, m_elements, beta, n_bs, gain_fn)
+        cands[k] = _candidate_routes(graphs[k], k, lambda seq: gain_fn(k, seq))
         diagnostics[k] = len(cands[k])
         if not cands[k]:
             raise Infeasible(f"user {k} has no feasible route", diagnostics)
@@ -262,7 +255,7 @@ def interference_audit(channels, solution: RoutingSolution) -> dict:
     beams = {}
     for k, path in sorted(solution.paths.items()):
         phases.update(multi_hop_phases(channels, path.irs_sequence, user=k))
-        beams[k] = bs_mrt_to_first_irs(channels.get(0, path.irs_sequence[0]).los_tx)
+        beams[k] = mrt_beam(channels.get(0, path.irs_sequence[0]).los_tx)
 
     users = sorted(solution.paths)
     h = {k: effective_channel(channels, k, phases, los_only=False, include_direct=True)

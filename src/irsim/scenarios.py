@@ -16,12 +16,11 @@ from __future__ import annotations
 import copy
 from importlib import resources
 
-import numpy as np
+from . import geometry
 
 
 def _unit(v) -> list:
-    v = np.asarray(v, dtype=float)
-    return (v / np.linalg.norm(v)).tolist()
+    return geometry._unit(v).tolist()
 
 
 def double_irs_config(n_bs: int = 1, irs_shape=(20, 20), kappa_db="inf",

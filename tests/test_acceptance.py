@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 import irsim.experiments as experiments
-from irsim.beams import bs_mrt_to_first_irs, closed_form_path_gain, multi_hop_phases
+from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
 from irsim.channels import (cascaded_path_channel, synthesize_channels, unit_phases)
 from irsim.cli import main
 from irsim.estimation import (default_training_pairs, ls_estimate_cascaded_siso,
@@ -107,7 +107,7 @@ def test_criterion_2_closed_form_equality():
         channels = synthesize_channels(scene, 1000 + checked)
         phases = {**unit_phases(scene), **multi_hop_phases(channels, path, user=1)}
         h = cascaded_path_channel(channels, path, phases, user=1)
-        w = bs_mrt_to_first_irs(channels.get(0, path[0]).los_tx)
+        w = mrt_beam(channels.get(0, path[0]).los_tx)
         got = float(abs(h @ w) ** 2)
         want = closed_form_path_gain(n_hops, m0 * m0, n_bs, scene.constants.beta,
                                      [scene.distance(a, b) for a, b in zip(seq[:-1], seq[1:])])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from irsim.beams import (ao_joint_beamforming, bs_mrt_to_first_irs,
+from irsim.beams import (ao_joint_beamforming, mrt_beam,
                          channel_rank_gain_check, closed_form_path_gain,
                          common_phase_combine, double_reflection_factors,
                          linear_receivers, multi_hop_phases, numerical_rank,
@@ -88,7 +88,7 @@ def test_pure_los_gain_follows_beta3_m4_scaling(double_scene):
 def _aligned_gain(channels, path, user=1):
     phases = {**unit_phases(channels.scene), **multi_hop_phases(channels, path, user)}
     h = cascaded_path_channel(channels, path, phases, user=user)
-    w = bs_mrt_to_first_irs(channels.get(0, path[0]).los_tx)
+    w = mrt_beam(channels.get(0, path[0]).los_tx)
     return float(abs(h @ w) ** 2)
 
 
@@ -116,7 +116,7 @@ def test_three_hop_beats_discrete_exhaustive():
     got = _aligned_gain(channels, [1, 2, 3])
     # M = 1 allows exhaustive search over an 8-point grid per surface
     grid = np.exp(2j * np.pi * np.arange(8) / 8)
-    w = bs_mrt_to_first_irs(channels.get(0, 1).los_tx)
+    w = mrt_beam(channels.get(0, 1).los_tx)
     best = 0.0
     for c1, c2, c3 in itertools.product(grid, repeat=3):
         phases = {1: np.array([c1]), 2: np.array([c2]), 3: np.array([c3])}
@@ -149,13 +149,13 @@ def test_multi_hop_requires_los():
 
 def test_mrt_normalization():
     resp = np.ones(4, dtype=complex)
-    w = bs_mrt_to_first_irs(resp)
+    w = mrt_beam(resp)
     assert np.allclose(w, 0.5 * np.ones(4))
     rng = np.random.default_rng(32)
     resp = np.exp(1j * rng.uniform(0, 2 * np.pi, 7))
-    assert np.linalg.norm(bs_mrt_to_first_irs(resp)) == pytest.approx(1.0)
+    assert np.linalg.norm(mrt_beam(resp)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        bs_mrt_to_first_irs(np.zeros(3, dtype=complex))
+        mrt_beam(np.zeros(3, dtype=complex))
 
 
 def test_closed_form_path_gain_arithmetic():

@@ -1,7 +1,9 @@
 """CLI inputs that no edit inside a valid scene can express: a scene file
 whose top level is not a JSON object, a file that is not UTF-8 or is nested
-too deeply to parse, a path that names a directory, and a negative seed.
-Each must exit 2 with a one-line message."""
+too deeply to parse, a path that names a directory, a negative seed, and
+--config given to a scenario that does not read it.  Each must exit 2 with a
+one-line message.  --out is written by the CLI alone, with the bytes it
+would print."""
 
 import json
 
@@ -11,6 +13,7 @@ from irsim import cli
 from irsim.cli import main
 from irsim.experiments import RUNNERS
 from irsim.geometry import ConfigError, build_scene, load_scene
+from irsim.scenarios import packaged_scene_path
 
 
 def _assert_config_error(capsys):
@@ -62,6 +65,36 @@ def test_negative_seed_exits_2_before_running(scenario, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_scenario", never)
     assert main(["run", "--scenario", scenario, "--seed", "-1"]) == 2
     _assert_config_error(capsys)
+
+
+@pytest.fixture
+def scenario_must_not_run(monkeypatch):
+    def never(config):
+        raise AssertionError("the scenario ran")
+    monkeypatch.setattr(cli, "run_scenario", never)
+
+
+@pytest.mark.parametrize("scenario", ["fig9", "fig8"])
+def test_config_with_a_built_in_scenario_exits_2_before_running(scenario, scenario_must_not_run,
+                                                                capsys):
+    argv = ["run", "--scenario", scenario, "--config", str(packaged_scene_path("double_irs"))]
+    assert main(argv) == 2
+    _assert_config_error(capsys)
+
+
+def test_out_directory_exits_2_before_running(scenario_must_not_run, tmp_path, capsys):
+    assert main(["run", "--scenario", "fig8", "--out", str(tmp_path)]) == 2
+    _assert_config_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [["run", "--scenario", "fig8"], ["routes"]])
+def test_out_holds_the_bytes_printed_to_stdout(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 def test_key_error_in_a_runner_is_not_a_configuration_error(monkeypatch):

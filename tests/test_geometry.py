@@ -2,13 +2,14 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from irsim.cli import main
-from irsim.geometry import (Box, ConfigError, build_los_graph, build_scene,
+from irsim.geometry import (Box, ConfigError, _unit, build_los_graph, build_scene,
                             half_space_ok, has_geometric_los, los_indicator)
 from irsim.scenarios import indoor_hall_config
 
@@ -83,6 +84,8 @@ BAD_NUMBERS = [
     ("string_irs_shape", ("irs", 0, "shape"), [4, "abc"], "IRS 1 element grid entry is not numeric"),
     ("string_bs_normal", ("bs", "normal", 0), "abc", "BS normal is not numeric"),
     ("string_irs_normal", ("irs", 1, "normal", 0), "abc", "IRS 2 normal is not numeric"),
+    ("zero_irs_normal", ("irs", 1, "normal"), [0, 0, 0],
+     "zero-length vector where a direction is required"),
     ("string_beta", ("constants", "beta_db"), "abc", "beta_db is not numeric"),
     ("nan_beta", ("constants", "beta_db"), math.nan, "beta_db is not finite"),
     ("string_tx", ("constants", "tx_dbm"), "abc", "tx_dbm is not numeric"),
@@ -172,6 +175,38 @@ def test_build_scene_accepts_kappa_underflow_and_infinities(kappa_db, kappa):
 def test_build_scene_accepts_users_sharing_a_position():
     scene = build_scene(_edited_hall(("users", 1), [36, 0, 1.5]))
     assert scene.distance(9, 10) == 0.0
+
+
+@pytest.mark.parametrize("v", [[1e-160, 1e-160, 0], [1e-200, 0, 0], [3e300, -4e300, 1e300]])
+def test_unit_vector_at_any_magnitude(v):
+    # |v|^2 over- or underflows outside about 1e+-154; the direction must not care
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _unit(v)
+    w = np.asarray(v) / np.max(np.abs(v))
+    np.testing.assert_allclose(u, w / math.hypot(*w), rtol=0, atol=1e-15)
+
+
+def test_unit_vector_is_the_plain_quotient_at_ordinary_magnitudes():
+    v = np.array([0.3, -0.954, 0.0])
+    assert np.array_equal(_unit(v), v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_scaled_normal_builds_the_unscaled_scene(scale, tmp_path, capsys):
+    plain = indoor_hall_config(m0=4)
+    scaled = _edited_hall(("irs", 1, "normal"), [x * scale for x in plain["irs"][1]["normal"]])
+    routes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(build_scene(scaled).irs[1].normal,
+                                   build_scene(plain).irs[1].normal, rtol=0, atol=1e-15)
+        for cfg in (plain, scaled):
+            path = tmp_path / "scene.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["routes", "--config", str(path)]) == 0
+            routes.append(capsys.readouterr().out)
+    assert routes[0] == routes[1]
 
 
 @pytest.mark.parametrize("command", ["validate", "routes"])

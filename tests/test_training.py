@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from irsim.beams import bs_mrt_to_first_irs, closed_form_path_gain, multi_hop_phases
+from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
 from irsim.channels import cascaded_path_channel, synthesize_channels
 from irsim.geometry import build_scene
 from irsim.scenarios import with_users
@@ -127,7 +127,7 @@ def test_exhaustive_finds_planted_optimum():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
     path = (1, 2)
     aligned = multi_hop_phases(channels, list(path), user=1)
-    w_star = bs_mrt_to_first_irs(channels.get(0, 1).los_tx)
+    w_star = mrt_beam(channels.get(0, 1).los_tx)
     bs_cb = Codebook(kind="active", beams=np.stack([bs_cb.beams[0], w_star]))
     for j in path:
         irs_cbs[j] = Codebook(kind="passive",
@@ -163,7 +163,7 @@ def test_sequential_reaches_planted_optimum():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
     path = (1, 2)
     aligned = multi_hop_phases(channels, list(path), user=1)
-    w_star = bs_mrt_to_first_irs(channels.get(0, 1).los_tx)
+    w_star = mrt_beam(channels.get(0, 1).los_tx)
     bs_cb = Codebook(kind="active", beams=np.stack([bs_cb.beams[0], w_star]))
     for j in path:
         irs_cbs[j] = Codebook(kind="passive",
@@ -189,7 +189,7 @@ def test_bs_btt_row_count_and_threshold():
 
 def test_bs_btt_matched_beam_rss_closed_form():
     scene = build_scene(chain_config(m0=2, n_bs=4))
-    w_star = bs_mrt_to_first_irs(
+    w_star = mrt_beam(
         synthesize_channels(scene, 0, links=[(0, 1)]).get(0, 1).los_tx)
     cb = Codebook(kind="active", beams=w_star[None, :])
     table = build_bs_btt(scene, cb, threshold=0.0, seed=2, averages=1)
@@ -306,7 +306,7 @@ def test_estimate_matched_beams_equals_closed_form():
     channels = synthesize_channels(scene, 13)
     path = (1, 2)
     aligned = multi_hop_phases(channels, list(path), user=1)
-    w_star = bs_mrt_to_first_irs(channels.get(0, 1).los_tx)
+    w_star = mrt_beam(channels.get(0, 1).los_tx)
     bs_cb = Codebook(kind="active", beams=w_star[None, :])
     irs_cbs = {j: Codebook(kind="passive", beams=aligned[j][None, :]) for j in path}
     gbtt = _pure_los_tables(scene, bs_cb, irs_cbs, path)
@@ -364,7 +364,7 @@ def test_distributed_matches_model_based_route_at_pure_los():
     aligned = multi_hop_phases(channels, list(model.irs_sequence), user=1)
     bs_cb = Codebook(kind="active", beams=np.stack(
         [dft_codebook(2, 2, kind="active").beams[0],
-         bs_mrt_to_first_irs(channels.get(0, model.irs_sequence[0]).los_tx)]))
+         mrt_beam(channels.get(0, model.irs_sequence[0]).los_tx)]))
     irs_cbs = {}
     for j in range(1, scene.n_irs + 1):
         base = planar_passive_codebook(2, 2).beams
