@@ -23,6 +23,12 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 
+# Limits on scene input that keep every distance, wavelength, element spacing
+# and path loss finite: coordinates in meters, the carrier in Hz.
+MAX_COORDINATE_M = 1e6
+CARRIER_HZ_RANGE = (1e6, 1e13)
+MAX_ALPHA = 10.0
+
 
 class ConfigError(ValueError):
     """Raised when a scenario description is malformed or inconsistent."""
@@ -43,6 +49,22 @@ def _finite(value, what: str, shape: tuple) -> np.ndarray:
 
 def _number(value, what: str) -> float:
     return float(_finite(value, what, ()))
+
+
+def _point(value, what: str) -> np.ndarray:
+    """A position in meters with every coordinate within +-MAX_COORDINATE_M."""
+    arr = _finite(value, what, (3,))
+    if np.max(np.abs(arr)) > MAX_COORDINATE_M:
+        raise ConfigError(f"{what} has a coordinate beyond +-{MAX_COORDINATE_M:g} m: {value!r}")
+    return arr
+
+
+def _exponent(value, what: str) -> float:
+    """A path-loss exponent in (0, MAX_ALPHA]."""
+    alpha = _number(value, what)
+    if not 0.0 < alpha <= MAX_ALPHA:
+        raise ConfigError(f"{what} must lie in (0, {MAX_ALPHA:g}], got {value!r}")
+    return alpha
 
 
 def _count(value, what: str) -> int:
@@ -288,8 +310,11 @@ def build_scene(config: dict) -> Scene:
     vectors.  BS elements are half-wavelength spaced, IRS elements
     quarter-wavelength.  Raises ConfigError for a missing field, a field of
     the wrong JSON type, a non-numeric or non-finite number, a grid size that
-    is not a positive integer, coincident nodes (users excepted) or a
-    reference to a node or override field that does not exist.
+    is not a positive integer, coincident nodes (users excepted), a
+    reference to a node or override field that does not exist, or a number
+    outside its limit: a position or obstacle coordinate beyond
+    +-MAX_COORDINATE_M, a carrier outside CARRIER_HZ_RANGE, or a path-loss
+    exponent (alpha map or link override) outside (0, MAX_ALPHA].
     """
     _expect(config, dict, "a scene description")
     try:
@@ -300,7 +325,7 @@ def build_scene(config: dict) -> Scene:
         n_elements = _count(bs_cfg["n_elements"], "BS n_elements")
         shape = _grid(bs_cfg["shape"], "BS array shape") if "shape" in bs_cfg else (1, n_elements)
         bs = PanelArray(
-            center=_finite(bs_cfg["position"], "BS position", (3,)),
+            center=_point(bs_cfg["position"], "BS position"),
             normal=_unit(_finite(bs_cfg.get("normal", (1.0, 0.0, 0.0)), "BS normal", (3,))),
             shape=shape,
             spacing_m=lam / 2.0,
@@ -316,20 +341,20 @@ def build_scene(config: dict) -> Scene:
                 m0 = _count(ent["m0"], f"IRS {idx} m0")
                 shape = (m0, m0)
             irs.append(PanelArray(
-                center=_finite(ent["position"], f"IRS {idx} position", (3,)),
+                center=_point(ent["position"], f"IRS {idx} position"),
                 normal=_unit(_finite(ent["normal"], f"IRS {idx} normal", (3,))),
                 shape=shape,
                 spacing_m=lam / 4.0,
             ))
 
         user_cfg = _expect(config.get("users", []), list, "users")
-        users = np.array([_finite(u, f"user {k} position", (3,))
+        users = np.array([_point(u, f"user {k} position")
                           for k, u in enumerate(user_cfg, start=1)]).reshape(-1, 3)
         obstacles = []
         for n, o in enumerate(_expect(config.get("obstacles", []), list, "obstacles"), start=1):
             _expect(o, dict, f"obstacle {n}")
-            obstacles.append(Box(lo=_finite(o["min"], f"obstacle {n} min corner", (3,)),
-                                 hi=_finite(o["max"], f"obstacle {n} max corner", (3,))))
+            obstacles.append(Box(lo=_point(o["min"], f"obstacle {n} min corner"),
+                                 hi=_point(o["max"], f"obstacle {n} max corner")))
         for box in obstacles:
             if np.any(box.lo > box.hi):
                 raise ConfigError("obstacle with min corner beyond max corner")
@@ -383,7 +408,7 @@ def _parse_constants(cfg: dict) -> Constants:
     bad = set(alpha) - set(_LINK_CLASSES)
     if bad:
         raise ConfigError(f"unknown link classes in alpha map: {sorted(bad)}")
-    alpha = {cls: _number(a, f"alpha of {cls}") for cls, a in alpha.items()}
+    alpha = {cls: _exponent(a, f"alpha of {cls}") for cls, a in alpha.items()}
     overrides = {}
     for key, ov in _expect(cfg.get("link_overrides", {}), dict, "link_overrides").items():
         unknown = set(_expect(ov, dict, f"link_overrides[{key!r}]")) - {"alpha", "kappa_db"}
@@ -391,13 +416,15 @@ def _parse_constants(cfg: dict) -> Constants:
             raise ConfigError(f"unknown fields in link_overrides[{key!r}]: {sorted(unknown)}")
         ent = {}
         if "alpha" in ov:
-            ent["alpha"] = _number(ov["alpha"], f"link_overrides[{key!r}] alpha")
+            ent["alpha"] = _exponent(ov["alpha"], f"link_overrides[{key!r}] alpha")
         if "kappa_db" in ov:
             ent["kappa"] = _parse_kappa(ov["kappa_db"])
         overrides[key] = ent
     carrier_hz = _number(cfg.get("carrier_hz", 5e9), "carrier_hz")
-    if carrier_hz <= 0.0:
-        raise ConfigError(f"carrier_hz must be positive, got {carrier_hz!r}")
+    lo, hi = CARRIER_HZ_RANGE
+    if not lo <= carrier_hz <= hi:
+        raise ConfigError(f"carrier_hz must be positive and within [{lo:g}, {hi:g}] Hz, "
+                          f"got {carrier_hz!r}")
     consts = Constants(
         beta_db=_number(cfg.get("beta_db", -30.0), "beta_db"),
         alpha=alpha,

@@ -1,5 +1,6 @@
 """Determinism of the experiment harness and the CLI contract."""
 
+import copy
 import json
 import os
 
@@ -8,8 +9,8 @@ import pytest
 
 from irsim import scenarios
 from irsim.cli import main
-from irsim.experiments import (ExperimentConfig, ResultTable, routes_payload,
-                               run_scenario, run_trials)
+from irsim.experiments import (FIG9_M0_SWEEP, FIG13_KAPPAS_DB, ExperimentConfig, ResultTable,
+                               routes_payload, run_scenario, run_trials)
 from irsim.geometry import build_scene
 from irsim.scenarios import indoor_hall_config, packaged_scene_path
 
@@ -154,7 +155,48 @@ def test_packaged_scenes_load():
         assert scene.n_irs >= 2
 
 
+FIG6_SHAPES = [(10, 10), (15, 10), (20, 10), (25, 10), (20, 15), (20, 20)]
+BUILDER_CALLS = {
+    # the default call, fig9's m0 sweep, and m0 = 24 at each fig13 kappa (fig11 too)
+    "indoor_hall": [{}] + [{"m0": m0} for m0 in FIG9_M0_SWEEP]
+                   + [{"m0": 24, "kappa_db": k} for k in FIG13_KAPPAS_DB],
+    # the default call, fig6's LoS and Rayleigh links at each shape, and fig7
+    "double_irs": [{}] + [{"n_bs": 1, "irs_shape": s} for s in FIG6_SHAPES]
+                  + [{"n_bs": 1, "irs_shape": s, "inter_irs_alpha": 2.5,
+                      "inter_irs_kappa_db": "-inf"} for s in FIG6_SHAPES]
+                  + [{"n_bs": 40, "irs_shape": (20, 20), "kappa_db": "inf",
+                      "bs_irs1_kappa_db": 10.0}],
+}
+
+
+def _builder_leaves(name, kw):
+    """{key path: value} of the leaves a builder call sets in its shipped scene."""
+    if name == "indoor_hall":
+        out = {("irs", j, "m0"): kw.get("m0", 24) for j in range(8)}
+        out["constants", "kappa_db"] = kw.get("kappa_db", 20.0)
+        return out
+    n_bs, shape = kw.get("n_bs", 1), list(kw.get("irs_shape", (20, 20)))
+    out = {("bs", "shape"): [n_bs, 1], ("bs", "n_elements"): n_bs,
+           ("constants", "kappa_db"): kw.get("kappa_db", "inf")}
+    for j in range(2):
+        out["irs", j, "m0"] = shape[0]
+        out["irs", j, "shape"] = shape
+    if "inter_irs_alpha" in kw:
+        out["constants", "link_overrides", "1-2"] = {"alpha": kw["inter_irs_alpha"],
+                                                     "kappa_db": kw["inter_irs_kappa_db"]}
+    if "bs_irs1_kappa_db" in kw:
+        out["constants", "link_overrides", "0-1"] = {"kappa_db": kw["bs_irs1_kappa_db"]}
+    return out
+
+
 @pytest.mark.parametrize("name", ["indoor_hall", "double_irs"])
-def test_packaged_scene_in_sync_with_builder(name):
+def test_builder_is_the_shipped_scene_but_for_its_parameters(name):
     shipped = json.loads(packaged_scene_path(name).read_text())
-    assert shipped == json.loads(json.dumps(getattr(scenarios, f"{name}_config")()))
+    for kw in BUILDER_CALLS[name]:
+        expected = copy.deepcopy(shipped)
+        for path, value in _builder_leaves(name, kw).items():
+            owner = expected
+            for key in path[:-1]:
+                owner = owner[key]
+            owner[path[-1]] = value
+        assert getattr(scenarios, f"{name}_config")(**kw) == expected, kw

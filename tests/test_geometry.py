@@ -107,6 +107,26 @@ BAD_NUMBERS = [
     ("overflow_kappa", ("constants", "kappa_db"), 5000, "kappa_db 5000 overflows"),
     ("overflow_override_kappa", ("constants", "link_overrides"), {"0-1": {"kappa_db": 5000}},
      "kappa_db 5000 overflows"),
+    ("negative_alpha", ("constants", "alpha", "irs_irs"), -5000,
+     r"alpha of irs_irs must lie in \(0, 10\], got -5000"),
+    ("zero_alpha", ("constants", "alpha", "bs_user"), 0, r"alpha of bs_user must lie in \(0, 10\]"),
+    ("huge_alpha", ("constants", "alpha", "bs_irs"), 10.5, r"alpha of bs_irs must lie in \(0, 10\]"),
+    ("negative_override_alpha", ("constants", "link_overrides"), {"1-2": {"alpha": -5000}},
+     r"link_overrides\['1-2'\] alpha must lie in \(0, 10\], got -5000"),
+    ("huge_override_alpha", ("constants", "link_overrides"), {"0-1": {"alpha": 1e6}},
+     r"link_overrides\['0-1'\] alpha must lie in \(0, 10\]"),
+    ("tiny_carrier", ("constants", "carrier_hz"), 1e-320,
+     r"carrier_hz must be positive and within \[1e\+06, 1e\+13\] Hz, got 1e-320"),
+    ("low_carrier", ("constants", "carrier_hz"), 5e5, r"carrier_hz .* got 500000.0"),
+    ("huge_carrier", ("constants", "carrier_hz"), 1e300, r"carrier_hz .* got 1e\+300"),
+    ("far_irs", ("irs", 0, "position", 0), 1e300,
+     r"IRS 1 position has a coordinate beyond \+-1e\+06 m"),
+    ("far_bs", ("bs", "position", 2), -2e6, r"BS position has a coordinate beyond \+-1e\+06 m"),
+    ("far_user", ("users", 1, 1), 1e7, r"user 2 position has a coordinate beyond \+-1e\+06 m"),
+    ("far_obstacle_min", ("obstacles", 2, "min", 0), -1e300,
+     r"obstacle 3 min corner has a coordinate beyond \+-1e\+06 m"),
+    ("far_obstacle_max", ("obstacles", 0, "max", 2), 1.5e6,
+     r"obstacle 1 max corner has a coordinate beyond \+-1e\+06 m"),
 ]
 BAD_STRUCTURE = [
     ("user_at_bs", ("users", 0), [0, 0, 2], "nodes 0 and 9 are at the same position"),
