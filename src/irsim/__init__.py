@@ -16,9 +16,9 @@ from .routing import (Infeasible, NoFeasiblePath, ReflectionPath, RoutingSolutio
                       interference_audit, optimal_multi_route, optimal_single_route,
                       optimal_single_route_with_direct, path_gain,
                       unconstrained_multi_route)
-from .training import (BeamTrainingTable, Codebook, GlobalBtt, NotTrainable,
-                       approx_gain, assemble_global_btt, build_bs_btt, build_irs_btt,
-                       dft_codebook, distributed_route_and_beams, exhaustive_search,
+from .training import (BeamTrainingTable, Codebook, NotTrainable, approx_gain,
+                       assemble_global_btt, build_bs_btt, build_irs_btt, dft_codebook,
+                       distributed_route_and_beams, exhaustive_search,
                        planar_passive_codebook, sequential_search)
 from .estimation import (ls_estimate_cascaded_siso, ls_estimate_los_decoupled,
                          overhead_benchmark_siso_general,

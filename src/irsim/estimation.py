@@ -46,15 +46,10 @@ def overhead_benchmark_siso_general(m_elements: int) -> int:
     return int(m_elements) ** 2
 
 
-def dft_training_patterns(m_elements: int) -> np.ndarray:
-    """Unit-modulus training reflections: the rows of the M-point DFT grid."""
-    return dft_codebook(int(m_elements), int(m_elements)).beams
-
-
 def default_training_pairs(m_elements: int) -> tuple[np.ndarray, np.ndarray]:
     """M^2 orthogonal pattern pairs (phi1^(t), phi2^(t)) from the DFT grid."""
     m = int(m_elements)
-    base = dft_training_patterns(m)
+    base = dft_codebook(m, m).beams
     phi1 = np.repeat(base, m, axis=0)
     phi2 = np.tile(base, (m, 1))
     return phi1, phi2
@@ -116,7 +111,7 @@ def ls_estimate_los_decoupled(channel_probe, m_elements: int, n_validation: int 
     rank-one model and a relative residual above `residual_tol` raises.
     """
     m = int(m_elements)
-    patterns = dft_training_patterns(m)
+    patterns = dft_codebook(m, m).beams
     anchor1, anchor2 = patterns[0], patterns[0]
 
     y_sweep1 = np.array([channel_probe(p, anchor2) for p in patterns])

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import scenarios
 from .beams import linear_receivers, multi_hop_phases, optimize_path_phases
-from .channels import cascaded_path_channel, effective_channel, synthesize_channels, unit_phases
+from .channels import cascaded_path_channel, effective_channel, synthesize_channels
 from .geometry import ConfigError, Scene, build_los_graph, build_scene, route_links
 from .routing import (interference_audit, optimal_multi_route,
                       optimal_single_route, unconstrained_multi_route)
@@ -123,7 +123,7 @@ def run_fig6(config: ExperimentConfig) -> ResultTable:
         scene = build_scene(los_cfg)
         channels = synthesize_channels(scene, config.seed)
 
-        phases = {**unit_phases(scene), **multi_hop_phases(channels, [1, 2], user=1)}
+        phases = multi_hop_phases(channels, [1, 2], user=1)
         h = cascaded_path_channel(channels, [1, 2], phases, user=1)
         gain_double = float(np.linalg.norm(h) ** 2)
         table.add("fig6", "total_elements", total, "rate_double_los",
@@ -186,8 +186,8 @@ def run_fig7(config: ExperimentConfig) -> ResultTable:
         scene = build_scene(cfg)
         channels = synthesize_channels(scene, s)
 
-        phases_d = {**unit_phases(scene), **multi_hop_phases(channels, [1, 2], user=1)}
-        phases_s = {**unit_phases(scene), **multi_hop_phases(channels, [2], user=1)}
+        phases_d = multi_hop_phases(channels, [1, 2], user=1)
+        phases_s = multi_hop_phases(channels, [2], user=1)
         h_double = _fig7_channels(channels, [1, 2], phases_d, n_users)
         h_single = _fig7_channels(channels, [2], phases_s, n_users)
 

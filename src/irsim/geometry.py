@@ -24,10 +24,14 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0
 
 # Limits on scene input that keep every distance, wavelength, element spacing
-# and path loss finite: coordinates in meters, the carrier in Hz.
+# and path loss finite: coordinates and node separation in meters, the carrier
+# in Hz, the 1 m reference path loss in dB (free space gives about -112 to
+# +28 dB over the carrier range).
 MAX_COORDINATE_M = 1e6
+MIN_SEPARATION_M = 0.01
 CARRIER_HZ_RANGE = (1e6, 1e13)
 MAX_ALPHA = 10.0
+BETA_DB_RANGE = (-150.0, 50.0)
 
 
 class ConfigError(ValueError):
@@ -226,7 +230,7 @@ class Constants:
 
     def link_params(self, i: int, j: int, link_class: str) -> tuple[float, float]:
         """(alpha, kappa) for directed link (i, j)."""
-        alpha = self.alpha.get(link_class, 2.0)
+        alpha = self.alpha[link_class]
         kappa = self.kappa
         ov = self.link_overrides.get(f"{i}-{j}")
         if ov:
@@ -310,11 +314,12 @@ def build_scene(config: dict) -> Scene:
     vectors.  BS elements are half-wavelength spaced, IRS elements
     quarter-wavelength.  Raises ConfigError for a missing field, a field of
     the wrong JSON type, a non-numeric or non-finite number, a grid size that
-    is not a positive integer, coincident nodes (users excepted), a
-    reference to a node or override field that does not exist, or a number
-    outside its limit: a position or obstacle coordinate beyond
-    +-MAX_COORDINATE_M, a carrier outside CARRIER_HZ_RANGE, or a path-loss
-    exponent (alpha map or link override) outside (0, MAX_ALPHA].
+    is not a positive integer, two nodes closer than MIN_SEPARATION_M (two
+    users excepted), a reference to a node or override field that does not
+    exist, or a number outside its limit: a position or obstacle coordinate
+    beyond +-MAX_COORDINATE_M, a carrier outside CARRIER_HZ_RANGE, a beta_db
+    outside BETA_DB_RANGE, or a path-loss exponent (alpha map or link
+    override) outside (0, MAX_ALPHA].
     """
     _expect(config, dict, "a scene description")
     try:
@@ -374,8 +379,9 @@ def build_scene(config: dict) -> Scene:
                 raise ConfigError(f"node {i} lies inside an obstacle")
         if not scene.is_user(i):           # two users may share a spot: no link joins them
             for j in range(i + 1, n_nodes):
-                if scene.distance(i, j) == 0.0:
-                    raise ConfigError(f"nodes {i} and {j} are at the same position")
+                if scene.distance(i, j) < MIN_SEPARATION_M:
+                    raise ConfigError(f"nodes {i} and {j} are at the same position or "
+                                      f"closer than {MIN_SEPARATION_M:g} m")
     links = {f"{i}-{j}" for i in range(n_nodes) for j in range(n_nodes) if i != j}
     bad = sorted(set(consts.link_overrides) - links)
     if bad:
@@ -443,6 +449,9 @@ def _parse_constants(cfg: dict) -> Constants:
         if linear == 0.0 or math.isinf(linear):
             raise ConfigError(f"{name} {getattr(consts, name)!r} overflows or underflows "
                               f"in linear scale")
+    lo, hi = BETA_DB_RANGE
+    if not lo <= consts.beta_db <= hi:
+        raise ConfigError(f"beta_db must lie in [{lo:g}, {hi:g}] dB, got {consts.beta_db!r}")
     return consts
 
 

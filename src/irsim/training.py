@@ -32,7 +32,6 @@ class Codebook:
     """A finite set of beams: unit-modulus rows (passive) or unit-norm
     rows (active)."""
 
-    kind: str                  # "active" | "passive"
     beams: np.ndarray          # (D, dim)
 
     @property
@@ -51,7 +50,7 @@ def dft_codebook(n_points: int, dim: int, kind: str = "passive") -> Codebook:
         beams = beams / math.sqrt(dim)
     elif kind != "passive":
         raise ValueError(f"unknown codebook kind {kind!r}")
-    return Codebook(kind=kind, beams=beams)
+    return Codebook(beams=beams)
 
 
 def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
@@ -59,9 +58,9 @@ def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
 
     Joint beam index d = d_h * n_points + d_v; each beam has m0^2 entries.
     """
-    line = dft_codebook(n_points, m0, kind="passive").beams
+    line = dft_codebook(n_points, m0).beams
     beams = np.einsum("ah,bv->abhv", line, line).reshape(n_points ** 2, m0 ** 2)
-    return Codebook(kind="passive", beams=beams)
+    return Codebook(beams=beams)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +195,9 @@ class BeamTrainingTable:
     Rows are keyed (previous node, beam index, next node); the BS table
     uses previous node None.  `reference_rss` stores the unreflected
     controller-to-controller strength of each incoming link, used to
-    normalize composed gain estimates.  Rows with a user as next node are
-    the online part of the protocol.
+    normalize composed gain estimates (1.0 under None: the BS transmits
+    itself).  Rows with a user as next node are the online part of the
+    protocol.
     """
 
     owner: int
@@ -230,18 +230,18 @@ def _bs_neighbors(scene: Scene) -> list[int]:
 
 
 def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Codebook,
-           next_nodes, seed: int, averages: int) -> None:
+           next_nodes, seed: int) -> None:
     """Add the time-averaged RSS of every beam of `table.owner` at each next
     node's controller; `incident[t]` scales the owner's elements in
     realization t (1.0 for the BS, which transmits itself)."""
     for nxt in next_nodes:
         draws = _rician_draws(scene, table.owner, nxt,
-                              _controller_rng(seed, table.owner, prev, nxt), averages,
+                              _controller_rng(seed, table.owner, prev, nxt), len(incident),
                               rx_panel=False)
         rss = np.zeros(codebook.size)
         for t, out in enumerate(draws):
             rss += np.abs(codebook.beams @ (out.matrix[0] * incident[t])) ** 2
-        rss /= averages
+        rss /= len(incident)
         for beam, value in enumerate(rss):
             table.add(prev, beam, nxt, float(value))
 
@@ -254,9 +254,9 @@ def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = Non
     `next_nodes` restricts the sounded neighbors (default: every LoS one).
     """
     thr = scene.constants.noise_power if threshold is None else threshold
-    table = BeamTrainingTable(owner=0, threshold=thr)
+    table = BeamTrainingTable(owner=0, threshold=thr, reference_rss={None: 1.0})
     _sound(table, scene, None, [1.0] * averages, codebook,
-           _bs_neighbors(scene) if next_nodes is None else next_nodes, seed, averages)
+           _bs_neighbors(scene) if next_nodes is None else next_nodes, seed)
     return table
 
 
@@ -288,40 +288,32 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
             scene, prev, irs, _controller_rng(seed, irs, prev, irs, kind=1), averages,
             rx_panel=False, tx_panel=prev == 0)]
         table.reference_rss[prev] = float(np.mean([abs(r) ** 2 for r in ref_draws]))
-        _sound(table, scene, prev, incident, codebook, next_nodes, seed, averages)
+        _sound(table, scene, prev, incident, codebook, next_nodes, seed)
     return table
 
 
-@dataclass
-class GlobalBtt:
-    """All tables merged at the BS."""
-
-    bs_table: BeamTrainingTable
-    irs_tables: dict               # irs id -> BeamTrainingTable
-
-
-def assemble_global_btt(bs_table: BeamTrainingTable, irs_tables) -> GlobalBtt:
-    merged = {}
+def assemble_global_btt(bs_table: BeamTrainingTable, irs_tables) -> dict:
+    """All tables merged at the BS: node id -> table, the BS as node 0."""
+    merged = {0: bs_table}
     for table in irs_tables:
         if table.owner in merged:
-            raise ValueError(f"duplicate table for surface {table.owner}")
+            raise ValueError(f"duplicate table for node {table.owner}")
         merged[table.owner] = table
-    return GlobalBtt(bs_table=bs_table, irs_tables=merged)
+    return merged
 
 
-def _route_walk(gbtt: GlobalBtt, path, user_node: int):
+def _route_walk(gbtt: dict, path, user_node: int):
     """Yield (node, table, previous node, next node) along a route: the BS
     (previous node None), then each surface in order."""
-    links = route_links(path, user_node)
-    yield 0, gbtt.bs_table, None, links[0][1]
+    links = [(None, 0), *route_links(path, user_node)]
     for (prev, node), (_, nxt) in zip(links, links[1:]):
-        table = gbtt.irs_tables.get(node)
+        table = gbtt.get(node)
         if table is None:
-            raise NotTrainable(f"no table for surface {node}")
+            raise NotTrainable(f"no table for node {node}")
         yield node, table, prev, nxt
 
 
-def approx_gain(gbtt: GlobalBtt, path, user_node: int, beam_choices: dict) -> float:
+def approx_gain(gbtt: dict, path, user_node: int, beam_choices: dict) -> float:
     """Composed end-to-end gain estimate of a route under given beams.
 
     Multiplies the BS RSS toward the first surface with each hop's RSS
@@ -331,14 +323,14 @@ def approx_gain(gbtt: GlobalBtt, path, user_node: int, beam_choices: dict) -> fl
     estimate = 1.0
     for node, table, prev, nxt in _route_walk(gbtt, path, user_node):
         row = (prev, beam_choices[node], nxt)
-        reference = 1.0 if prev is None else table.reference_rss.get(prev)
+        reference = table.reference_rss.get(prev)
         if row not in table.rows or reference is None:
             raise NotTrainable(f"node {node} has no trained row {row}")
         estimate *= table.rows[row] / reference
     return float(estimate)
 
 
-def best_beams_for_path(gbtt: GlobalBtt, path, user_node: int):
+def best_beams_for_path(gbtt: dict, path, user_node: int):
     """Per-hop argmax beam choices; the estimate factorizes per hop."""
     choices = {}
     for node, table, prev, nxt in _route_walk(gbtt, path, user_node):
@@ -350,7 +342,7 @@ def best_beams_for_path(gbtt: GlobalBtt, path, user_node: int):
     return choices
 
 
-def distributed_route_and_beams(scene: Scene, gbtt: GlobalBtt, users=None):
+def distributed_route_and_beams(scene: Scene, gbtt: dict, users=None):
     """Joint route and beam selection from the global table alone.
 
     Picks per-hop beams maximizing the composed estimate for every

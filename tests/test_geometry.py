@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from irsim.cli import main
-from irsim.geometry import (Box, ConfigError, _unit, build_los_graph, build_scene,
-                            half_space_ok, has_geometric_los, los_indicator)
+from irsim.geometry import (BETA_DB_RANGE, MIN_SEPARATION_M, Box, ConfigError, _unit,
+                            build_los_graph, build_scene, half_space_ok, has_geometric_los,
+                            los_indicator, panel_axes)
 from irsim.scenarios import indoor_hall_config
 
 from conftest import chain_config, random_two_user_config, unit
@@ -63,7 +64,9 @@ def test_build_scene_bad_region_rejected():
 
 
 # Bad edits of the indoor hall (surfaces 1-8, users 9-10): (id, key path into
-# the config, new value, expected message).  Each must fail in build_scene.
+# the config, new value or MISSING to delete the key, expected message).  Each
+# must fail in build_scene.
+MISSING = object()
 BAD_NUMBERS = [
     ("nan_user", ("users", 0, 1), math.nan, "user 1 position is not finite"),
     ("string_bs", ("bs", "position", 1), "abc", "BS position is not numeric"),
@@ -127,6 +130,10 @@ BAD_NUMBERS = [
      r"obstacle 3 min corner has a coordinate beyond \+-1e\+06 m"),
     ("far_obstacle_max", ("obstacles", 0, "max", 2), 1.5e6,
      r"obstacle 1 max corner has a coordinate beyond \+-1e\+06 m"),
+    ("huge_beta", ("constants", "beta_db"), 3000, r"beta_db must lie in \[-150, 50\] dB, got 3000"),
+    ("tiny_beta", ("constants", "beta_db"), -3000, r"beta_db must lie in \[-150, 50\] dB, got -3000"),
+    ("string_kappa", ("constants", "kappa_db"), "hot", "bad kappa_db value 'hot'"),
+    ("list_kappa", ("constants", "kappa_db"), [1], r"kappa_db is not numeric: \[1\]"),
 ]
 BAD_STRUCTURE = [
     ("user_at_bs", ("users", 0), [0, 0, 2], "nodes 0 and 9 are at the same position"),
@@ -155,6 +162,17 @@ BAD_STRUCTURE = [
      "effective region of user 2 entry is not numeric"),
     ("region_entry_fractional", ("effective_regions",), {"1": [1.5]},
      "effective region of user 1 entry must be a positive integer, got 1.5"),
+    ("user_near_bs", ("users", 0), [1e-100, 0, 2],
+     "nodes 0 and 9 are at the same position or closer than 0.01 m"),
+    ("irs_near_irs", ("irs", 1, "position"), [10.005, 4, 2],
+     "nodes 1 and 2 are at the same position or closer than 0.01 m"),
+    ("missing_bs", ("bs",), MISSING, "missing required field 'bs'"),
+    ("obstacle_min_beyond_max", ("obstacles", 0, "min", 0), 20,
+     "obstacle with min corner beyond max corner"),
+    ("unknown_alpha_class", ("constants", "alpha", "irs_bs"), 2.0,
+     r"unknown link classes in alpha map: \['irs_bs'\]"),
+    ("irs_shape_three_entries", ("irs", 0, "shape"), [4, 4, 1],
+     r"IRS 1 element grid must be two positive integers, got \[4, 4, 1\]"),
 ]
 
 
@@ -163,7 +181,10 @@ def _edited_hall(keys, value):
     owner = cfg
     for key in keys[:-1]:
         owner = owner[key]
-    owner[keys[-1]] = value
+    if value is MISSING:
+        del owner[keys[-1]]
+    else:
+        owner[keys[-1]] = value
     return cfg
 
 
@@ -195,6 +216,26 @@ def test_build_scene_accepts_kappa_underflow_and_infinities(kappa_db, kappa):
 def test_build_scene_accepts_users_sharing_a_position():
     scene = build_scene(_edited_hall(("users", 1), [36, 0, 1.5]))
     assert scene.distance(9, 10) == 0.0
+
+
+def test_build_scene_accepts_nodes_at_the_minimum_separation():
+    scene = build_scene(_edited_hall(("users", 0), [MIN_SEPARATION_M, 0, 2]))
+    assert scene.distance(0, 9) == MIN_SEPARATION_M
+
+
+@pytest.mark.parametrize("beta_db", BETA_DB_RANGE)
+def test_routes_at_the_ends_of_the_beta_db_range(beta_db, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_edited_hall(("constants", "beta_db"), beta_db)))
+    assert main(["routes", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+def test_vertical_normal_gets_orthonormal_in_plane_axes():
+    # (0, 0, 1) is parallel to the global up direction, so up falls back to (0, 1, 0)
+    normal = np.array([0.0, 0.0, 1.0])
+    frame = np.array([*panel_axes(normal), normal])
+    np.testing.assert_allclose(frame @ frame.T, np.eye(3), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("v", [[1e-160, 1e-160, 0], [1e-200, 0, 0], [3e300, -4e300, 1e300]])

@@ -1,5 +1,6 @@
 """Codebooks, beam searches, and the distributed training tables."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -92,7 +93,7 @@ def _brute_force_search(channels, users, bs_cb, irs_cbs, path):
     ids = evaluator.irs_ids
     best = None
     for b in range(bs_cb.size):
-        one_beam = Codebook(kind="active", beams=bs_cb.beams[b:b + 1])
+        one_beam = Codebook(beams=bs_cb.beams[b:b + 1])
         for choice in itertools.product(*(range(irs_cbs[j].size) for j in ids)):
             irs_idx = dict(zip(ids, choice))
             _, phases = beams_from_choices(bs_cb, irs_cbs, {0: b, **irs_idx})
@@ -128,10 +129,9 @@ def test_exhaustive_finds_planted_optimum():
     path = (1, 2)
     aligned = multi_hop_phases(channels, list(path), user=1)
     w_star = mrt_beam(channels.get(0, 1).los_tx)
-    bs_cb = Codebook(kind="active", beams=np.stack([bs_cb.beams[0], w_star]))
+    bs_cb = Codebook(beams=np.stack([bs_cb.beams[0], w_star]))
     for j in path:
-        irs_cbs[j] = Codebook(kind="passive",
-                              beams=np.stack([irs_cbs[j].beams[0], aligned[j]]))
+        irs_cbs[j] = Codebook(beams=np.stack([irs_cbs[j].beams[0], aligned[j]]))
     result = exhaustive_search(channels, [1], bs_cb, irs_cbs, path=path)
     seq = [0, *path, scene.n_irs + 1]
     want = closed_form_path_gain(2, 4, 2, scene.constants.beta,
@@ -164,10 +164,9 @@ def test_sequential_reaches_planted_optimum():
     path = (1, 2)
     aligned = multi_hop_phases(channels, list(path), user=1)
     w_star = mrt_beam(channels.get(0, 1).los_tx)
-    bs_cb = Codebook(kind="active", beams=np.stack([bs_cb.beams[0], w_star]))
+    bs_cb = Codebook(beams=np.stack([bs_cb.beams[0], w_star]))
     for j in path:
-        irs_cbs[j] = Codebook(kind="passive",
-                              beams=np.stack([irs_cbs[j].beams[0], aligned[j]]))
+        irs_cbs[j] = Codebook(beams=np.stack([irs_cbs[j].beams[0], aligned[j]]))
     seq = sequential_search(channels, [1], bs_cb, irs_cbs, path=path)
     exh = exhaustive_search(channels, [1], bs_cb, irs_cbs, path=path)
     assert seq.objective == pytest.approx(exh.objective, rel=1e-9)
@@ -191,7 +190,7 @@ def test_bs_btt_matched_beam_rss_closed_form():
     scene = build_scene(chain_config(m0=2, n_bs=4))
     w_star = mrt_beam(
         synthesize_channels(scene, 0, links=[(0, 1)]).get(0, 1).los_tx)
-    cb = Codebook(kind="active", beams=w_star[None, :])
+    cb = Codebook(beams=w_star[None, :])
     table = build_bs_btt(scene, cb, threshold=0.0, seed=2, averages=1)
     want = scene.n_bs * scene.constants.beta / scene.distance(0, 1) ** 2
     assert table.rows[(None, 0, 1)] == pytest.approx(want, rel=1e-9)
@@ -213,7 +212,7 @@ def test_irs_btt_matched_beam_is_row_maximum():
     channels = synthesize_channels(scene, 4)
     aligned = multi_hop_phases(channels, [1, 2], user=1)
     base = planar_passive_codebook(2, 2)
-    cb = Codebook(kind="passive", beams=np.vstack([base.beams, aligned[1]]))
+    cb = Codebook(beams=np.vstack([base.beams, aligned[1]]))
     table = build_irs_btt(scene, 1, cb, threshold=0.0, seed=4, averages=1,
                           prev_nodes=[0], next_nodes=[2])
     rows = {beam: rss for (p, beam, n), rss in table.rows.items()}
@@ -244,10 +243,12 @@ def test_global_btt_assembly_and_counts():
     bs_table = build_bs_btt(scene, bs_cb, threshold=0.0, seed=7)
     tables = [build_irs_btt(scene, j, cb, threshold=0.0, seed=7) for j in (1, 2)]
     gbtt = assemble_global_btt(bs_table, tables)
-    assert gbtt.bs_table is bs_table
-    assert gbtt.irs_tables == {1: tables[0], 2: tables[1]}
+    assert gbtt[0] is bs_table
+    assert gbtt == {0: bs_table, 1: tables[0], 2: tables[1]}
     with pytest.raises(ValueError, match="duplicate"):
         assemble_global_btt(bs_table, tables + [tables[0]])
+    with pytest.raises(ValueError, match="duplicate table for node 0"):
+        assemble_global_btt(bs_table, [*tables, dataclasses.replace(tables[0], owner=0)])
 
 
 def test_empty_irs_tables_leave_bs_only():
@@ -255,7 +256,7 @@ def test_empty_irs_tables_leave_bs_only():
     bs_cb = dft_codebook(2, 2, kind="active")
     bs_table = build_bs_btt(scene, bs_cb, threshold=0.0, seed=8)
     gbtt = assemble_global_btt(bs_table, [])
-    assert gbtt.bs_table is bs_table and gbtt.irs_tables == {}
+    assert gbtt[0] is bs_table and list(gbtt) == [0]
 
 
 
@@ -277,8 +278,8 @@ def test_single_hop_estimate_equals_bs_rss():
     gbtt = _pure_los_tables(scene, bs_cb, irs_cbs, (1,))
     est = approx_gain(gbtt, (1,), scene.n_irs + 1, {0: 0, 1: 0})
     # single hop: the composition is BS RSS times one normalized hop
-    bs_rss = gbtt.bs_table.rows[(None, 0, 1)]
-    hop = gbtt.irs_tables[1].rows[(0, 0, 2)] / gbtt.irs_tables[1].reference_rss[0]
+    bs_rss = gbtt[0].rows[(None, 0, 1)]
+    hop = gbtt[1].rows[(0, 0, 2)] / gbtt[1].reference_rss[0]
     assert est == pytest.approx(bs_rss * hop, rel=1e-12)
 
 
@@ -307,8 +308,8 @@ def test_estimate_matched_beams_equals_closed_form():
     path = (1, 2)
     aligned = multi_hop_phases(channels, list(path), user=1)
     w_star = mrt_beam(channels.get(0, 1).los_tx)
-    bs_cb = Codebook(kind="active", beams=w_star[None, :])
-    irs_cbs = {j: Codebook(kind="passive", beams=aligned[j][None, :]) for j in path}
+    bs_cb = Codebook(beams=w_star[None, :])
+    irs_cbs = {j: Codebook(beams=aligned[j][None, :]) for j in path}
     gbtt = _pure_los_tables(scene, bs_cb, irs_cbs, path)
     est = approx_gain(gbtt, path, scene.n_irs + 1, {0: 0, 1: 0, 2: 0})
     seq = [0, *path, scene.n_irs + 1]
@@ -362,14 +363,14 @@ def test_distributed_matches_model_based_route_at_pure_los():
 
     # codebooks contain the aligned beams of the model-based optimum
     aligned = multi_hop_phases(channels, list(model.irs_sequence), user=1)
-    bs_cb = Codebook(kind="active", beams=np.stack(
+    bs_cb = Codebook(beams=np.stack(
         [dft_codebook(2, 2, kind="active").beams[0],
          mrt_beam(channels.get(0, model.irs_sequence[0]).los_tx)]))
     irs_cbs = {}
     for j in range(1, scene.n_irs + 1):
         base = planar_passive_codebook(2, 2).beams
         extra = aligned[j][None, :] if j in aligned else base[:1]
-        irs_cbs[j] = Codebook(kind="passive", beams=np.vstack([base, extra]))
+        irs_cbs[j] = Codebook(beams=np.vstack([base, extra]))
 
     bs_table = build_bs_btt(scene, bs_cb, seed=17, averages=1)
     tables = [build_irs_btt(scene, j, irs_cbs[j], seed=17, averages=1)
