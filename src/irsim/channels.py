@@ -104,16 +104,22 @@ def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count:
         if los_part is not None and math.isinf(kappa):
             matrix = los_part
         else:
-            nlos_part = math.sqrt(pl) * _cn(rng, n_rx, n_tx)
-            matrix = nlos_part if los_part is None else (
-                math.sqrt(kappa / (1 + kappa)) * los_part + math.sqrt(1 / (1 + kappa)) * nlos_part)
+            matrix = _cn(rng, n_rx, n_tx)
+            matrix *= math.sqrt(pl)
+            if los_part is not None:         # los_part is shared by every draw: never mutated
+                matrix *= math.sqrt(1 / (1 + kappa))
+                matrix += math.sqrt(kappa / (1 + kappa)) * los_part
         yield LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
                           los_gain=rho, los_rx=a_rx, los_tx=a_tx)
 
 
 def _cn(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
     """i.i.d. unit-variance circularly-symmetric complex Gaussian matrix."""
-    return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / math.sqrt(2.0)
+    z = np.empty((n_rx, n_tx), dtype=complex)
+    z.real = rng.standard_normal((n_rx, n_tx))
+    z.imag = rng.standard_normal((n_rx, n_tx))
+    z /= math.sqrt(2.0)
+    return z
 
 
 @dataclass

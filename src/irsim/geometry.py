@@ -32,6 +32,7 @@ MIN_SEPARATION_M = 0.01
 CARRIER_HZ_RANGE = (1e6, 1e13)
 MAX_ALPHA = 10.0
 BETA_DB_RANGE = (-150.0, 50.0)
+MAX_PANEL_ELEMENTS = 4096     # per BS or IRS panel, so a link matrix has at most 4096^2 entries
 
 
 class ConfigError(ValueError):
@@ -83,6 +84,12 @@ def _grid(value, what: str) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{what} must be two positive integers, got {value!r}")
     return tuple(_count(n, f"{what} entry") for n in value)
+
+
+def _check_panel(shape: tuple[int, int], what: str) -> None:
+    if shape[0] * shape[1] > MAX_PANEL_ELEMENTS:
+        raise ConfigError(f"{what} has {shape[0] * shape[1]} elements, "
+                          f"more than {MAX_PANEL_ELEMENTS}")
 
 
 def _expect(value, kind: type, what: str):
@@ -314,7 +321,8 @@ def build_scene(config: dict) -> Scene:
     vectors.  BS elements are half-wavelength spaced, IRS elements
     quarter-wavelength.  Raises ConfigError for a missing field, a field of
     the wrong JSON type, a non-numeric or non-finite number, a grid size that
-    is not a positive integer, two nodes closer than MIN_SEPARATION_M (two
+    is not a positive integer, a BS or IRS panel of more than
+    MAX_PANEL_ELEMENTS elements, two nodes closer than MIN_SEPARATION_M (two
     users excepted), a reference to a node or override field that does not
     exist, or a number outside its limit: a position or obstacle coordinate
     beyond +-MAX_COORDINATE_M, a carrier outside CARRIER_HZ_RANGE, a beta_db
@@ -329,6 +337,7 @@ def build_scene(config: dict) -> Scene:
         bs_cfg = _expect(config["bs"], dict, "bs")
         n_elements = _count(bs_cfg["n_elements"], "BS n_elements")
         shape = _grid(bs_cfg["shape"], "BS array shape") if "shape" in bs_cfg else (1, n_elements)
+        _check_panel(shape, "BS array")
         bs = PanelArray(
             center=_point(bs_cfg["position"], "BS position"),
             normal=_unit(_finite(bs_cfg.get("normal", (1.0, 0.0, 0.0)), "BS normal", (3,))),
@@ -345,6 +354,7 @@ def build_scene(config: dict) -> Scene:
             else:
                 m0 = _count(ent["m0"], f"IRS {idx} m0")
                 shape = (m0, m0)
+            _check_panel(shape, f"IRS {idx}")
             irs.append(PanelArray(
                 center=_point(ent["position"], f"IRS {idx} position"),
                 normal=_unit(_finite(ent["normal"], f"IRS {idx} normal", (3,))),

@@ -134,16 +134,6 @@ def optimal_single_route_with_direct(graph: LosGraph, m_elements, beta: float, n
 # Multi-user routing
 # ---------------------------------------------------------------------------
 
-def _path_node_set(scene: Scene, path: ReflectionPath):
-    return tuple(path.irs_sequence) + (scene.n_irs + path.user,)
-
-
-def _nodes_coupled(scene: Scene, a: int, b: int) -> bool:
-    """LoS coupling between two non-BS nodes, in either direction."""
-    _, los = scene._links
-    return (a, b) in los or (b, a) in los
-
-
 def check_path_separation(scene: Scene, paths: dict) -> bool:
     """True iff every pair of user routes is separated: disjoint surfaces
     and no LoS coupling between any two non-BS nodes of different routes."""
@@ -200,8 +190,7 @@ def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
         for cand in cands[k]:
             if cand.gain <= best["objective"]:
                 break                     # candidates sorted by gain
-            ok = all(_routes_separated(scene, cand, prev) for prev in chosen.values())
-            if not ok:
+            if not all(_routes_separated(scene, cand, prev) for prev in chosen.values()):
                 continue
             chosen[k] = cand
             assign(idx + 1, chosen, min(current_min, cand.gain))
@@ -215,21 +204,19 @@ def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
 
 
 def _routes_separated(scene: Scene, pa: ReflectionPath, pb: ReflectionPath) -> bool:
-    if set(pa.irs_sequence) & set(pb.irs_sequence):
-        return False
-    for a in _path_node_set(scene, pa):
-        for b in _path_node_set(scene, pb):
-            if _nodes_coupled(scene, a, b):
-                return False
-    return True
+    """Disjoint surfaces, and no LoS coupling in either direction between the
+    non-BS nodes (surfaces and user) of one route and those of the other."""
+    _, los = scene._links
+    nodes_a, nodes_b = ((*p.irs_sequence, scene.n_irs + p.user) for p in (pa, pb))
+    return set(pa.irs_sequence).isdisjoint(pb.irs_sequence) and not any(
+        (a, b) in los or (b, a) in los for a in nodes_a for b in nodes_b)
 
 
 def unconstrained_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
                               n_bs: int = 1) -> RoutingSolution:
     """Independent per-user optima, ignoring separation (for comparison)."""
-    paths = {}
-    for k, graph in sorted(graphs.items()):
-        paths[k] = optimal_single_route(graph, m_elements, beta, n_bs)
+    paths = {k: optimal_single_route(graph, m_elements, beta, n_bs)
+             for k, graph in sorted(graphs.items())}
     objective = min(p.gain for p in paths.values())
     return RoutingSolution(paths=paths, objective=objective,
                            separation_ok=check_path_separation(scene, paths))

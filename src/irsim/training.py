@@ -29,14 +29,31 @@ class NotTrainable(RuntimeError):
 
 @dataclass(frozen=True)
 class Codebook:
-    """A finite set of beams: unit-modulus rows (passive) or unit-norm
-    rows (active)."""
+    """A finite set of beams: unit-modulus rows (passive) or unit-norm rows
+    (active).  A planar codebook keeps only its 1-D DFT factor `line`: beam
+    d = d_h * n + d_v is the Kronecker product of rows d_h and d_v, applied
+    in separable form and built one row at a time."""
 
-    beams: np.ndarray          # (D, dim)
+    beams: np.ndarray | None = None    # (D, dim); None for a planar codebook
+    line: np.ndarray | None = None     # (n, m0) factor of a planar codebook
 
     @property
     def size(self) -> int:
-        return self.beams.shape[0]
+        return self.beams.shape[0] if self.line is None else self.line.shape[0] ** 2
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Every beam's inner product with x, i.e. the rows @ x."""
+        if self.line is None:
+            return self.beams @ x
+        m0 = self.line.shape[1]
+        return (self.line @ x.reshape(m0, m0) @ self.line.T).ravel()
+
+    def row(self, d: int) -> np.ndarray:
+        """Beam d."""
+        if self.line is None:
+            return self.beams[d]
+        n = self.line.shape[0]
+        return np.einsum("h,v->hv", self.line[d // n], self.line[d % n]).ravel()
 
 
 def dft_codebook(n_points: int, dim: int, kind: str = "passive") -> Codebook:
@@ -58,9 +75,7 @@ def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
 
     Joint beam index d = d_h * n_points + d_v; each beam has m0^2 entries.
     """
-    line = dft_codebook(n_points, m0).beams
-    beams = np.einsum("ah,bv->abhv", line, line).reshape(n_points ** 2, m0 ** 2)
-    return Codebook(beams=beams)
+    return Codebook(line=dft_codebook(n_points, m0).beams)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +113,10 @@ class GainEvaluator:
         snrs = np.full(codebook.size, np.inf)
         for k in self.users:
             if node == 0:
-                amps = codebook.beams @ self._channel(k, phases)
+                amps = codebook.apply(self._channel(k, phases))
             else:
                 base, coeff = _compose(self.channels, self._edges[k], phases, node)
-                amps = codebook.beams @ (coeff @ w) + base @ w
+                amps = codebook.apply(coeff @ w) + base @ w
             snrs = np.minimum(snrs, consts.tx_power * np.abs(amps) ** 2 / consts.noise_power)
         self.evaluations += codebook.size
         return snrs
@@ -238,10 +253,8 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
         draws = _rician_draws(scene, table.owner, nxt,
                               _controller_rng(seed, table.owner, prev, nxt), len(incident),
                               rx_panel=False)
-        rss = np.zeros(codebook.size)
-        for t, out in enumerate(draws):
-            rss += np.abs(codebook.beams @ (out.matrix[0] * incident[t])) ** 2
-        rss /= len(incident)
+        rss = sum(np.abs(codebook.apply(out.matrix[0] * scale)) ** 2
+                  for out, scale in zip(draws, incident)) / len(incident)
         for beam, value in enumerate(rss):
             table.add(prev, beam, nxt, float(value))
 
@@ -370,7 +383,7 @@ def distributed_route_and_beams(scene: Scene, gbtt: dict, users=None):
 
 def beams_from_choices(bs_codebook: Codebook, irs_codebooks: dict, choices: dict):
     """Materialize (w, phases) from one user's chosen beam indices."""
-    w = bs_codebook.beams[choices[0]]
-    phases = {j: irs_codebooks[j].beams[idx] for j, idx in choices.items() if j != 0}
+    w = bs_codebook.row(choices[0])
+    phases = {j: irs_codebooks[j].row(idx) for j, idx in choices.items() if j != 0}
     return w, phases
 

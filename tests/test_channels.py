@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from irsim.channels import (array_response, cascaded_path_channel, effective_channel,
-                            effective_channel_affine, enumerate_graph_paths, mrt_beam,
-                            path_loss, synth_link, synthesize_channels, unit_phases)
+from irsim.channels import (_rician_draws, array_response, cascaded_path_channel,
+                            effective_channel, effective_channel_affine, enumerate_graph_paths,
+                            mrt_beam, path_loss, synth_link, synthesize_channels, unit_phases)
 from irsim.geometry import PanelArray, build_los_graph, build_scene
 
 from conftest import chain_config, double_only_config, zigzag_config
@@ -146,6 +146,36 @@ def test_blocked_link_is_pure_nlos(chain_scene):
     link = synth_link(chain_scene, 0, 2, np.random.default_rng(3))
     assert link.los_gain is None and link.los_rx is None and link.los_tx is None
     assert np.any(link.matrix != 0)
+
+
+@pytest.mark.parametrize("kappa_db, i, j, blocked",
+                         [(0, 0, 1, False), (10, 0, 1, False), (10, 1, 2, False), (10, 0, 2, True)],
+                         ids=["kappa_0db", "kappa_10db", "kappa_10db_irs_user", "blocked"])
+def test_rician_draws_match_the_out_of_place_formula_bit_for_bit(kappa_db, i, j, blocked):
+    scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db))
+    draws = list(_rician_draws(scene, i, j, np.random.default_rng(11), count=4))
+    consts = scene.constants
+    alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
+    pl = path_loss(scene.distance(i, j), alpha, consts.beta)
+    rng = np.random.default_rng(11)
+    shape = (scene.node_size(j), scene.node_size(i))
+    for link in draws:
+        nlos = math.sqrt(pl) * ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                                / math.sqrt(2.0))
+        if link.los_gain is None:
+            want = nlos
+        else:
+            los = link.los_gain * np.outer(link.los_rx, link.los_tx)
+            want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(1 / (1 + kappa)) * nlos
+        assert link.matrix.tobytes() == want.tobytes()
+    assert (draws[0].los_gain is None) == blocked
+
+
+def test_pure_los_draws_all_equal_the_los_matrix(chain_scene):
+    draws = list(_rician_draws(chain_scene, 0, 1, np.random.default_rng(5), count=3))
+    link = draws[0]
+    los = link.los_gain * np.outer(link.los_rx, link.los_tx)
+    assert all(np.array_equal(d.matrix, los) for d in draws)
 
 
 def test_link_substreams_independent_of_other_links(chain_scene):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from irsim.cli import main
-from irsim.geometry import (BETA_DB_RANGE, MIN_SEPARATION_M, Box, ConfigError, _unit,
-                            build_los_graph, build_scene, half_space_ok, has_geometric_los,
-                            los_indicator, panel_axes)
+from irsim.geometry import (BETA_DB_RANGE, MAX_PANEL_ELEMENTS, MIN_SEPARATION_M, Box,
+                            ConfigError, _unit, build_los_graph, build_scene, half_space_ok,
+                            has_geometric_los, los_indicator, panel_axes)
 from irsim.scenarios import indoor_hall_config
 
 from conftest import chain_config, random_two_user_config, unit
@@ -134,6 +134,9 @@ BAD_NUMBERS = [
     ("tiny_beta", ("constants", "beta_db"), -3000, r"beta_db must lie in \[-150, 50\] dB, got -3000"),
     ("string_kappa", ("constants", "kappa_db"), "hot", "bad kappa_db value 'hot'"),
     ("list_kappa", ("constants", "kappa_db"), [1], r"kappa_db is not numeric: \[1\]"),
+    ("huge_m0", ("irs", 0, "m0"), 1000000, "IRS 1 has 1000000000000 elements, more than 4096"),
+    ("huge_irs_shape", ("irs", 2, "shape"), [4097, 1], "IRS 3 has 4097 elements, more than 4096"),
+    ("huge_bs_shape", ("bs", "shape"), [65, 64], "BS array has 4160 elements, more than 4096"),
 ]
 BAD_STRUCTURE = [
     ("user_at_bs", ("users", 0), [0, 0, 2], "nodes 0 and 9 are at the same position"),
@@ -216,6 +219,14 @@ def test_build_scene_accepts_kappa_underflow_and_infinities(kappa_db, kappa):
 def test_build_scene_accepts_users_sharing_a_position():
     scene = build_scene(_edited_hall(("users", 1), [36, 0, 1.5]))
     assert scene.distance(9, 10) == 0.0
+
+
+def test_build_scene_accepts_panels_at_the_element_limit():
+    cfg = _edited_hall(("irs", 0, "m0"), 64)
+    cfg["irs"][1]["shape"] = [MAX_PANEL_ELEMENTS, 1]
+    cfg["bs"]["shape"] = [1, MAX_PANEL_ELEMENTS]
+    scene = build_scene(cfg)
+    assert scene.n_bs == scene.irs[0].size == scene.irs[1].size == MAX_PANEL_ELEMENTS
 
 
 def test_build_scene_accepts_nodes_at_the_minimum_separation():

@@ -46,9 +46,9 @@ def test_oversampled_codebook_shape_and_modulus():
 
 def test_planar_codebook_kron_structure():
     cb = planar_passive_codebook(4, 3)
-    assert cb.beams.shape == (16, 9)
+    assert cb.size == 16 and cb.row(1 * 4 + 2).shape == (9,)
     line = dft_codebook(4, 3).beams
-    assert np.allclose(cb.beams[1 * 4 + 2], np.kron(line[1], line[2]))
+    assert np.allclose(cb.row(1 * 4 + 2), np.kron(line[1], line[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_exhaustive_finds_planted_optimum():
     w_star = mrt_beam(channels.get(0, 1).los_tx)
     bs_cb = Codebook(beams=np.stack([bs_cb.beams[0], w_star]))
     for j in path:
-        irs_cbs[j] = Codebook(beams=np.stack([irs_cbs[j].beams[0], aligned[j]]))
+        irs_cbs[j] = Codebook(beams=np.stack([irs_cbs[j].row(0), aligned[j]]))
     result = exhaustive_search(channels, [1], bs_cb, irs_cbs, path=path)
     seq = [0, *path, scene.n_irs + 1]
     want = closed_form_path_gain(2, 4, 2, scene.constants.beta,
@@ -166,7 +166,7 @@ def test_sequential_reaches_planted_optimum():
     w_star = mrt_beam(channels.get(0, 1).los_tx)
     bs_cb = Codebook(beams=np.stack([bs_cb.beams[0], w_star]))
     for j in path:
-        irs_cbs[j] = Codebook(beams=np.stack([irs_cbs[j].beams[0], aligned[j]]))
+        irs_cbs[j] = Codebook(beams=np.stack([irs_cbs[j].row(0), aligned[j]]))
     seq = sequential_search(channels, [1], bs_cb, irs_cbs, path=path)
     exh = exhaustive_search(channels, [1], bs_cb, irs_cbs, path=path)
     assert seq.objective == pytest.approx(exh.objective, rel=1e-9)
@@ -212,7 +212,7 @@ def test_irs_btt_matched_beam_is_row_maximum():
     channels = synthesize_channels(scene, 4)
     aligned = multi_hop_phases(channels, [1, 2], user=1)
     base = planar_passive_codebook(2, 2)
-    cb = Codebook(beams=np.vstack([base.beams, aligned[1]]))
+    cb = Codebook(beams=np.stack([*(base.row(d) for d in range(base.size)), aligned[1]]))
     table = build_irs_btt(scene, 1, cb, threshold=0.0, seed=4, averages=1,
                           prev_nodes=[0], next_nodes=[2])
     rows = {beam: rss for (p, beam, n), rss in table.rows.items()}
@@ -368,7 +368,8 @@ def test_distributed_matches_model_based_route_at_pure_los():
          mrt_beam(channels.get(0, model.irs_sequence[0]).los_tx)]))
     irs_cbs = {}
     for j in range(1, scene.n_irs + 1):
-        base = planar_passive_codebook(2, 2).beams
+        planar = planar_passive_codebook(2, 2)
+        base = np.stack([planar.row(d) for d in range(planar.size)])
         extra = aligned[j][None, :] if j in aligned else base[:1]
         irs_cbs[j] = Codebook(beams=np.vstack([base, extra]))
 
