@@ -12,6 +12,7 @@ vectors are unit norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -125,8 +126,9 @@ def _align_phases(base: complex, coeff: np.ndarray, theta: np.ndarray) -> None:
 def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float):
     """Alternate MRT at the BS with the exact update of each surface in turn.
 
-    `compose(phases, irs=None)` follows `channels._compose`: h, or (a, B)
-    with h = a + phases[irs] @ B.  Each step is exact, so |h @ w|^2 never
+    `compose(phases, irs=None, w=None)` follows `channels._compose`: h, or
+    the pair (a, b) projected onto the current beam w, with
+    h @ w = a + phases[irs] @ b.  Each step is exact, so |h @ w|^2 never
     decreases.  Updates `phases` in place until a round gains at most tol
     (relative); returns (w, objective, converged, iterations).
     """
@@ -135,8 +137,8 @@ def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float):
     objective = float(np.linalg.norm(h) ** 2)
     for it in range(1, max_iters + 1):
         for j in irs_ids:
-            base, coeff = compose(phases, j)
-            _align_phases(complex(base @ w), coeff @ w, phases[j])
+            base, coeff = compose(phases, j, w)
+            _align_phases(complex(base), coeff, phases[j])
         h = compose(phases)
         w = mrt_beam(h)
         new_obj = float(np.linalg.norm(h) ** 2)
@@ -160,9 +162,9 @@ def ao_joint_beamforming(channels: ChannelSet, user: int = 1, tol: float = 1e-12
     irs_ids = sorted(phases) if irs_subset is None else sorted(irs_subset)
     options = dict(los_only=los_only, include_direct=include_direct, irs_subset=irs_ids)
 
-    def compose(phases, irs=None):
+    def compose(phases, irs=None, w=None):
         return (effective_channel(channels, user, phases, **options) if irs is None
-                else effective_channel_affine(channels, user, phases, irs, **options))
+                else effective_channel_affine(channels, user, phases, irs, w=w, **options))
 
     w, objective, converged, it = _alternate(compose, phases, irs_ids, max_iters, tol)
     check_unit_modulus(phases)
@@ -180,8 +182,7 @@ def optimize_path_phases(channels: ChannelSet, path, user: int = 1, max_sweeps: 
     """
     edges = _path_edges(path, channels.scene.n_irs + user)
     phases = {j: np.ones(channels.scene.irs[j - 1].size, dtype=complex) for j in path}
-    _, gain, _, _ = _alternate(lambda phases, irs=None: _compose(channels, edges, phases, irs),
-                               phases, path, max_sweeps, 1e-10)
+    _, gain, _, _ = _alternate(partial(_compose, channels, edges), phases, path, max_sweeps, 1e-10)
     return phases, gain
 
 

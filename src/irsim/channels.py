@@ -15,8 +15,8 @@ circularly-symmetric Gaussian part; that law is written once (`_rician_draws`)
 and also serves the reference-point controller links of beam training.
 
 Every path or graph composition (one explicit path, the full path sum and
-its affine form in one surface's phases) goes through one dynamic program
-over an ordered edge list, `_compose`.
+its affine form in one surface's phases, as matrices or projected onto a BS
+beam) goes through one dynamic program over an ordered edge list, `_compose`.
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ def check_unit_modulus(phases: dict) -> None:
 # Composition
 # ---------------------------------------------------------------------------
 
-def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None):
+def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None,
+             w: np.ndarray | None = None):
     """Sum over every BS-to-user path of an ordered reflection edge list.
 
     `edges` holds directed (a, b) node pairs grouped by source, the sources
@@ -189,8 +190,11 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None):
     successors in ascending order.  One tail pass builds down[v], the row
     mapping the signal incident on v's elements to the user amplitude, so
     h = down[0].  Given `irs`, one head pass also aggregates the BS-to-irs
-    channel (M, N_B) and the result is the pair (a, B) with
-    h = a + phases[irs] @ B; a surface no path crosses gets B = 0, a = h.
+    channel projected onto x, and the result is the pair (a, B) with
+    h @ x = a + phases[irs] @ B; a surface no path crosses gets B = 0.
+    x is the BS beam `w` (a scalar a, a vector B, O(M^2) per hop) or,
+    without `w`, the identity, whose exact products give the (N_B,) and
+    (M, N_B) matrix form.
     """
     scene = channels.scene
     down: dict[int, np.ndarray] = {}
@@ -206,23 +210,25 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None):
     if irs is None:
         return h
 
+    x = np.eye(scene.n_bs, dtype=complex) if w is None else w
+    col = np.s_[:, None] if w is None else np.s_[:]   # an element vector over x's columns
     head: dict[int, np.ndarray] = {}
     if irs in down:
         for v in reversed(list(dict.fromkeys(a for a, _ in edges))):   # BS first
             for p in sorted(a for a, b in edges if b == v):
                 if p == 0:
-                    term = channels.get(0, v).matrix
+                    term = channels.get(0, v).matrix @ x
                 elif p in head:
-                    term = channels.get(p, v).matrix @ (head[p] * phases[p][:, None])
+                    term = channels.get(p, v).matrix @ (head[p] * phases[p][col])
                 else:
                     continue                       # p is out of the BS's reach
                 head[v] = head[v] + term if v in head else term
             if v == irs:
                 break
     if irs not in head:
-        return h, np.zeros((scene.node_size(irs), scene.n_bs), dtype=complex)
-    coeff = down[irs].ravel()[:, None] * head[irs]
-    return h - phases[irs] @ coeff, coeff
+        return h @ x, np.zeros((scene.node_size(irs), *x.shape[1:]), dtype=complex)
+    coeff = down[irs][0][col] * head[irs]
+    return h @ x - phases[irs] @ coeff, coeff
 
 
 def _path_edges(path, target: int) -> list:
@@ -297,16 +303,19 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
 
 def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs: int,
                              los_only: bool = False, include_direct: bool = True,
-                             irs_subset=None):
+                             irs_subset=None, w: np.ndarray | None = None):
     """Decompose h = a + B^T theta_irs holding all other phases fixed.
 
     Returns (a, B) with a of shape (N_B,) and B of shape (M, N_B), so the
-    received amplitude for BS weights w is a @ w + theta @ (B @ w).
+    received amplitude for BS weights w is a @ w + theta @ (B @ w).  Given
+    `w`, returns that projection (a @ w, B @ w) directly, at a vector's
+    cost per hop instead of a matrix's.
     """
     base, coeff = _compose(channels, _graph_edges(channels, user, los_only, irs_subset),
-                           phases, irs)
+                           phases, irs, w)
     if include_direct:
-        base = base + channels.direct(user)
+        direct = channels.direct(user)
+        base = base + (direct if w is None else direct @ w)
     return base, coeff
 
 

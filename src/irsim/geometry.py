@@ -321,7 +321,8 @@ def build_scene(config: dict) -> Scene:
     vectors.  BS elements are half-wavelength spaced, IRS elements
     quarter-wavelength.  Raises ConfigError for a missing field, a field of
     the wrong JSON type, a non-numeric or non-finite number, a grid size that
-    is not a positive integer, a BS or IRS panel of more than
+    is not a positive integer, a BS n_elements that disagrees with the BS
+    shape, a BS or IRS panel of more than
     MAX_PANEL_ELEMENTS elements, two nodes closer than MIN_SEPARATION_M (two
     users excepted), a reference to a node or override field that does not
     exist, or a number outside its limit: a position or obstacle coordinate
@@ -338,6 +339,8 @@ def build_scene(config: dict) -> Scene:
         n_elements = _count(bs_cfg["n_elements"], "BS n_elements")
         shape = _grid(bs_cfg["shape"], "BS array shape") if "shape" in bs_cfg else (1, n_elements)
         _check_panel(shape, "BS array")
+        if shape[0] * shape[1] != n_elements:
+            raise ConfigError(f"BS n_elements {n_elements} does not match shape {list(shape)}")
         bs = PanelArray(
             center=_point(bs_cfg["position"], "BS position"),
             normal=_unit(_finite(bs_cfg.get("normal", (1.0, 0.0, 0.0)), "BS normal", (3,))),

@@ -115,8 +115,8 @@ class GainEvaluator:
             if node == 0:
                 amps = codebook.apply(self._channel(k, phases))
             else:
-                base, coeff = _compose(self.channels, self._edges[k], phases, node)
-                amps = codebook.apply(coeff @ w) + base @ w
+                base, coeff = _compose(self.channels, self._edges[k], phases, node, w)
+                amps = codebook.apply(coeff) + base
             snrs = np.minimum(snrs, consts.tx_power * np.abs(amps) ** 2 / consts.noise_power)
         self.evaluations += codebook.size
         return snrs
@@ -259,6 +259,11 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
             table.add(prev, beam, nxt, float(value))
 
 
+def _check_averages(averages: int) -> None:
+    if averages < 1:
+        raise ValueError(f"averages must be at least 1, got {averages}")
+
+
 def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = None,
                  seed: int = 0, averages: int = 10, next_nodes=None) -> BeamTrainingTable:
     """Offline BS table: time-averaged RSS at every next node's controller
@@ -266,6 +271,7 @@ def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = Non
 
     `next_nodes` restricts the sounded neighbors (default: every LoS one).
     """
+    _check_averages(averages)
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=0, threshold=thr, reference_rss={None: 1.0})
     _sound(table, scene, None, [1.0] * averages, codebook,
@@ -284,6 +290,7 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
     `prev_nodes`/`next_nodes` restrict the sounded neighbor sets (default:
     every LoS neighbor).
     """
+    _check_averages(averages)
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=irs, threshold=thr)
     if prev_nodes is None or next_nodes is None:

@@ -3,7 +3,8 @@
 Small random corridor scenes (surfaces alternating on both sides between the
 BS and the users) with random unit-modulus phases: the dynamic program must
 agree with the explicit path sum, the affine form must rebuild the full
-channel for every surface, and a path-restricted evaluator must reproduce
+channel for every surface, its projection onto a BS beam must equal the
+matrix form times that beam, and a path-restricted evaluator must reproduce
 the cascaded path channel.
 """
 
@@ -13,9 +14,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from irsim.channels import (cascaded_path_channel, effective_channel,  # noqa: E402
-                            effective_channel_affine, enumerate_graph_paths,
-                            synthesize_channels)
+from irsim.channels import (_compose, _path_edges, cascaded_path_channel,  # noqa: E402
+                            effective_channel, effective_channel_affine,
+                            enumerate_graph_paths, synthesize_channels)
 from irsim.geometry import build_los_graph, build_scene  # noqa: E402
 from irsim.training import GainEvaluator  # noqa: E402
 
@@ -36,9 +37,10 @@ def random_instances(draw):
             "m0": draw(st.integers(1, 2)),
         })
     n_users = draw(st.integers(1, 2))
+    n_bs = draw(st.integers(1, 3))
     config = {
         "bs": {"position": [0, 0, 2], "normal": [1, 0, 0],
-               "shape": [draw(st.integers(1, 3)), 1], "n_elements": 1},
+               "shape": [n_bs, 1], "n_elements": n_bs},
         "irs": irs,
         "users": [[30.0, draw(st.floats(-3.0, 3.0)), 1.5] for _ in range(n_users)],
         "obstacles": ([{"min": [14, -0.5, 0], "max": [15, 0.5, 3]}]
@@ -95,6 +97,38 @@ def test_affine_form_rebuilds_channel_for_every_surface(instance):
         other = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeff.shape[0]))
         moved = effective_channel(channels, user, {**used, j: other}, **compose)
         _assert_close(base + other @ coeff, moved, scale)
+
+
+def _assert_projection(projected, matrix_form, w):
+    """(a_w, b_w) equals (a @ w, B @ w) within 1e-12 of the matrix form's
+    scale (w is unit norm); a surface no path crosses projects to b_w = 0."""
+    (a_w, b_w), (a, B) = projected, matrix_form
+    assert np.shape(a_w) == () and b_w.shape == B.shape[:1]
+    scale = np.linalg.norm(a) + np.linalg.norm(B) + 1e-300
+    assert abs(a_w - a @ w) <= 1e-12 * scale
+    assert np.all(np.abs(b_w - B @ w) <= 1e-12 * scale)
+    if not B.any():
+        assert not b_w.any()
+
+
+@PROPERTY_SETTINGS
+@given(random_instances())
+def test_projected_affine_form_is_matrix_form_times_beam(instance):
+    channels, phases, user, subset, los_only, rng = instance
+    scene = channels.scene
+    w = rng.normal(size=scene.n_bs) + 1j * rng.normal(size=scene.n_bs)
+    w /= np.linalg.norm(w)
+    for include_direct in (False, True):
+        compose = dict(los_only=los_only, irs_subset=subset, include_direct=include_direct)
+        for j in range(1, scene.n_irs + 1):
+            _assert_projection(effective_channel_affine(channels, user, phases, j, w=w, **compose),
+                               effective_channel_affine(channels, user, phases, j, **compose), w)
+    target = scene.n_irs + user
+    for seq in enumerate_graph_paths(build_los_graph(scene, user, require_los=los_only)):
+        edges = _path_edges(seq, target)
+        for j in range(1, scene.n_irs + 1):
+            _assert_projection(_compose(channels, edges, phases, j, w),
+                               _compose(channels, edges, phases, j), w)
 
 
 @PROPERTY_SETTINGS

@@ -137,6 +137,8 @@ BAD_NUMBERS = [
     ("huge_m0", ("irs", 0, "m0"), 1000000, "IRS 1 has 1000000000000 elements, more than 4096"),
     ("huge_irs_shape", ("irs", 2, "shape"), [4097, 1], "IRS 3 has 4097 elements, more than 4096"),
     ("huge_bs_shape", ("bs", "shape"), [65, 64], "BS array has 4160 elements, more than 4096"),
+    ("bs_n_elements_off_shape", ("bs", "n_elements"), 7,
+     r"BS n_elements 7 does not match shape \[32, 1\]"),
 ]
 BAD_STRUCTURE = [
     ("user_at_bs", ("users", 0), [0, 0, 2], "nodes 0 and 9 are at the same position"),
@@ -224,7 +226,7 @@ def test_build_scene_accepts_users_sharing_a_position():
 def test_build_scene_accepts_panels_at_the_element_limit():
     cfg = _edited_hall(("irs", 0, "m0"), 64)
     cfg["irs"][1]["shape"] = [MAX_PANEL_ELEMENTS, 1]
-    cfg["bs"]["shape"] = [1, MAX_PANEL_ELEMENTS]
+    cfg["bs"].update(shape=[1, MAX_PANEL_ELEMENTS], n_elements=MAX_PANEL_ELEMENTS)
     scene = build_scene(cfg)
     assert scene.n_bs == scene.irs[0].size == scene.irs[1].size == MAX_PANEL_ELEMENTS
 

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from irsim import training
 from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
 from irsim.channels import cascaded_path_channel, synthesize_channels
 from irsim.geometry import build_scene
@@ -194,6 +195,23 @@ def test_bs_btt_matched_beam_rss_closed_form():
     table = build_bs_btt(scene, cb, threshold=0.0, seed=2, averages=1)
     want = scene.n_bs * scene.constants.beta / scene.distance(0, 1) ** 2
     assert table.rows[(None, 0, 1)] == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("averages", [0, -3])
+@pytest.mark.parametrize("build", [
+    lambda scene, averages: build_bs_btt(scene, dft_codebook(4, 2, kind="active"),
+                                         averages=averages),
+    lambda scene, averages: build_irs_btt(scene, 1, planar_passive_codebook(2, 2),
+                                          averages=averages),
+], ids=["bs", "irs"])
+def test_btt_rejects_averages_below_one_before_any_draw(build, averages, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a link was drawn")
+
+    monkeypatch.setattr(training, "_rician_draws", no_draw)
+    scene = build_scene(chain_config(m0=2, n_bs=4))
+    with pytest.raises(ValueError, match=f"averages must be at least 1, got {averages}"):
+        build(scene, averages)
 
 
 def test_irs_btt_rows_and_reference():
