@@ -134,8 +134,8 @@ class ChannelSet:
     scene: Scene
     seed: int
     links: dict = field(default_factory=dict)
-    # (user, los_only) -> ordered edge list of that reflection graph; threads
-    # that race to fill an entry compute the same list, so no lock is needed
+    # (user, los_only) -> the edge_order of that reflection graph; threads
+    # that race to fill an entry compute the same order, so no lock is needed
     _edge_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, i: int, j: int) -> LinkChannel:
@@ -237,18 +237,15 @@ def _path_edges(path, target: int) -> list:
     return route_links(path, target)[::-1]
 
 
-def _graph_edges(channels: ChannelSet, user: int, los_only: bool, irs_subset=None) -> list:
+def _graph_edges(channels: ChannelSet, user: int, los_only: bool, irs_subset=None) -> tuple | list:
     """Edge list of a user's reflection graph restricted to `irs_subset`.
 
-    The graph's edges are derived once per channel set and cached on it.
+    The graph's `edge_order` is derived once per channel set and cached on it.
     """
     key = (user, bool(los_only))
-    edges = channels._edge_cache.get(key)
-    if edges is None:
-        graph = build_los_graph(channels.scene, user, require_los=los_only)
-        order = sorted(graph.irs_nodes, key=lambda n: -graph.bs_distance[n]) + [0]
-        edges = channels._edge_cache[key] = [(v, w) for v in order
-                                             for w in graph.successors(v)]
+    if key not in channels._edge_cache:
+        channels._edge_cache[key] = build_los_graph(channels.scene, user, los_only).edge_order
+    edges = channels._edge_cache[key]
     if irs_subset is None:
         return edges
     keep = {0, *irs_subset}      # an excluded surface then never enters the DP

@@ -321,8 +321,8 @@ def build_scene(config: dict) -> Scene:
     vectors.  BS elements are half-wavelength spaced, IRS elements
     quarter-wavelength.  Raises ConfigError for a missing field, a field of
     the wrong JSON type, a non-numeric or non-finite number, a grid size that
-    is not a positive integer, a BS n_elements that disagrees with the BS
-    shape, a BS or IRS panel of more than
+    is not a positive integer, a BS n_elements or an IRS m0 that disagrees
+    with that panel's shape, a BS or IRS panel of more than
     MAX_PANEL_ELEMENTS elements, two nodes closer than MIN_SEPARATION_M (two
     users excepted), a reference to a node or override field that does not
     exist, or a number outside its limit: a position or obstacle coordinate
@@ -358,6 +358,8 @@ def build_scene(config: dict) -> Scene:
                 m0 = _count(ent["m0"], f"IRS {idx} m0")
                 shape = (m0, m0)
             _check_panel(shape, f"IRS {idx}")
+            if "m0" in ent and (m0 := _count(ent["m0"], f"IRS {idx} m0"), m0) != shape:
+                raise ConfigError(f"IRS {idx} m0 {m0} does not match shape {list(shape)}")
             irs.append(PanelArray(
                 center=_point(ent["position"], f"IRS {idx} position"),
                 normal=_unit(_finite(ent["normal"], f"IRS {idx} normal", (3,))),
@@ -567,7 +569,8 @@ class LosGraph:
 
     Vertices are the BS (0), the IRSs in the user's effective region, and
     the user vertex; there is no direct BS-to-user edge (the direct channel
-    is handled separately).
+    is handled separately).  It is acyclic: every admissible link moves
+    strictly away from the BS or ends at the user.
     """
 
     user: int                  # 1-based user number
@@ -580,9 +583,16 @@ class LosGraph:
     def successors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in self.nodes if (i, j) in self.edges)
 
-    @property
-    def irs_nodes(self) -> tuple[int, ...]:
-        return tuple(n for n in self.nodes if n != 0 and n != self.user_node)
+    @functools.cached_property
+    def edge_order(self) -> tuple[tuple[int, int], ...]:
+        """Edges by source in decreasing BS distance (the BS last), then by
+        successor: a reverse topological order.  ValueError for an edge out of
+        the user, or into the BS or a surface no farther from the BS."""
+        rank = {**self.bs_distance, self.user_node: math.inf}
+        bad = [e for e in self.edges if not rank[e[0]] < rank[e[1]]]
+        if bad:
+            raise ValueError(f"edge {min(bad)} does not lead away from the BS")
+        return tuple(sorted(self.edges, key=lambda e: (e[0] == 0, -rank[e[0]], e)))
 
 
 def build_los_graph(scene: Scene, user: int, require_los: bool = True) -> LosGraph:

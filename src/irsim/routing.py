@@ -2,8 +2,8 @@
 direct-link variant, and multi-user max-min routing under path separation.
 
 The log transform of the closed-form path gain makes the single-user
-problem additive, so Bellman-Ford applies; ties are broken toward fewer
-hops and then the lexicographically smallest IRS sequence.
+problem additive: a shortest path over the acyclic graph.  Ties are broken
+toward fewer hops, then the lexicographically smallest IRS sequence.
 """
 
 from __future__ import annotations
@@ -79,28 +79,22 @@ def path_gain(graph: LosGraph, path, m_elements, beta: float, n_bs: int = 1) -> 
 
 
 def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1) -> ReflectionPath:
-    """Bellman-Ford solution of the single-user routing problem.
+    """Log-weight shortest path solution of the single-user routing problem.
 
     Maximizes the closed-form LoS path gain (the direct link is ignored as
-    the worst-case assumption).  Ties prefer fewer hops, then the smallest
+    the worst-case assumption).  Each edge is relaxed once, in topological
+    order (the reverse of `graph.edge_order`), so a node's label is final
+    before its edges are walked.  Ties prefer fewer hops, then the smallest
     IRS sequence.
     """
     best = {0: (0.0, 0, ())}           # node -> (weight, hops, sequence)
-    for _ in range(len(graph.nodes) - 1):
-        changed = False
-        for (i, j) in sorted(graph.edges):
-            if i not in best:
-                continue
+    for i, j in reversed(graph.edge_order):
+        if i in best:
             w0, hops, seq = best[i]
             cand = (w0 + edge_weight((i, j, j == graph.user_node), graph.distances[(i, j)],
                                      m_elements, beta),
-                    hops + 1,
-                    seq if j == graph.user_node else seq + (j,))
-            if j not in best or cand < best[j]:
-                best[j] = cand
-                changed = True
-        if not changed:
-            break
+                    hops + 1, seq if j == graph.user_node else seq + (j,))
+            best[j] = min(best.get(j, cand), cand)
     if graph.user_node not in best:
         raise NoFeasiblePath(f"user node {graph.user_node} is unreachable")
     _, _, seq = best[graph.user_node]

@@ -35,7 +35,7 @@ def double_irs_config(n_bs: int = 1, irs_shape=(20, 20), kappa_db="inf",
     cfg = _read_config(packaged_scene_path("double_irs"))
     cfg["bs"].update(shape=[n_bs, 1], n_elements=n_bs)
     for ent in cfg["irs"]:
-        ent.update(m0=irs_shape[0], shape=list(irs_shape))
+        ent["shape"] = list(irs_shape)
     consts = cfg["constants"]
     consts["kappa_db"] = kappa_db
     if inter_irs_alpha != 2.0 or inter_irs_kappa_db != "inf":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,6 +261,8 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
 
 
 def _check_averages(averages: int) -> None:
+    if not isinstance(averages, numbers.Integral):
+        raise ValueError(f"averages must be an integer, got {averages!r}")
     if averages < 1:
         raise ValueError(f"averages must be at least 1, got {averages}")
 

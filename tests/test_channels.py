@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from irsim.channels import (_rician_draws, array_response, cascaded_path_channel,
+from irsim.channels import (ChannelSet, _graph_edges, _rician_draws, array_response,
+                            cascaded_path_channel,
                             effective_channel, effective_channel_affine, enumerate_graph_paths,
                             mrt_beam, path_loss, synth_link, synthesize_channels, unit_phases)
 from irsim.geometry import PanelArray, build_los_graph, build_scene
+from irsim.scenarios import indoor_hall_config
 
 from conftest import chain_config, double_only_config, zigzag_config
 
@@ -245,6 +247,18 @@ def test_cascade_multilinear_in_each_phase_entry():
             zeroed[j][m] = 0.0
             hz = cascaded_path_channel(channels, [1, 2], zeroed)
             assert np.allclose(h1 - hz, 2.0 * (h0 - hz), rtol=1e-10)
+
+
+@pytest.mark.parametrize("los_only", [True, False])
+@pytest.mark.parametrize("user", [1, 2])
+def test_composition_walks_the_los_graph_edge_order(user, los_only):
+    scene = build_scene(indoor_hall_config(m0=4))
+    graph = build_los_graph(scene, user, los_only)
+    assert _graph_edges(ChannelSet(scene, seed=0), user, los_only) == graph.edge_order
+    # reference: surfaces by decreasing BS distance, then the BS, each with its successors
+    surfaces = [n for n in graph.nodes if n not in (0, graph.user_node)]
+    by_distance = sorted(surfaces, key=lambda n: -graph.bs_distance[n]) + [0]
+    assert graph.edge_order == tuple((v, w) for v in by_distance for w in graph.successors(v))
 
 
 def test_effective_channel_without_surfaces_is_direct():

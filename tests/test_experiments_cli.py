@@ -179,7 +179,6 @@ def _builder_leaves(name, kw):
     out = {("bs", "shape"): [n_bs, 1], ("bs", "n_elements"): n_bs,
            ("constants", "kappa_db"): kw.get("kappa_db", "inf")}
     for j in range(2):
-        out["irs", j, "m0"] = shape[0]
         out["irs", j, "shape"] = shape
     if "inter_irs_alpha" in kw:
         out["constants", "link_overrides", "1-2"] = {"alpha": kw["inter_irs_alpha"],

@@ -178,6 +178,7 @@ BAD_STRUCTURE = [
      r"unknown link classes in alpha map: \['irs_bs'\]"),
     ("irs_shape_three_entries", ("irs", 0, "shape"), [4, 4, 1],
      r"IRS 1 element grid must be two positive integers, got \[4, 4, 1\]"),
+    ("irs_m0_off_shape", ("irs", 0, "shape"), [8, 8], r"IRS 1 m0 4 does not match shape \[8, 8\]"),
 ]
 
 
@@ -225,6 +226,7 @@ def test_build_scene_accepts_users_sharing_a_position():
 
 def test_build_scene_accepts_panels_at_the_element_limit():
     cfg = _edited_hall(("irs", 0, "m0"), 64)
+    del cfg["irs"][1]["m0"]
     cfg["irs"][1]["shape"] = [MAX_PANEL_ELEMENTS, 1]
     cfg["bs"].update(shape=[1, MAX_PANEL_ELEMENTS], n_elements=MAX_PANEL_ELEMENTS)
     scene = build_scene(cfg)

@@ -1,5 +1,5 @@
-"""Routing: log-weight identity, Bellman-Ford vs exhaustive oracles,
-separation constraints, and the interference audit."""
+"""Routing: log-weight identity, one-pass routing vs Bellman-Ford and
+exhaustive oracles, separation constraints, and the interference audit."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from irsim.beams import closed_form_path_gain
-from irsim.geometry import build_los_graph, build_scene, los_indicator
+from irsim.geometry import LosGraph, build_los_graph, build_scene, los_indicator
 from irsim.routing import (Infeasible, NoFeasiblePath, ReflectionPath,
                            check_path_separation, edge_weight, enumerate_routes,
                            interference_audit, optimal_multi_route,
@@ -85,6 +85,69 @@ def test_bellman_ford_matches_exhaustive_on_200_random_graphs():
         assert got.gain == pytest.approx(want_gain, rel=1e-9)
         hits += 1
     assert hits > 120
+
+
+def _multi_round_bellman_ford(graph, m, beta):
+    """The user's label (weight, hops, sequence) from Bellman-Ford rounds over
+    the sorted edges until no label changes, or None when no route exists:
+    the algorithm the one-pass topological walk replaced."""
+    best = {0: (0.0, 0, ())}
+    for _ in range(len(graph.nodes) - 1):
+        changed = False
+        for (i, j) in sorted(graph.edges):
+            if i not in best:
+                continue
+            w0, hops, seq = best[i]
+            cand = (w0 + edge_weight((i, j, j == graph.user_node), graph.distances[(i, j)],
+                                     m, beta),
+                    hops + 1,
+                    seq if j == graph.user_node else seq + (j,))
+            if j not in best or cand < best[j]:
+                best[j] = cand
+                changed = True
+        if not changed:
+            break
+    return best.get(graph.user_node)
+
+
+def test_one_pass_route_matches_multi_round_bellman_ford_on_2000_graphs():
+    rng = np.random.default_rng(59)
+    routed = 0
+    for trial in range(2000):
+        graph = synthetic_graph(rng, int(rng.integers(2, 11)),
+                                edge_prob=float(rng.uniform(0.2, 0.9)))
+        if trial % 2:            # whole-meter hops give exactly tied route weights
+            graph = LosGraph(user=graph.user, user_node=graph.user_node, nodes=graph.nodes,
+                             edges=graph.edges, bs_distance=graph.bs_distance,
+                             distances={e: float(round(d)) for e, d in graph.distances.items()})
+        m = int(rng.integers(4, 600))
+        want = _multi_round_bellman_ford(graph, m, BETA)
+        if want is None:
+            with pytest.raises(NoFeasiblePath):
+                optimal_single_route(graph, m, BETA, 4)
+            continue
+        got = optimal_single_route(graph, m, BETA, 4)
+        assert got.irs_sequence == want[2]
+        assert got.gain == path_gain(graph, want[2], m, BETA, 4)
+        routed += 1
+    assert routed > 1000
+
+
+def _hand_built_graph(edges):
+    """Two surfaces at 10 m and 20 m from the BS, user node 3."""
+    return LosGraph(user=1, user_node=3, nodes=(0, 1, 2, 3), edges=frozenset(edges),
+                    distances={e: 5.0 for e in edges},
+                    bs_distance={0: 0.0, 1: 10.0, 2: 20.0, 3: 30.0})
+
+
+@pytest.mark.parametrize("bad_edge", [(2, 1), (3, 2), (1, 0)],
+                         ids=["toward_the_bs", "out_of_the_user", "into_the_bs"])
+def test_edge_order_rejects_an_edge_that_does_not_lead_away_from_the_bs(bad_edge):
+    graph = _hand_built_graph({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), bad_edge})
+    with pytest.raises(ValueError, match=rf"edge \({bad_edge[0]}, {bad_edge[1]}\) does not lead"):
+        graph.edge_order
+    with pytest.raises(ValueError, match="does not lead away from the BS"):
+        optimal_single_route(graph, 16, BETA)
 
 
 def test_disconnected_graph_raises():

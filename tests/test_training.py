@@ -214,6 +214,23 @@ def test_btt_rejects_averages_below_one_before_any_draw(build, averages, monkeyp
         build(scene, averages)
 
 
+@pytest.mark.parametrize("averages", [2.5, "3"])
+@pytest.mark.parametrize("build", [
+    lambda scene, averages: build_bs_btt(scene, dft_codebook(4, 2, kind="active"),
+                                         averages=averages),
+    lambda scene, averages: build_irs_btt(scene, 1, planar_passive_codebook(2, 2),
+                                          averages=averages),
+], ids=["bs", "irs"])
+def test_btt_rejects_non_integer_averages_before_any_draw(build, averages, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a link was drawn")
+
+    monkeypatch.setattr(training, "_rician_draws", no_draw)
+    scene = build_scene(chain_config(m0=2, n_bs=4))
+    with pytest.raises(ValueError, match=f"averages must be an integer, got {averages!r}"):
+        build(scene, averages)
+
+
 def test_irs_btt_rows_and_reference():
     scene = build_scene(zigzag_config(n_hops=3, m0=2, n_bs=2))
     cb = planar_passive_codebook(2, 2)
