@@ -92,7 +92,8 @@ def closed_form_path_gain(n: int, m_elements, n_bs: int, beta: float, distances)
     if n < 1 or len(distances) != n + 1:
         raise ValueError("need n >= 1 and n + 1 link distances")
     m = np.broadcast_to(np.asarray(m_elements, dtype=float), (n,))
-    return float(np.prod(m ** 2) * n_bs * beta ** (n + 1) * np.prod(distances ** -2.0))
+    hops = beta * distances ** -2.0      # hop by hop, so a long route's factors cannot overflow
+    return float(n_bs * hops[0] * np.prod(m ** 2 * hops[1:]))
 
 
 def path_gain_with_direct(n: int, m_elements, n_bs: int, beta: float, distances,

@@ -266,20 +266,13 @@ def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int | 
 
 def enumerate_graph_paths(graph: LosGraph):
     """All BS-to-user IRS sequences of a reflection graph, in lexicographic
-    order of the IRS index sequence."""
-    paths = []
-
-    def visit(node, seq):
-        succ = sorted(graph.successors(node))
-        if graph.user_node in succ:
-            paths.append(tuple(seq))
-        for nxt in succ:
-            if nxt != graph.user_node:
-                visit(nxt, seq + [nxt])
-
-    for j in sorted(graph.successors(0)):
-        visit(j, [j])
-    return paths
+    order of the IRS index sequence: one pass over the reversed edge order
+    extends the routes to each edge's source by its target."""
+    routes = {0: [()]}
+    for a, b in reversed(graph.edge_order):
+        hop = () if b == graph.user_node else (b,)
+        routes.setdefault(b, []).extend(seq + hop for seq in routes.get(a, ()))
+    return sorted(routes.get(graph.user_node, []))
 
 
 def effective_channel(channels: ChannelSet, user: int, phases: dict,

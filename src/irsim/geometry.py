@@ -575,13 +575,9 @@ class LosGraph:
 
     user: int                  # 1-based user number
     user_node: int             # vertex id J + user
-    nodes: tuple[int, ...]
     edges: frozenset
     distances: dict
-    bs_distance: dict
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in self.nodes if (i, j) in self.edges)
+    bs_distance: dict          # vertex -> distance from the BS; its keys are the vertices
 
     @functools.cached_property
     def edge_order(self) -> tuple[tuple[int, int], ...]:
@@ -611,5 +607,5 @@ def build_los_graph(scene: Scene, user: int, require_los: bool = True) -> LosGra
                       if i in nodes and j in nodes and (i, j) != (0, target))
     distances = {(i, j): scene.distance(i, j) for (i, j) in edges}
     bs_distance = {n: (0.0 if n == 0 else scene.distance(0, n)) for n in nodes}
-    return LosGraph(user=user, user_node=target, nodes=nodes, edges=edges,
+    return LosGraph(user=user, user_node=target, edges=edges,
                     distances=distances, bs_distance=bs_distance)

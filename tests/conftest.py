@@ -89,8 +89,8 @@ def synthetic_graph(rng: np.random.Generator, n_irs: int, edge_prob=0.6) -> LosG
             if i != j and d0[i] < d0[j] and rng.random() < edge_prob:
                 edges.add((i, j))
                 dist[(i, j)] = float(rng.uniform(2.0, 40.0))
-    return LosGraph(user=1, user_node=user, nodes=tuple(range(n_irs + 2)),
-                    edges=frozenset(edges), distances=dist, bs_distance=d0)
+    return LosGraph(user=1, user_node=user, edges=frozenset(edges), distances=dist,
+                    bs_distance=d0)
 
 
 def random_two_user_config(rng: np.random.Generator, n_irs: int, m0=2):

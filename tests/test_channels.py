@@ -256,9 +256,10 @@ def test_composition_walks_the_los_graph_edge_order(user, los_only):
     graph = build_los_graph(scene, user, los_only)
     assert _graph_edges(ChannelSet(scene, seed=0), user, los_only) == graph.edge_order
     # reference: surfaces by decreasing BS distance, then the BS, each with its successors
-    surfaces = [n for n in graph.nodes if n not in (0, graph.user_node)]
+    surfaces = [n for n in graph.bs_distance if n not in (0, graph.user_node)]
     by_distance = sorted(surfaces, key=lambda n: -graph.bs_distance[n]) + [0]
-    assert graph.edge_order == tuple((v, w) for v in by_distance for w in graph.successors(v))
+    assert graph.edge_order == tuple((v, w) for v in by_distance
+                                     for w in sorted(t for (u, t) in graph.edges if u == v))
 
 
 def test_effective_channel_without_surfaces_is_direct():

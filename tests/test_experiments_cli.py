@@ -140,6 +140,28 @@ def test_cli_routes_matches_runner(tmp_path, capsys):
     assert payload["1"]["irs"] == [3, 4, 5]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_routes_prints_the_finite_gain_of_a_100_hop_corridor(tmp_path, capsys):
+    # each hop adds about 17 dB, so the whole route fits in a double while
+    # the product of its 100 squared element counts (2**2000) does not
+    cfg = {"bs": {"position": [0, 0, 2], "normal": [1, 0, 0], "shape": [4, 1], "n_elements": 4},
+           "irs": [{"position": [2 * k, 2 if k % 2 else -2, 2],
+                    "normal": [0, -1 if k % 2 else 1, 0], "m0": 32} for k in range(1, 101)],
+           "users": [[204, 0, 1.5]],
+           "obstacles": [],
+           "constants": {"beta_db": -30, "kappa_db": "inf", "carrier_hz": 5e9,
+                         "noise_dbm": -90, "tx_dbm": 0}}
+    path = tmp_path / "corridor.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["routes", "--config", str(path)]) == 0
+    route = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["1"]
+    assert route["irs"] == list(range(1, 101))
+    assert route["gain_db"] == pytest.approx(1686.505667, abs=1e-6)
+
+
 def test_cli_routes_infeasible_exit_3(tmp_path):
     cfg = chain_config()
     cfg["effective_regions"] = {"1": []}       # user unreachable

@@ -468,7 +468,7 @@ def test_fully_blocked_scene_has_no_edges():
 
 def _toposort_ok(graph):
     order = {n: i for i, n in enumerate(
-        sorted(graph.nodes, key=lambda n: graph.bs_distance[n]))}
+        sorted(graph.bs_distance, key=lambda n: graph.bs_distance[n]))}
     return all(order[i] < order[j] for (i, j) in graph.edges
                if j != graph.user_node)
 

@@ -92,7 +92,7 @@ def _multi_round_bellman_ford(graph, m, beta):
     the sorted edges until no label changes, or None when no route exists:
     the algorithm the one-pass topological walk replaced."""
     best = {0: (0.0, 0, ())}
-    for _ in range(len(graph.nodes) - 1):
+    for _ in range(len(graph.bs_distance) - 1):
         changed = False
         for (i, j) in sorted(graph.edges):
             if i not in best:
@@ -117,8 +117,8 @@ def test_one_pass_route_matches_multi_round_bellman_ford_on_2000_graphs():
         graph = synthetic_graph(rng, int(rng.integers(2, 11)),
                                 edge_prob=float(rng.uniform(0.2, 0.9)))
         if trial % 2:            # whole-meter hops give exactly tied route weights
-            graph = LosGraph(user=graph.user, user_node=graph.user_node, nodes=graph.nodes,
-                             edges=graph.edges, bs_distance=graph.bs_distance,
+            graph = LosGraph(user=graph.user, user_node=graph.user_node, edges=graph.edges,
+                             bs_distance=graph.bs_distance,
                              distances={e: float(round(d)) for e, d in graph.distances.items()})
         m = int(rng.integers(4, 600))
         want = _multi_round_bellman_ford(graph, m, BETA)
@@ -135,7 +135,7 @@ def test_one_pass_route_matches_multi_round_bellman_ford_on_2000_graphs():
 
 def _hand_built_graph(edges):
     """Two surfaces at 10 m and 20 m from the BS, user node 3."""
-    return LosGraph(user=1, user_node=3, nodes=(0, 1, 2, 3), edges=frozenset(edges),
+    return LosGraph(user=1, user_node=3, edges=frozenset(edges),
                     distances={e: 5.0 for e in edges},
                     bs_distance={0: 0.0, 1: 10.0, 2: 20.0, 3: 30.0})
 
@@ -148,6 +148,48 @@ def test_edge_order_rejects_an_edge_that_does_not_lead_away_from_the_bs(bad_edge
         graph.edge_order
     with pytest.raises(ValueError, match="does not lead away from the BS"):
         optimal_single_route(graph, 16, BETA)
+    with pytest.raises(ValueError, match="does not lead away from the BS"):
+        enumerate_routes(graph)
+
+
+def _recursive_routes(graph):
+    """BS-to-user routes by depth-first recursion over each vertex's sorted
+    successors: the walk the one pass over the edge order replaced."""
+    routes = []
+
+    def visit(node, seq):
+        succ = sorted(j for (i, j) in graph.edges if i == node)
+        if graph.user_node in succ:
+            routes.append(tuple(seq))
+        for nxt in succ:
+            if nxt != graph.user_node:
+                visit(nxt, seq + [nxt])
+
+    for j in sorted(j for (i, j) in graph.edges if i == 0):
+        visit(j, [j])
+    return routes
+
+
+def test_enumeration_matches_the_recursive_walk_on_2000_graphs():
+    rng = np.random.default_rng(60)
+    found = 0
+    for _ in range(2000):
+        graph = synthetic_graph(rng, int(rng.integers(2, 11)),
+                                edge_prob=float(rng.uniform(0.1, 0.95)))
+        want = _recursive_routes(graph)
+        assert enumerate_routes(graph) == want
+        found += bool(want)
+    assert found > 1000
+
+
+def test_enumeration_of_a_long_chain_needs_no_recursion():
+    hops = 1200
+    user = hops + 1
+    edges = [(i, i + 1) for i in range(hops + 1)]
+    graph = LosGraph(user=1, user_node=user, edges=frozenset(edges),
+                     distances={e: 2.0 for e in edges},
+                     bs_distance={n: 2.0 * n for n in range(user + 1)})
+    assert enumerate_routes(graph) == [tuple(range(1, user))]
 
 
 def test_disconnected_graph_raises():
@@ -198,14 +240,14 @@ def test_adding_edge_never_hurts_and_m_monotone():
         assert optimal_single_route(graph, 100, BETA).gain >= base
         # add one admissible edge
         from irsim.geometry import LosGraph
-        irs = [n for n in graph.nodes if n not in (0, graph.user_node)]
+        irs = [n for n in graph.bs_distance if n not in (0, graph.user_node)]
         missing = [(i, j) for i in irs for j in irs
                    if i != j and graph.bs_distance[i] < graph.bs_distance[j]
                    and (i, j) not in graph.edges]
         if not missing:
             continue
         i, j = missing[0]
-        g2 = LosGraph(user=graph.user, user_node=graph.user_node, nodes=graph.nodes,
+        g2 = LosGraph(user=graph.user, user_node=graph.user_node,
                       edges=frozenset(graph.edges | {(i, j)}),
                       distances={**graph.distances, (i, j): 5.0},
                       bs_distance=graph.bs_distance)
