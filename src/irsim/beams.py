@@ -124,15 +124,18 @@ def _align_phases(base: complex, coeff: np.ndarray, theta: np.ndarray) -> None:
     theta[live] = np.exp(1j * (np.angle(base) - np.angle(coeff[live])))
 
 
-def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float):
+def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float, cap="max_iters"):
     """Alternate MRT at the BS with the exact update of each surface in turn.
 
     `compose(phases, irs=None, w=None)` follows `channels._compose`: h, or
     the pair (a, b) projected onto the current beam w, with
     h @ w = a + phases[irs] @ b.  Each step is exact, so |h @ w|^2 never
     decreases.  Updates `phases` in place until a round gains at most tol
-    (relative); returns (w, objective, converged, iterations).
+    (relative), for at most max_iters rounds (a ValueError, naming it `cap`,
+    if negative); returns (w, objective, converged, iterations).
     """
+    if max_iters < 0:
+        raise ValueError(f"{cap} must be >= 0, got {max_iters}")
     h = compose(phases)
     w = mrt_beam(h)
     objective = float(np.linalg.norm(h) ** 2)
@@ -161,7 +164,8 @@ def ao_joint_beamforming(channels: ChannelSet, user: int = 1, tol: float = 1e-12
     """
     phases = unit_phases(channels.scene)
     irs_ids = sorted(phases) if irs_subset is None else sorted(irs_subset)
-    options = dict(los_only=los_only, include_direct=include_direct, irs_subset=irs_ids)
+    options = dict(los_only=los_only, include_direct=include_direct,
+                   irs_subset=None if irs_subset is None else irs_ids)
 
     def compose(phases, irs=None, w=None):
         return (effective_channel(channels, user, phases, **options) if irs is None
@@ -183,7 +187,8 @@ def optimize_path_phases(channels: ChannelSet, path, user: int = 1, max_sweeps: 
     """
     edges = _path_edges(path, channels.scene.n_irs + user)
     phases = {j: np.ones(channels.scene.irs[j - 1].size, dtype=complex) for j in path}
-    _, gain, _, _ = _alternate(partial(_compose, channels, edges), phases, path, max_sweeps, 1e-10)
+    _, gain, _, _ = _alternate(partial(_compose, channels, edges), phases, path, max_sweeps, 1e-10,
+                               "max_sweeps")
     return phases, gain
 
 

@@ -134,9 +134,6 @@ class ChannelSet:
     scene: Scene
     seed: int
     links: dict = field(default_factory=dict)
-    # (user, los_only) -> the edge_order of that reflection graph; threads
-    # that race to fill an entry compute the same order, so no lock is needed
-    _edge_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, i: int, j: int) -> LinkChannel:
         try:
@@ -214,7 +211,7 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None,
     col = np.s_[:, None] if w is None else np.s_[:]   # an element vector over x's columns
     head: dict[int, np.ndarray] = {}
     if irs in down:
-        for v in reversed(list(dict.fromkeys(a for a, _ in edges))):   # BS first
+        for v in reversed(down):       # the sources that reach a user, BS first
             for p in sorted(a for a, b in edges if b == v):
                 if p == 0:
                     term = channels.get(0, v).matrix @ x
@@ -238,14 +235,8 @@ def _path_edges(path, target: int) -> list:
 
 
 def _graph_edges(channels: ChannelSet, user: int, los_only: bool, irs_subset=None) -> tuple | list:
-    """Edge list of a user's reflection graph restricted to `irs_subset`.
-
-    The graph's `edge_order` is derived once per channel set and cached on it.
-    """
-    key = (user, bool(los_only))
-    if key not in channels._edge_cache:
-        channels._edge_cache[key] = build_los_graph(channels.scene, user, los_only).edge_order
-    edges = channels._edge_cache[key]
+    """Edge order of a user's reflection graph, restricted to `irs_subset`."""
+    edges = build_los_graph(channels.scene, user, los_only).edge_order
     if irs_subset is None:
         return edges
     keep = {0, *irs_subset}      # an excluded surface then never enters the DP

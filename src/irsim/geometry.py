@@ -9,7 +9,8 @@ see the other node inside its front half-space.  The LoS indicator adds the
 blockage test on top of admissibility.
 
 Scenes and graphs are immutable after construction and safe to share across
-threads.
+threads.  A scene keeps each user's LoS graph once built; threads that race
+to build one build equal graphs, so the memo needs no lock.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ class Scene:
     obstacles: tuple[Box, ...]
     constants: Constants
     effective_regions: tuple[frozenset, ...]  # per user, subset of 1..J
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_bs(self) -> int:
@@ -596,10 +598,12 @@ def build_los_graph(scene: Scene, user: int, require_los: bool = True) -> LosGra
 
     With require_los the edges are the LoS-indicator links; without it they
     are all admissible links (blocked links then carry scattered power
-    only).
+    only).  Built once per (user, require_los) and kept in `scene._graphs`.
     """
     if not 1 <= user <= scene.n_users:
         raise ValueError(f"no user {user} in scene")
+    if (key := (user, bool(require_los))) in scene._graphs:
+        return scene._graphs[key]
     target = scene.n_irs + user
     nodes = (0, *sorted(scene.effective_regions[user - 1]), target)
     admissible, los = scene._links
@@ -607,5 +611,5 @@ def build_los_graph(scene: Scene, user: int, require_los: bool = True) -> LosGra
                       if i in nodes and j in nodes and (i, j) != (0, target))
     distances = {(i, j): scene.distance(i, j) for (i, j) in edges}
     bs_distance = {n: (0.0 if n == 0 else scene.distance(0, n)) for n in nodes}
-    return LosGraph(user=user, user_node=target, edges=edges,
-                    distances=distances, bs_distance=bs_distance)
+    return scene._graphs.setdefault(key, LosGraph(user=user, user_node=target, edges=edges,
+                                                  distances=distances, bs_distance=bs_distance))

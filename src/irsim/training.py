@@ -150,7 +150,7 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
     """
     evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path)
     ids = evaluator.irs_ids
-    combos = bs_codebook.size * int(np.prod([irs_codebooks[j].size for j in ids]))
+    combos = bs_codebook.size * math.prod(irs_codebooks[j].size for j in ids)   # no int64 wrap
     if combos > max_combinations:
         raise ValueError(f"exhaustive search would need {combos} combinations "
                          f"(cap {max_combinations})")
@@ -175,14 +175,14 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
     """Cyclic per-node beam updates until a full sweep changes nothing.
 
     Each sweep costs D_B + sum_j D_I(j) evaluations; the min-user SNR is
-    nondecreasing across updates.
+    nondecreasing across updates.  ValueError for max_sweeps below 1.
     """
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path)
     ids = evaluator.irs_ids
     codebooks = {0: bs_codebook, **{j: irs_codebooks[j] for j in ids}}
     choices = dict.fromkeys(codebooks, 0)          # node -> beam index, the BS first
-    sweeps = 0
-    objective = 0.0
     for sweeps in range(1, max_sweeps + 1):
         changed = False
         for node, codebook in codebooks.items():

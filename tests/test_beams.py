@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from irsim import beams
 from irsim.beams import (ao_joint_beamforming, mrt_beam,
                          channel_rank_gain_check, closed_form_path_gain,
                          common_phase_combine, double_reflection_factors,
@@ -291,6 +292,46 @@ def test_optimize_path_phases_matches_closed_form_on_los(chain_scene):
     _, gain = optimize_path_phases(channels, [1], user=1)
     want = _aligned_gain(channels, [1])
     assert gain == pytest.approx(want, rel=1e-9)
+
+
+def _no_composition(*args, **kwargs):
+    raise AssertionError("a channel was composed")
+
+
+def test_ao_rejects_a_negative_round_cap_before_any_composition(double_scene, monkeypatch):
+    channels = synthesize_channels(double_scene, 43)
+    monkeypatch.setattr(beams, "effective_channel", _no_composition)
+    monkeypatch.setattr(beams, "effective_channel_affine", _no_composition)
+    with pytest.raises(ValueError, match="max_iters must be >= 0, got -2"):
+        ao_joint_beamforming(channels, user=1, max_iters=-2)
+
+
+def test_optimize_path_phases_rejects_a_negative_sweep_cap_before_any_composition(
+        chain_scene, monkeypatch):
+    channels = synthesize_channels(chain_scene, 44)
+    monkeypatch.setattr(beams, "_compose", _no_composition)
+    with pytest.raises(ValueError, match="max_sweeps must be >= 0, got -1"):
+        optimize_path_phases(channels, [1], user=1, max_sweeps=-1)
+
+
+def test_ao_without_a_subset_composes_over_the_whole_graph(double_scene, monkeypatch):
+    channels = synthesize_channels(double_scene, 45)
+    subsets = []
+
+    def recording(compose):
+        def wrapped(*args, irs_subset=None, **kwargs):
+            subsets.append(irs_subset)
+            return compose(*args, irs_subset=irs_subset, **kwargs)
+        return wrapped
+
+    for name in ("effective_channel", "effective_channel_affine"):
+        monkeypatch.setattr(beams, name, recording(getattr(beams, name)))
+    whole = ao_joint_beamforming(channels, user=1, max_iters=3)
+    assert subsets and set(subsets) == {None}
+    subsets.clear()
+    named = ao_joint_beamforming(channels, user=1, max_iters=3, irs_subset=(2, 1))
+    assert subsets and all(s == [1, 2] for s in subsets)
+    assert named.achieved_gains == whole.achieved_gains
 
 
 def test_uniform_channel_scaling_preserves_argmax():

@@ -10,7 +10,7 @@ from irsim import training
 from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
 from irsim.channels import cascaded_path_channel, synthesize_channels
 from irsim.geometry import build_scene
-from irsim.scenarios import with_users
+from irsim.scenarios import indoor_hall_config, with_users
 from irsim.training import (Codebook, GainEvaluator, NotTrainable, approx_gain,
                             assemble_global_btt, beams_from_choices, build_bs_btt,
                             build_irs_btt, dft_codebook, distributed_route_and_beams,
@@ -123,6 +123,31 @@ def test_exhaustive_refuses_oversized_search():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
     with pytest.raises(ValueError, match="combinations"):
         exhaustive_search(channels, [1], bs_cb, irs_cbs, max_combinations=3)
+
+
+def test_exhaustive_refuses_a_combination_count_beyond_int64(monkeypatch):
+    # 32 * 256**8 = 2**69 combinations; a 64-bit product wraps 256**8 to 0
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(GainEvaluator, "sweep", no_sweep)
+    scene = build_scene(indoor_hall_config(m0=4))
+    channels = synthesize_channels(scene, 0)
+    irs_cbs = {j: planar_passive_codebook(16, 4) for j in range(1, scene.n_irs + 1)}
+    with pytest.raises(ValueError, match=f"would need {2 ** 69} combinations"):
+        exhaustive_search(channels, [1], dft_codebook(32, 32, kind="active"), irs_cbs)
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_sequential_rejects_a_sweep_cap_below_one_before_any_composition(max_sweeps,
+                                                                         monkeypatch):
+    def no_composition(*args, **kwargs):
+        raise AssertionError("a channel was composed")
+
+    monkeypatch.setattr(training, "_compose", no_composition)
+    _, channels, bs_cb, irs_cbs = _tiny_setup(kappa_db=8)
+    with pytest.raises(ValueError, match=f"max_sweeps must be >= 1, got {max_sweeps}"):
+        sequential_search(channels, [1], bs_cb, irs_cbs, max_sweeps=max_sweeps)
 
 
 def test_exhaustive_finds_planted_optimum():
