@@ -78,11 +78,14 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator) -> LinkCh
 
 
 def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count: int = 1,
-                  rx_panel: bool = True, tx_panel: bool = True):
+                  rx_panel: bool = True, tx_panel: bool = True, draws: dict | None = None):
     """Yield `count` Rician realizations of link i -> j drawn from one stream.
 
     With `rx_panel`/`tx_panel` false that end is the node's single
     reference-point (controller) antenna instead of its element panel.
+    `draws` is a draw store (see `synthesize_channels`): the stream's unit
+    Gaussian matrices are drawn into it once, keyed by the entropy `rng`
+    was freshly seeded with, and mixed from there on every later call.
     """
     consts = scene.constants
     lam = consts.wavelength
@@ -92,32 +95,78 @@ def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count:
     n_rx = scene.node_size(j) if rx_panel else 1
     n_tx = scene.node_size(i) if tx_panel else 1
 
-    rho = a_rx = a_tx = los_part = None
+    rho = a_rx = a_tx = None
     if has_geometric_los(scene, i, j):
         u = (scene.node_position(j) - scene.node_position(i)) / d
         a_tx = _node_response(scene, i, u, lam) if tx_panel else np.ones(1, dtype=complex)
         a_rx = _node_response(scene, j, -u, lam) if rx_panel else np.ones(1, dtype=complex)
         rho = math.sqrt(pl) * np.exp(-2j * np.pi * d / lam)
-        los_part = rho * np.outer(a_rx, a_tx)
 
+    pure_los = rho is not None and math.isinf(kappa)
+    if pure_los:
+        los = _los_matrix(rho, a_rx, a_tx)          # shared by every draw: never mutated
+    else:
+        units = iter(_unit_draws(rng, n_rx, n_tx, count, draws))
     for _ in range(count):
-        if los_part is not None and math.isinf(kappa):
-            matrix = los_part
+        if pure_los:
+            matrix = los
+        elif rho is None:         # a fresh z is scaled in place, a stored one copied
+            z = next(units)
+            matrix = (np.multiply(z, math.sqrt(pl), out=z) if draws is None
+                      else z * math.sqrt(pl))
         else:
-            matrix = _cn(rng, n_rx, n_tx)
-            matrix *= math.sqrt(pl)
-            if los_part is not None:         # los_part is shared by every draw: never mutated
-                matrix *= math.sqrt(1 / (1 + kappa))
-                matrix += math.sqrt(kappa / (1 + kappa)) * los_part
+            # L before z, so the outer product's temporaries never meet z
+            matrix = _los_matrix(rho, a_rx, a_tx)
+            np.multiply(math.sqrt(kappa / (1 + kappa)), matrix, out=matrix)
+            _add_gaussian(matrix, next(units), math.sqrt(pl), math.sqrt(1 / (1 + kappa)))
         yield LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
                           los_gain=rho, los_rx=a_rx, los_tx=a_tx)
 
 
+def _los_matrix(rho: complex, a_rx: np.ndarray, a_tx: np.ndarray) -> np.ndarray:
+    """rho * outer(a_rx, a_tx), built in place (rho on the left: the product's
+    last bits depend on the operand order)."""
+    los = np.multiply.outer(a_rx, a_tx)
+    return np.multiply(rho, los, out=los)
+
+
+def _add_gaussian(out: np.ndarray, z: np.ndarray, amp: float, weight: float) -> None:
+    """out += (z * amp) * weight, row block by row block, with the rounding of
+    that in-place sequence on a copy of z; z is left as is, and no
+    full-size temporary is made."""
+    for rows in _row_blocks(*z.shape):
+        part = z[rows] * amp
+        part *= weight
+        np.add(part, out[rows], out=out[rows])
+
+
+_BLOCK_ENTRIES = 1 << 15       # entries per row block of a draw or a mix
+
+
+def _row_blocks(n_rx: int, n_tx: int) -> list:
+    rows = max(1, _BLOCK_ENTRIES // n_tx)
+    return [np.s_[r:r + rows] for r in range(0, n_rx, rows)]
+
+
+def _unit_draws(rng: np.random.Generator, n_rx: int, n_tx: int, count: int, draws: dict | None):
+    """The `count` unit Gaussian matrices of one stream: drawn one at a time
+    without a store, or drawn into `draws` on the stream's first call."""
+    if draws is None:
+        return (_cn(rng, n_rx, n_tx) for _ in range(count))
+    key = (rng.bit_generator.seed_seq.entropy, n_rx, n_tx, count)
+    if key not in draws:
+        draws[key] = [_cn(rng, n_rx, n_tx) for _ in range(count)]
+    return draws[key]
+
+
 def _cn(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
-    """i.i.d. unit-variance circularly-symmetric complex Gaussian matrix."""
+    """i.i.d. unit-variance circularly-symmetric complex Gaussian matrix: every
+    real part, then every imaginary part, drawn row block by row block (the
+    same sequence as one call per part, without its full-size temporary)."""
     z = np.empty((n_rx, n_tx), dtype=complex)
-    z.real = rng.standard_normal((n_rx, n_tx))
-    z.imag = rng.standard_normal((n_rx, n_tx))
+    for part in (z.real, z.imag):
+        for rows in _row_blocks(n_rx, n_tx):
+            part[rows] = rng.standard_normal(part[rows].shape)
     z /= math.sqrt(2.0)
     return z
 
@@ -150,15 +199,21 @@ def _link_rng(seed: int, i: int, j: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, i, j)))
 
 
-def synthesize_channels(scene: Scene, seed: int, links=None) -> ChannelSet:
+def synthesize_channels(scene: Scene, seed: int, links=None,
+                        draws: dict | None = None) -> ChannelSet:
     """Synthesize every admissible link, the direct BS-user links included.
 
     `links` restricts synthesis to the named (i, j) pairs; thanks to the
     per-link seed substreams the drawn channels are identical either way.
+    `draws` is a draw store: a dict the caller makes empty for one trial and
+    passes to every synthesis and table build of that trial.  Each seed
+    substream's unit Gaussian matrices are drawn into it on first use, and
+    later calls on scenes that differ only in their Rician factors mix those
+    instead of drawing them again.  The channels are identical either way.
     """
     cs = ChannelSet(scene=scene, seed=seed)
     for (i, j) in (scene._links[0] if links is None else links):
-        cs.links[(i, j)] = synth_link(scene, i, j, _link_rng(seed, i, j))
+        cs.links[(i, j)] = next(_rician_draws(scene, i, j, _link_rng(seed, i, j), draws=draws))
     return cs
 
 

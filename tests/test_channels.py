@@ -10,7 +10,7 @@ from irsim.channels import (ChannelSet, _graph_edges, _rician_draws, array_respo
                             cascaded_path_channel,
                             effective_channel, effective_channel_affine, enumerate_graph_paths,
                             mrt_beam, path_loss, synth_link, synthesize_channels, unit_phases)
-from irsim.geometry import PanelArray, build_los_graph, build_scene
+from irsim.geometry import PanelArray, build_los_graph, build_scene, route_links
 from irsim.scenarios import indoor_hall_config
 
 from conftest import chain_config, double_only_config, zigzag_config
@@ -336,3 +336,53 @@ def test_mrt_beam_unit_norm_and_gain():
     assert np.linalg.norm(w) == pytest.approx(1.0)
     assert abs(h @ w) == pytest.approx(np.linalg.norm(h))
 
+
+
+# ---------------------------------------------------------------------------
+# draw store
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kappa_db", [0, 10, "inf"])
+def test_a_draw_store_leaves_every_channel_bit_identical(kappa_db):
+    scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db))
+    plain = synthesize_channels(scene, seed=4)
+    draws = {}
+    for _ in range(2):                 # drawing into the store, then mixing from it
+        stored = synthesize_channels(scene, seed=4, draws=draws)
+        assert plain.links.keys() == stored.links.keys()
+        for key, link in plain.links.items():
+            assert stored.links[key].matrix.tobytes() == link.matrix.tobytes()
+    assert plain.get(0, 2).los_gain is None
+    stored_links = {key[0][1:] for key in draws}       # a pure-LoS link draws nothing
+    assert stored_links == ({(0, 2)} if kappa_db == "inf" else {(0, 1), (0, 2), (1, 2)})
+
+
+def test_kappas_of_one_trial_mix_the_same_stored_draw_by_the_formula():
+    seed, draws, unit = 6, {}, {}
+    for kappa_db in (0.0, 20.0):
+        scene = build_scene(indoor_hall_config(m0=4, kappa_db=kappa_db))
+        links = route_links((3, 4, 5), scene.n_irs + 1)
+        channels = synthesize_channels(scene, seed, links=links, draws=draws)
+        consts = scene.constants
+        for i, j in links:
+            z = draws[((seed, i, j), scene.node_size(j), scene.node_size(i), 1)][0]
+            assert unit.setdefault((i, j), z.tobytes()) == z.tobytes()   # never mutated
+            link = channels.get(i, j)
+            alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
+            pl = path_loss(scene.distance(i, j), alpha, consts.beta)
+            los = link.los_gain * np.outer(link.los_rx, link.los_tx)
+            want = (math.sqrt(kappa / (1 + kappa)) * los
+                    + math.sqrt(1 / (1 + kappa)) * (math.sqrt(pl) * z))
+            assert link.matrix.tobytes() == want.tobytes()
+    assert len(draws) == len(links)
+
+
+def test_a_store_reused_with_another_seed_gives_that_seeds_channels():
+    scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=10))
+    draws = {}
+    first = synthesize_channels(scene, seed=1, draws=draws)
+    second = synthesize_channels(scene, seed=2, draws=draws)
+    plain = synthesize_channels(scene, seed=2)
+    for key, link in plain.links.items():
+        assert second.links[key].matrix.tobytes() == link.matrix.tobytes()
+        assert not np.array_equal(second.links[key].matrix, first.links[key].matrix)

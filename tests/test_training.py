@@ -1,6 +1,8 @@
 """Codebooks, beam searches, and the distributed training tables."""
 
+import collections
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 from irsim import training
 from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
 from irsim.channels import cascaded_path_channel, synthesize_channels
-from irsim.geometry import build_scene
+from irsim.cli import main
+from irsim.experiments import FIG13_KAPPAS_DB, FIG13_PATH, ExperimentConfig, run_scenario
+from irsim.geometry import build_scene, route_links
 from irsim.scenarios import indoor_hall_config, with_users
 from irsim.training import (Codebook, GainEvaluator, NotTrainable, approx_gain,
                             assemble_global_btt, beams_from_choices, build_bs_btt,
@@ -148,6 +152,33 @@ def test_sequential_rejects_a_sweep_cap_below_one_before_any_composition(max_swe
     _, channels, bs_cb, irs_cbs = _tiny_setup(kappa_db=8)
     with pytest.raises(ValueError, match=f"max_sweeps must be >= 1, got {max_sweeps}"):
         sequential_search(channels, [1], bs_cb, irs_cbs, max_sweeps=max_sweeps)
+
+
+@pytest.mark.parametrize("search", [exhaustive_search, sequential_search])
+def test_searches_reject_an_empty_user_list_before_any_composition(search, monkeypatch):
+    def no_composition(*args, **kwargs):
+        raise AssertionError("a channel was composed")
+
+    _, channels, bs_cb, irs_cbs = _tiny_setup()
+    monkeypatch.setattr(training, "_compose", no_composition)
+    with pytest.raises(ValueError, match="users"):
+        search(channels, [], bs_cb, irs_cbs)
+
+
+def test_evaluator_over_every_surface_composes_over_the_graphs_own_edge_list(monkeypatch):
+    seen = []
+    real = training._graph_edges
+
+    def recording(channels, user, los_only, irs_subset=None):
+        seen.append(irs_subset)
+        return real(channels, user, los_only, irs_subset)
+
+    monkeypatch.setattr(training, "_graph_edges", recording)
+    _, channels, _, _ = _tiny_setup(n_hops=2)
+    GainEvaluator(channels, [1])
+    GainEvaluator(channels, [1], irs_ids=[2, 1])
+    GainEvaluator(channels, [1], irs_ids=[2])
+    assert seen == [None, None, [2]]
 
 
 def test_exhaustive_finds_planted_optimum():
@@ -512,3 +543,80 @@ def test_irs_btt_with_both_neighbor_lists_skips_neighbor_search(monkeypatch):
                           averages=1, prev_nodes=[0], next_nodes=[2])
     assert set(table.reference_rss) == {0}
     assert {(p, n) for p, _, n in table.rows} == {(0, 2)}
+
+
+def test_irs_btt_rejects_an_owner_that_is_not_a_surface_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a link was drawn")
+
+    monkeypatch.setattr(training, "_rician_draws", no_draw)
+    scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2))
+    for irs in (0, scene.n_irs + 1):
+        with pytest.raises(ValueError, match="irs"):
+            build_irs_btt(scene, irs, planar_passive_codebook(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the per-trial draw store of fig13
+# ---------------------------------------------------------------------------
+
+def _recording_cn(monkeypatch):
+    """Patch channels._cn to record the entropy of every stream it draws from."""
+    from irsim import channels
+
+    calls = []
+    real = channels._cn
+
+    def recording(rng, n_rx, n_tx):
+        calls.append(rng.bit_generator.seed_seq.entropy)
+        return real(rng, n_rx, n_tx)
+
+    monkeypatch.setattr(channels, "_cn", recording)
+    return calls
+
+
+def _fig13_shaped_trial(seed, draws):
+    """Links and tables of one fig13 trial over the five finite kappas, on
+    the hall at m0 = 4: the matrices, table rows and reference RSS."""
+    out = []
+    for kappa_db in FIG13_KAPPAS_DB[:-1]:
+        scene = build_scene(indoor_hall_config(m0=4, kappa_db=kappa_db))
+        links = route_links(FIG13_PATH, scene.n_irs + 1)
+        channels = synthesize_channels(scene, seed, links=links, draws=draws)
+        tables = [build_bs_btt(scene, dft_codebook(32, 32, kind="active"), seed=seed,
+                               next_nodes=[FIG13_PATH[0]], draws=draws)]
+        tables += [build_irs_btt(scene, j, planar_passive_codebook(4, 4), seed=seed,
+                                 prev_nodes=[links[i][0]], next_nodes=[links[i + 1][1]],
+                                 draws=draws)
+                   for i, j in enumerate(FIG13_PATH)]
+        out.append(([channels.get(*link).matrix.tobytes() for link in links],
+                    [(t.rows, t.reference_rss) for t in tables]))
+    return out
+
+
+def test_a_trial_store_draws_each_substream_once_across_the_finite_kappas(monkeypatch):
+    assert "inf" not in FIG13_KAPPAS_DB[:-1] and len(FIG13_KAPPAS_DB[:-1]) == 5
+    plain = _fig13_shaped_trial(8, None)
+    calls = _recording_cn(monkeypatch)
+    draws = {}
+    stored = _fig13_shaped_trial(8, draws)
+    assert stored == plain
+    per_stream = {key[0]: key[3] for key in draws}       # entropy -> realizations
+    assert collections.Counter(calls) == per_stream
+    assert {len(e) for e in per_stream} == {3, 6}        # the links and the controllers
+    assert set(per_stream.values()) == {1, 10}
+
+
+def test_fig13_draws_each_route_link_once_per_trial(monkeypatch):
+    calls = _recording_cn(monkeypatch)
+    run_scenario(ExperimentConfig(scenario="fig13", seed=3, trials=2))
+    links = collections.Counter(e for e in calls if len(e) == 3)
+    assert len(links) == 2 * (len(FIG13_PATH) + 1) and set(links.values()) == {1}
+
+
+def test_fig13_csv_matches_its_golden_digest(capsys):
+    """The CSV bytes of `irsim run --scenario fig13 --seed 3 --trials 2`, as
+    computed before the draw store and the trial-major loop."""
+    assert main(["run", "--scenario", "fig13", "--seed", "3", "--trials", "2"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "f86f23dc365206d5fa9664ba4a609a6e6a89e37301373af60e500619af837dde"
