@@ -68,13 +68,15 @@ def _node_response(scene: Scene, node: int, direction, lam: float) -> np.ndarray
     return array_response(scene.irs[node - 1], direction, lam)
 
 
-def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator) -> LinkChannel:
+def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
+               draws: dict | None = None) -> LinkChannel:
     """Draw one Rician link channel between nodes i and j.
 
     kappa = inf gives the pure LoS rank-one channel; a geometrically
-    blocked link is pure NLoS regardless of kappa.
+    blocked link is pure NLoS regardless of kappa.  `draws` is a draw
+    store (see `synthesize_channels`).
     """
-    return next(_rician_draws(scene, i, j, rng))
+    return next(_rician_draws(scene, i, j, rng, draws=draws))
 
 
 def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count: int = 1,
@@ -206,14 +208,14 @@ def synthesize_channels(scene: Scene, seed: int, links=None,
     `links` restricts synthesis to the named (i, j) pairs; thanks to the
     per-link seed substreams the drawn channels are identical either way.
     `draws` is a draw store: a dict the caller makes empty for one trial and
-    passes to every synthesis and table build of that trial.  Each seed
-    substream's unit Gaussian matrices are drawn into it on first use, and
-    later calls on scenes that differ only in their Rician factors mix those
-    instead of drawing them again.  The channels are identical either way.
+    passes to every synthesis of that trial.  Each link's unit Gaussian
+    matrix is drawn into it on first use, and later calls on scenes that
+    differ only in their Rician factors mix that one instead of drawing it
+    again.  The channels are identical either way.
     """
     cs = ChannelSet(scene=scene, seed=seed)
     for (i, j) in (scene._links[0] if links is None else links):
-        cs.links[(i, j)] = next(_rician_draws(scene, i, j, _link_rng(seed, i, j), draws=draws))
+        cs.links[(i, j)] = synth_link(scene, i, j, _link_rng(seed, i, j), draws)
     return cs
 
 

@@ -322,11 +322,11 @@ def run_fig13(config: ExperimentConfig) -> ResultTable:
     factor.
 
     Trial-major: every kappa of a trial runs on the same seed substreams, so
-    the trial's draw store draws each route link's unit Gaussian matrices
-    once and every kappa mixes them with its own weights.  The tables'
-    controller draws, about a quarter of the Gaussian entries, are drawn
-    afresh for each kappa: storing them too would hold another 3 MB per
-    trial at the peak.
+    the trial's draw store draws each route link's unit Gaussian matrix once
+    and every kappa mixes it with its own weights.  The tables' controller
+    draws, about a quarter of the Gaussian entries, are drawn afresh for
+    each kappa: storing them too raised the scenario's peak memory by about
+    15%.
     """
     m0 = 24
     path = FIG13_PATH

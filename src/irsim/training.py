@@ -250,16 +250,16 @@ def _bs_neighbors(scene: Scene) -> list[int]:
 
 
 def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Codebook,
-           next_nodes, seed: int, draws: dict | None) -> None:
+           next_nodes, seed: int) -> None:
     """Add the time-averaged RSS of every beam of `table.owner` at each next
     node's controller; `incident[t]` scales the owner's elements in
     realization t (1.0 for the BS, which transmits itself)."""
     for nxt in next_nodes:
-        outs = _rician_draws(scene, table.owner, nxt,
-                             _controller_rng(seed, table.owner, prev, nxt), len(incident),
-                             rx_panel=False, draws=draws)
+        draws = _rician_draws(scene, table.owner, nxt,
+                              _controller_rng(seed, table.owner, prev, nxt), len(incident),
+                              rx_panel=False)
         rss = sum(np.abs(codebook.apply(out.matrix[0] * scale)) ** 2
-                  for out, scale in zip(outs, incident)) / len(incident)
+                  for out, scale in zip(draws, incident)) / len(incident)
         for beam, value in enumerate(rss):
             table.add(prev, beam, nxt, float(value))
 
@@ -272,33 +272,30 @@ def _check_averages(averages: int) -> None:
 
 
 def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = None,
-                 seed: int = 0, averages: int = 10, next_nodes=None,
-                 draws: dict | None = None) -> BeamTrainingTable:
+                 seed: int = 0, averages: int = 10, next_nodes=None) -> BeamTrainingTable:
     """Offline BS table: time-averaged RSS at every next node's controller
     for each active beam, kept when it clears the threshold.
 
     `next_nodes` restricts the sounded neighbors (default: every LoS one).
-    `draws` is the trial's draw store (see `channels.synthesize_channels`).
     """
     _check_averages(averages)
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=0, threshold=thr, reference_rss={None: 1.0})
     _sound(table, scene, None, [1.0] * averages, codebook,
-           _bs_neighbors(scene) if next_nodes is None else next_nodes, seed, draws)
+           _bs_neighbors(scene) if next_nodes is None else next_nodes, seed)
     return table
 
 
 def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float | None = None,
-                  seed: int = 0, averages: int = 10, prev_nodes=None, next_nodes=None,
-                  draws: dict | None = None) -> BeamTrainingTable:
+                  seed: int = 0, averages: int = 10,
+                  prev_nodes=None, next_nodes=None) -> BeamTrainingTable:
     """Table of surface `irs`: RSS at each next node for every (previous
     node, passive beam) pair, plus the unreflected reference RSS of each
     incoming link.  Rows toward another controller are the offline phase;
     rows toward a user are measured online.
 
     `prev_nodes`/`next_nodes` restrict the sounded neighbor sets (default:
-    every LoS neighbor).  `draws` is the trial's draw store (see
-    `channels.synthesize_channels`).  ValueError for `irs` not a surface.
+    every LoS neighbor).  ValueError for `irs` not a surface.
     """
     _check_averages(averages)
     if not 1 <= irs <= scene.n_irs:
@@ -315,13 +312,12 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
         w = (np.ones(scene.n_bs, dtype=complex) / math.sqrt(scene.n_bs) if prev == 0
              else np.ones(1, dtype=complex))
         incident = [c.matrix @ w for c in _rician_draws(
-            scene, prev, irs, _controller_rng(seed, irs, prev, irs), averages, tx_panel=prev == 0,
-            draws=draws)]
+            scene, prev, irs, _controller_rng(seed, irs, prev, irs), averages, tx_panel=prev == 0)]
         ref_draws = [c.matrix[0] @ w for c in _rician_draws(
             scene, prev, irs, _controller_rng(seed, irs, prev, irs, kind=1), averages,
-            rx_panel=False, tx_panel=prev == 0, draws=draws)]
+            rx_panel=False, tx_panel=prev == 0)]
         table.reference_rss[prev] = float(np.mean([abs(r) ** 2 for r in ref_draws]))
-        _sound(table, scene, prev, incident, codebook, next_nodes, seed, draws)
+        _sound(table, scene, prev, incident, codebook, next_nodes, seed)
     return table
 
 

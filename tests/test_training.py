@@ -12,7 +12,7 @@ from irsim import training
 from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
 from irsim.channels import cascaded_path_channel, synthesize_channels
 from irsim.cli import main
-from irsim.experiments import FIG13_KAPPAS_DB, FIG13_PATH, ExperimentConfig, run_scenario
+from irsim.experiments import FIG13_KAPPAS_DB, FIG13_PATH
 from irsim.geometry import build_scene, route_links
 from irsim.scenarios import indoor_hall_config, with_users
 from irsim.training import (Codebook, GainEvaluator, NotTrainable, approx_gain,
@@ -576,47 +576,37 @@ def _recording_cn(monkeypatch):
 
 
 def _fig13_shaped_trial(seed, draws):
-    """Links and tables of one fig13 trial over the five finite kappas, on
-    the hall at m0 = 4: the matrices, table rows and reference RSS."""
+    """The route link matrices of one fig13 trial over the five finite
+    kappas, on the hall at m0 = 4."""
     out = []
     for kappa_db in FIG13_KAPPAS_DB[:-1]:
         scene = build_scene(indoor_hall_config(m0=4, kappa_db=kappa_db))
         links = route_links(FIG13_PATH, scene.n_irs + 1)
         channels = synthesize_channels(scene, seed, links=links, draws=draws)
-        tables = [build_bs_btt(scene, dft_codebook(32, 32, kind="active"), seed=seed,
-                               next_nodes=[FIG13_PATH[0]], draws=draws)]
-        tables += [build_irs_btt(scene, j, planar_passive_codebook(4, 4), seed=seed,
-                                 prev_nodes=[links[i][0]], next_nodes=[links[i + 1][1]],
-                                 draws=draws)
-                   for i, j in enumerate(FIG13_PATH)]
-        out.append(([channels.get(*link).matrix.tobytes() for link in links],
-                    [(t.rows, t.reference_rss) for t in tables]))
+        out.append([channels.get(*link).matrix.tobytes() for link in links])
     return out
 
 
-def test_a_trial_store_draws_each_substream_once_across_the_finite_kappas(monkeypatch):
+def test_a_trial_store_draws_each_route_link_once_across_the_finite_kappas(monkeypatch):
     assert "inf" not in FIG13_KAPPAS_DB[:-1] and len(FIG13_KAPPAS_DB[:-1]) == 5
     plain = _fig13_shaped_trial(8, None)
     calls = _recording_cn(monkeypatch)
     draws = {}
     stored = _fig13_shaped_trial(8, draws)
     assert stored == plain
-    per_stream = {key[0]: key[3] for key in draws}       # entropy -> realizations
-    assert collections.Counter(calls) == per_stream
-    assert {len(e) for e in per_stream} == {3, 6}        # the links and the controllers
-    assert set(per_stream.values()) == {1, 10}
+    links = route_links(FIG13_PATH, build_scene(indoor_hall_config(m0=4)).n_irs + 1)
+    assert collections.Counter(calls) == {(8, i, j): 1 for i, j in links}
+    assert {key[0] for key in draws} == {(8, i, j) for i, j in links}
 
 
-def test_fig13_draws_each_route_link_once_per_trial(monkeypatch):
-    calls = _recording_cn(monkeypatch)
-    run_scenario(ExperimentConfig(scenario="fig13", seed=3, trials=2))
-    links = collections.Counter(e for e in calls if len(e) == 3)
-    assert len(links) == 2 * (len(FIG13_PATH) + 1) and set(links.values()) == {1}
-
-
-def test_fig13_csv_matches_its_golden_digest(capsys):
+def test_fig13_csv_matches_its_golden_digest_drawing_each_route_link_once_per_trial(
+        capsys, monkeypatch):
     """The CSV bytes of `irsim run --scenario fig13 --seed 3 --trials 2`, as
-    computed before the draw store and the trial-major loop."""
+    computed before the draw store and the trial-major loop, with each route
+    link's unit draw made once per trial rather than once per kappa."""
+    calls = _recording_cn(monkeypatch)
     assert main(["run", "--scenario", "fig13", "--seed", "3", "--trials", "2"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "f86f23dc365206d5fa9664ba4a609a6e6a89e37301373af60e500619af837dde"
+    links = collections.Counter(e for e in calls if len(e) == 3)
+    assert len(links) == 2 * (len(FIG13_PATH) + 1) and set(links.values()) == {1}
