@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _path_edges, check_unit_modulus,
+from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, check_unit_modulus,
                        effective_channel, effective_channel_affine, mrt_beam, unit_phases)
 from .geometry import route_links
 
@@ -128,11 +128,11 @@ def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float, cap="
     """Alternate MRT at the BS with the exact update of each surface in turn.
 
     `compose(phases, irs=None, w=None)` follows `channels._compose`: h, or
-    the pair (a, b) projected onto the current beam w, with
-    h @ w = a + phases[irs] @ b.  Each step is exact, so |h @ w|^2 never
-    decreases.  Updates `phases` in place until a round gains at most tol
-    (relative), for at most max_iters rounds (a ValueError, naming it `cap`,
-    if negative); returns (w, objective, converged, iterations).
+    the sweep over `irs_ids` projected onto the current beam w, yielding
+    (j, a, b) with h @ w = a + phases[j] @ b.  Each step is exact, so
+    |h @ w|^2 never decreases.  Updates `phases` in place until a round
+    gains at most tol (relative), for at most max_iters rounds (a ValueError,
+    naming it `cap`, if negative); returns (w, objective, converged, iterations).
     """
     if max_iters < 0:
         raise ValueError(f"{cap} must be >= 0, got {max_iters}")
@@ -140,8 +140,7 @@ def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float, cap="
     w = mrt_beam(h)
     objective = float(np.linalg.norm(h) ** 2)
     for it in range(1, max_iters + 1):
-        for j in irs_ids:
-            base, coeff = compose(phases, j, w)
+        for j, base, coeff in compose(phases, irs_ids, w):
             _align_phases(complex(base), coeff, phases[j])
         h = compose(phases)
         w = mrt_beam(h)
@@ -158,12 +157,13 @@ def ao_joint_beamforming(channels: ChannelSet, user: int = 1, tol: float = 1e-12
     """Alternating optimization of BS weights and all surface phases.
 
     Alternates MRT at the BS with the exact closed-form phases of each
-    surface in turn (the loop `optimize_path_phases` shares), so |h @ w|^2
-    never decreases; stops when a round's relative gain falls below tol.
-    Every surface starts at zero phase.
+    surface in turn, BS first (the loop `optimize_path_phases` shares), so
+    |h @ w|^2 never decreases; stops when a round's relative gain falls
+    below tol.  Every surface starts at zero phase.
     """
     phases = unit_phases(channels.scene)
-    irs_ids = sorted(phases) if irs_subset is None else sorted(irs_subset)
+    irs_ids = sorted(phases if irs_subset is None else
+                     _irs_ids(channels.scene, irs_subset, "irs_subset"))
     options = dict(los_only=los_only, include_direct=include_direct,
                    irs_subset=None if irs_subset is None else irs_ids)
 
@@ -185,6 +185,7 @@ def optimize_path_phases(channels: ChannelSet, path, user: int = 1, max_sweeps: 
     alignment does not apply; stops when a sweep gains at most 1e-10
     (relative).  Returns (phases, gain) with the gain under MRT at the BS.
     """
+    path = _irs_ids(channels.scene, path, "path")
     edges = _path_edges(path, channels.scene.n_irs + user)
     phases = {j: np.ones(channels.scene.irs[j - 1].size, dtype=complex) for j in path}
     _, gain, _, _ = _alternate(partial(_compose, channels, edges), phases, path, max_sweeps, 1e-10,

@@ -235,8 +235,7 @@ def check_unit_modulus(phases: dict) -> None:
 # Composition
 # ---------------------------------------------------------------------------
 
-def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None,
-             w: np.ndarray | None = None):
+def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray | None = None):
     """Sum over every BS-to-user path of an ordered reflection edge list.
 
     `edges` holds directed (a, b) node pairs grouped by source, the sources
@@ -248,7 +247,9 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None,
     h @ x = a + phases[irs] @ B; a surface no path crosses gets B = 0.
     x is the BS beam `w` (a scalar a, a vector B, O(M^2) per hop) or,
     without `w`, the identity, whose exact products give the (N_B,) and
-    (M, N_B) matrix form.
+    (M, N_B) matrix form.  Given a sequence of surfaces, a generator yields
+    (j, a, B) BS first at each one a path crosses, each exact for the phases
+    the caller has updated so far (one Gauss-Seidel sweep).
     """
     scene = channels.scene
     down: dict[int, np.ndarray] = {}
@@ -266,8 +267,9 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None,
 
     x = np.eye(scene.n_bs, dtype=complex) if w is None else w
     col = np.s_[:, None] if w is None else np.s_[:]   # an element vector over x's columns
-    head: dict[int, np.ndarray] = {}
-    if irs in down:
+
+    def sweep(named):
+        total, head = h @ x, {}
         for v in reversed(down):       # the sources that reach a user, BS first
             for p in sorted(a for a, b in edges if b == v):
                 if p == 0:
@@ -277,12 +279,24 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs: int | None = None,
                 else:
                     continue                       # p is out of the BS's reach
                 head[v] = head[v] + term if v in head else term
-            if v == irs:
-                break
-    if irs not in head:
-        return h @ x, np.zeros((scene.node_size(irs), *x.shape[1:]), dtype=complex)
-    coeff = down[irs][0][col] * head[irs]
-    return h @ x - phases[irs] @ coeff, coeff
+            if v in named and v in head:
+                coeff = down[v][0][col] * head[v]
+                base = total - phases[v] @ coeff
+                yield v, base, coeff
+                total = base + phases[v] @ coeff   # with the caller's new phases[v]
+
+    if np.ndim(irs):
+        return sweep(set(irs))
+    for _, base, coeff in sweep({irs}):
+        return base, coeff
+    return h @ x, np.zeros((scene.node_size(irs), *x.shape[1:]), dtype=complex)
+
+
+def _irs_ids(scene: Scene, ids, name: str) -> list:
+    """`ids` as a list; a ValueError naming `name` unless it lists distinct surfaces."""
+    if not 0 < len(ids) == len(set(ids) & set(range(1, scene.n_irs + 1))):
+        raise ValueError(f"{name} must list distinct IRS ids in 1..{scene.n_irs}, got {list(ids)}")
+    return list(ids)
 
 
 def _path_edges(path, target: int) -> list:
@@ -306,8 +320,7 @@ def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int | 
     `path` is the ordered IRS index list; the terminal hop goes to the
     given user (default user 1).  Returns h with received amplitude h @ w.
     """
-    if not path:
-        raise ValueError("a reflection path needs at least one IRS")
+    _irs_ids(channels.scene, path, "path")
     target = channels.scene.n_irs + (user if user is not None else 1)
     return _compose(channels, _path_edges(path, target), phases)
 
@@ -339,7 +352,7 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
     return h
 
 
-def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs: int,
+def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs,
                              los_only: bool = False, include_direct: bool = True,
                              irs_subset=None, w: np.ndarray | None = None):
     """Decompose h = a + B^T theta_irs holding all other phases fixed.
@@ -347,14 +360,15 @@ def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs:
     Returns (a, B) with a of shape (N_B,) and B of shape (M, N_B), so the
     received amplitude for BS weights w is a @ w + theta @ (B @ w).  Given
     `w`, returns that projection (a @ w, B @ w) directly, at a vector's
-    cost per hop instead of a matrix's.
+    cost per hop instead of a matrix's.  A sequence `irs` gives `_compose`'s sweep.
     """
-    base, coeff = _compose(channels, _graph_edges(channels, user, los_only, irs_subset),
-                           phases, irs, w)
-    if include_direct:
-        direct = channels.direct(user)
-        base = base + (direct if w is None else direct @ w)
-    return base, coeff
+    form = _compose(channels, _graph_edges(channels, user, los_only, irs_subset), phases, irs, w)
+    if not include_direct:
+        return form
+    direct = channels.direct(user) if w is None else channels.direct(user) @ w
+    if np.ndim(irs):
+        return ((j, base + direct, coeff) for j, base, coeff in form)
+    return form[0] + direct, form[1]
 
 
 def mrt_beam(h: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Closed-form beam alignment, AO, and linear receivers."""
 
+import collections
+import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from irsim.beams import (ao_joint_beamforming, mrt_beam,
                          path_gain_with_direct)
 from irsim.channels import (cascaded_path_channel, effective_channel,
                             synthesize_channels, unit_phases)
+from irsim.cli import main
 from irsim.geometry import build_scene
 
 from conftest import double_only_config, zigzag_config
@@ -332,6 +336,59 @@ def test_ao_without_a_subset_composes_over_the_whole_graph(double_scene, monkeyp
     named = ao_joint_beamforming(channels, user=1, max_iters=3, irs_subset=(2, 1))
     assert subsets and all(s == [1, 2] for s in subsets)
     assert named.achieved_gains == whole.achieved_gains
+
+
+@pytest.mark.parametrize("subset", [[99], [0], []])
+def test_ao_rejects_an_unknown_or_empty_subset_before_any_composition(
+        double_scene, monkeypatch, subset):
+    channels = synthesize_channels(double_scene, 46)
+    monkeypatch.setattr(beams, "effective_channel", _no_composition)
+    monkeypatch.setattr(beams, "effective_channel_affine", _no_composition)
+    got = re.escape(str(subset))
+    with pytest.raises(ValueError, match=rf"irs_subset must list distinct IRS ids .*, got {got}"):
+        ao_joint_beamforming(channels, user=1, irs_subset=subset)
+
+
+@pytest.mark.parametrize("path", [[], [1, 99], [1, 1]])
+def test_optimize_path_phases_rejects_a_bad_path_before_any_composition(
+        double_scene, monkeypatch, path):
+    channels = synthesize_channels(double_scene, 47)
+    monkeypatch.setattr(beams, "_compose", _no_composition)
+    got = re.escape(str(path))
+    with pytest.raises(ValueError, match=rf"path must list distinct IRS ids in 1\.\.2, got {got}"):
+        optimize_path_phases(channels, path, user=1)
+    with pytest.raises(ValueError, match=rf"path .*got {got}"):
+        cascaded_path_channel(channels, path, unit_phases(double_scene))
+
+
+def test_ao_round_is_one_sweep_and_one_closing_channel(monkeypatch):
+    """Each AO round runs one surface sweep (one `effective_channel_affine`
+    call) and one closing `effective_channel`, after the starting one."""
+    channels = synthesize_channels(build_scene(zigzag_config(m0=2, n_bs=3, kappa_db=6)), 48)
+    calls = collections.Counter()
+
+    def counting(name, compose):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return compose(*args, **kwargs)
+        return wrapped
+
+    for name in ("effective_channel", "effective_channel_affine"):
+        monkeypatch.setattr(beams, name, counting(name, getattr(beams, name)))
+    for k in (0, 1, 4):
+        calls.clear()
+        sol = ao_joint_beamforming(channels, user=1, max_iters=k, tol=0.0)
+        assert sol.iterations == k and not (k and sol.converged)
+        assert (calls["effective_channel"], calls["effective_channel_affine"]) == (k + 1, k)
+
+
+def test_fig6_csv_matches_its_golden_digest(capsys):
+    """The CSV bytes of `irsim run --scenario fig6 --seed 0 --trials 10`, as
+    computed when each surface of a path still took its own composition:
+    the sweep keeps the path optimizer's BS-first update order."""
+    assert main(["run", "--scenario", "fig6", "--seed", "0", "--trials", "10"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "db1019e49e3a10aff342f0552ee3b6af55e4cf0bc54e7d5092cf01ceacd7d8aa"
 
 
 def test_uniform_channel_scaling_preserves_argmax():

@@ -5,7 +5,9 @@ BS and the users) with random unit-modulus phases: the dynamic program must
 agree with the explicit path sum, the affine form must rebuild the full
 channel for every surface, its projection onto a BS beam must equal the
 matrix form times that beam, and a path-restricted evaluator must reproduce
-the cascaded path channel.
+the cascaded path channel.  The sweep form of the affine decomposition must
+yield the surfaces its paths cross BS first, equal the single-surface form
+when nothing moves, and stay exact while the caller moves each surface.
 """
 
 import numpy as np
@@ -147,3 +149,60 @@ def test_path_evaluator_matches_cascaded_path_channel(instance):
         for a, b in zip(hops[1:-1], hops[2:]):
             ref = channels.get(a, b).matrix @ (phases[a][:, None] * ref)
         _assert_close(h, ref[0], np.linalg.norm(ref))
+
+
+def _unit_beam(rng, n):
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return w / np.linalg.norm(w)
+
+
+@PROPERTY_SETTINGS
+@given(random_instances())
+def test_sweep_yields_the_crossed_surfaces_bs_first(instance):
+    channels, phases, user, subset, los_only, _ = instance
+    graph = build_los_graph(channels.scene, user, require_los=los_only)
+    paths = [seq for seq in enumerate_graph_paths(graph) if set(seq) <= set(subset)]
+    sweep = effective_channel_affine(channels, user, phases, subset[::-1], los_only=los_only,
+                                     irs_subset=subset)
+    order = [j for j, _, _ in sweep]
+    assert sorted(order) == sorted({j for seq in paths for j in seq})
+    for seq in paths:                  # each path meets its surfaces in yield order
+        assert [j for j in order if j in seq] == list(seq)
+    sources = list(dict.fromkeys(a for a, _ in graph.edge_order))
+    assert order == [v for v in reversed(sources) if v in order]
+
+
+@PROPERTY_SETTINGS
+@given(random_instances())
+def test_sweep_without_updates_equals_each_single_surface_form(instance):
+    channels, phases, user, subset, los_only, rng = instance
+    for w in (_unit_beam(rng, channels.scene.n_bs), None):
+        for include_direct in (False, True):
+            compose = dict(los_only=los_only, irs_subset=subset, include_direct=include_direct,
+                           w=w)
+            for j, base, coeff in effective_channel_affine(channels, user, phases, subset,
+                                                           **compose):
+                want_base, want_coeff = effective_channel_affine(channels, user, phases, j,
+                                                                 **compose)
+                np.testing.assert_array_equal(coeff, want_coeff)
+                _assert_close(base, want_base, np.linalg.norm(want_base) + np.abs(coeff).sum())
+
+
+@PROPERTY_SETTINGS
+@given(random_instances())
+def test_sweep_carries_each_update_into_the_total(instance):
+    """Moving each yielded surface to random phases before resuming, every
+    pair (a, B) still rebuilds the full channel at the current phases."""
+    channels, phases, user, subset, los_only, rng = instance
+    compose = dict(los_only=los_only, irs_subset=subset)
+    for w in (_unit_beam(rng, channels.scene.n_bs), None):
+        current = {j: theta.copy() for j, theta in phases.items()}
+        scale = 0.0                    # bounds every path term met so far
+        for j, base, coeff in effective_channel_affine(channels, user, current, subset, w=w,
+                                                       **compose):
+            scale = max(scale, np.linalg.norm(base) + np.abs(coeff).sum())
+            for move in (False, True):     # as yielded, then after the move
+                if move:
+                    current[j][:] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeff.shape[0]))
+                h = effective_channel(channels, user, current, **compose)
+                _assert_close(base + current[j] @ coeff, h if w is None else h @ w, scale)
