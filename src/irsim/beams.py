@@ -32,36 +32,6 @@ class BeamSolution:
     iterations: int = 0
 
 
-def optimal_double_reflection_phases(v1: np.ndarray, v2: np.ndarray):
-    """Phase pair maximizing |(v1 @ phi1) * (v2 @ phi2)|.
-
-    Entries of v with zero magnitude get phase 0.  The attained squared
-    gain is (l1-norm of v1)**2 * (l1-norm of v2)**2 times |rho|^2 for the
-    factored channel rho * (v1 @ phi1) * (v2 @ phi2).
-    """
-    return np.exp(-1j * np.angle(v1)), np.exp(-1j * np.angle(v2))
-
-
-def double_reflection_factors(channels: ChannelSet):
-    """(rho, v1, v2) of the factored pure-LoS double-reflection channel.
-
-    Uses the SISO reduction of the BS->IRS1->IRS2->user-1 link: the scalar
-    channel is rho * (v1 @ phi1) * (v2 @ phi2) for a single-antenna BS.
-    """
-    q = channels.get(0, 1)
-    s = channels.get(1, 2)
-    g = channels.get(2, channels.scene.n_irs + 1)
-    for link in (q, s, g):
-        if link.los_gain is None:
-            raise ValueError(f"link ({link.i}, {link.j}) has no LoS decomposition")
-    if channels.scene.n_bs != 1:
-        raise ValueError("the factored double-reflection form is the SISO reduction")
-    rho = q.los_gain * s.los_gain * g.los_gain
-    v1 = q.los_rx * q.los_tx[0] * s.los_tx
-    v2 = s.los_rx * g.los_rx[0] * g.los_tx
-    return rho, v1, v2
-
-
 def multi_hop_phases(channels: ChannelSet, path, user: int = 1) -> dict:
     """Closed-form per-IRS phases aligning a pure-LoS reflection path.
 
@@ -94,26 +64,6 @@ def closed_form_path_gain(n: int, m_elements, n_bs: int, beta: float, distances)
     m = np.broadcast_to(np.asarray(m_elements, dtype=float), (n,))
     hops = beta * distances ** -2.0      # hop by hop, so a long route's factors cannot overflow
     return float(n_bs * hops[0] * np.prod(m ** 2 * hops[1:]))
-
-
-def path_gain_with_direct(n: int, m_elements, n_bs: int, beta: float, distances,
-                          f_direct: np.ndarray, bs_response: np.ndarray) -> float:
-    """Peak gain of a reflection path coherently combined with the direct
-    channel (MRT at the BS plus a common phase shift on one surface)."""
-    reflect = closed_form_path_gain(n, m_elements, n_bs, beta, distances)
-    cross = 2.0 * np.sqrt(reflect / n_bs) * abs(np.vdot(bs_response, f_direct))
-    return float(np.linalg.norm(f_direct) ** 2 + reflect + cross)
-
-
-def common_phase_combine(a_s: complex, a_d: complex) -> float:
-    """Common phase aligning e^{j t} a_s with e^{j 2t} a_d.
-
-    The combined power |e^{j t} a_s + e^{j 2t} a_d|^2 then reaches
-    (|a_s| + |a_d|)^2.  Returns 0 for a vanishing double term.
-    """
-    if a_d == 0:
-        return 0.0
-    return float(np.angle(a_s / a_d))
 
 
 def _align_phases(base: complex, coeff: np.ndarray, theta: np.ndarray) -> None:
@@ -250,26 +200,3 @@ def linear_receivers(H: np.ndarray, noise_power: float, tx_power: float,
     sinrs = _uplink_sinrs(H, R, tx_power, noise_power)
     return ReceiverResult(beams=R, sinrs=sinrs, scheme=scheme,
                           rank_deficient=deficient and scheme == "zf")
-
-
-@dataclass
-class RankGainReport:
-    rank_single: int
-    rank_double: int
-    bound: int
-    satisfied: bool
-
-
-def channel_rank_gain_check(g2: np.ndarray, q02: np.ndarray,
-                            h_single: np.ndarray, h_double: np.ndarray) -> RankGainReport:
-    """Check the spatial-multiplexing rank gain of the two-surface system.
-
-    Asserts rank(H_double) - rank(H_single) >= min(rank(G2), rank(Q02))
-    with tolerance-thresholded numerical ranks; valid on instances with a
-    blocked direct link.
-    """
-    r_s = numerical_rank(h_single)
-    r_d = numerical_rank(h_double)
-    bound = min(numerical_rank(g2), numerical_rank(q02))
-    return RankGainReport(rank_single=r_s, rank_double=r_d, bound=bound,
-                          satisfied=(r_d - r_s) >= bound)

@@ -1,5 +1,5 @@
-"""Beam routing on the LoS graph: single-user shortest path, the
-direct-link variant, and multi-user max-min routing under path separation.
+"""Beam routing on the LoS graph: single-user shortest path and multi-user
+max-min routing under path separation.
 
 The log transform of the closed-form path gain makes the single-user
 problem additive: a shortest path over the acyclic graph.  Ties are broken
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import closed_form_path_gain, multi_hop_phases, path_gain_with_direct
+from .beams import closed_form_path_gain, multi_hop_phases
 from .channels import effective_channel, enumerate_graph_paths, mrt_beam, unit_phases
 from .geometry import LosGraph, Scene, route_links
 
@@ -102,31 +102,18 @@ def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1
                           gain=path_gain(graph, seq, m_elements, beta, n_bs))
 
 
-def optimal_single_route_with_direct(graph: LosGraph, m_elements, beta: float, n_bs: int,
-                                     f_direct: np.ndarray, bs_responses: dict) -> ReflectionPath:
-    """Route maximizing the coherently combined reflection + direct gain.
-
-    `bs_responses` maps each first-hop IRS to the BS array response of
-    that link.  Falls back to the empty path (direct only) when the graph
-    is disconnected but the direct channel is nonzero.
-    """
-    def gain(seq):
-        return path_gain_with_direct(len(seq), [_irs_elements(j, m_elements) for j in seq],
-                                     n_bs, beta, path_distances(graph, seq), f_direct,
-                                     bs_responses[seq[0]])
-
-    best = _candidate_routes(graph, graph.user, gain)
-    if best:
-        return best[0]
-    f_norm = float(np.linalg.norm(f_direct))
-    if f_norm == 0.0:
-        raise NoFeasiblePath("no route and no direct channel")
-    return ReflectionPath(irs_sequence=(), user=graph.user, gain=f_norm ** 2)
-
-
 # ---------------------------------------------------------------------------
 # Multi-user routing
 # ---------------------------------------------------------------------------
+
+def _check_graphs(graphs: dict) -> None:
+    """ValueError unless `graphs` maps at least one user to that user's graph."""
+    if not graphs:
+        raise ValueError("graphs must map at least one user to its LoS graph")
+    for k, graph in graphs.items():
+        if graph.user != k:
+            raise ValueError(f"graphs[{k}] is the LoS graph of user {graph.user}")
+
 
 def check_path_separation(scene: Scene, paths: dict) -> bool:
     """True iff every pair of user routes is separated: disjoint surfaces
@@ -136,36 +123,24 @@ def check_path_separation(scene: Scene, paths: dict) -> bool:
                for idx, k in enumerate(users) for kp in users[idx + 1:])
 
 
-def _candidate_routes(graph: LosGraph, user: int, gain):
-    """Every route of a graph that `gain(seq)` scores (None drops it), ranked
-    by gain, then fewer hops, then the smaller surface sequence."""
-    cands = []
-    for seq in enumerate_routes(graph):
-        g = gain(seq)
-        if g is not None:
-            cands.append(ReflectionPath(irs_sequence=seq, user=user, gain=g))
-    cands.sort(key=lambda p: (-p.gain, p.hops, p.irs_sequence))
-    return cands
-
-
 def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
-                        n_bs: int = 1, gain_fn=None) -> RoutingSolution:
+                        n_bs: int = 1) -> RoutingSolution:
     """Max-min multi-user routing under the path-separation constraints.
 
     Exact recursive enumeration: users are ordered by their best
-    single-route gain, each keeps all its candidate routes, and assignments
-    are searched depth-first with min-gain pruning.  `gain_fn(user, seq)` may
-    replace the closed-form gain (e.g. trained approximate gains);
-    returning None drops a candidate.
+    single-route gain, each keeps all its routes (ranked by closed-form
+    gain, then fewer hops, then the smaller surface sequence), and
+    assignments are searched depth-first with min-gain pruning.  ValueError
+    when `graphs` is empty or files a graph under another user.
     """
-    if gain_fn is None:
-        def gain_fn(k, seq):
-            return path_gain(graphs[k], seq, m_elements, beta, n_bs)
+    _check_graphs(graphs)
     users = sorted(graphs)
     cands = {}
     diagnostics = {}
     for k in users:
-        cands[k] = _candidate_routes(graphs[k], k, lambda seq: gain_fn(k, seq))
+        routes = (ReflectionPath(seq, k, path_gain(graphs[k], seq, m_elements, beta, n_bs))
+                  for seq in enumerate_routes(graphs[k]))
+        cands[k] = sorted(routes, key=lambda p: (-p.gain, p.hops, p.irs_sequence))
         diagnostics[k] = len(cands[k])
         if not cands[k]:
             raise Infeasible(f"user {k} has no feasible route", diagnostics)
@@ -208,7 +183,9 @@ def _routes_separated(scene: Scene, pa: ReflectionPath, pb: ReflectionPath) -> b
 
 def unconstrained_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
                               n_bs: int = 1) -> RoutingSolution:
-    """Independent per-user optima, ignoring separation (for comparison)."""
+    """Independent per-user optima, ignoring separation (for comparison).
+    ValueError when `graphs` is empty or files a graph under another user."""
+    _check_graphs(graphs)
     paths = {k: optimal_single_route(graph, m_elements, beta, n_bs)
              for k, graph in sorted(graphs.items())}
     objective = min(p.gain for p in paths.values())

@@ -4,7 +4,8 @@ distributed table-driven protocol with offline/online phases.
 Beam training never touches explicit CSI: the searches probe the realized
 channels one node's codebook sweep at a time, while the distributed protocol
 builds per-node tables of received signal strengths (RSS) measured at the IRS
-controllers and composes them into end-to-end gain estimates.  Controller
+controllers, whose per-hop product (each hop's RSS over its unreflected
+incoming reference) is a composed end-to-end gain estimate.  Controller
 measurements average over a configurable number of fading realizations;
 with a pure-LoS channel they are deterministic and the composed estimate
 is exact for any beam choice.
@@ -20,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelSet, _compose, _graph_edges, _path_edges, _rician_draws
-from .geometry import Scene, build_los_graph, route_links
-from .routing import optimal_multi_route
+from .geometry import Scene, route_links
 
 
 class NotTrainable(RuntimeError):
@@ -331,70 +331,21 @@ def assemble_global_btt(bs_table: BeamTrainingTable, irs_tables) -> dict:
     return merged
 
 
-def _route_walk(gbtt: dict, path, user_node: int):
-    """Yield (node, table, previous node, next node) along a route: the BS
-    (previous node None), then each surface in order."""
+def best_beams_for_path(gbtt: dict, path, user_node: int):
+    """Per-hop argmax beam choices along a route, the BS (previous node None)
+    first; the composed estimate factorizes per hop."""
     links = [(None, 0), *route_links(path, user_node)]
+    choices = {}
     for (prev, node), (_, nxt) in zip(links, links[1:]):
         table = gbtt.get(node)
         if table is None:
             raise NotTrainable(f"no table for node {node}")
-        yield node, table, prev, nxt
-
-
-def approx_gain(gbtt: dict, path, user_node: int, beam_choices: dict) -> float:
-    """Composed end-to-end gain estimate of a route under given beams.
-
-    Multiplies the BS RSS toward the first surface with each hop's RSS
-    divided by the unreflected incoming reference; exact under pure LoS.
-    `beam_choices` maps node id (0 for the BS) to the beam index used.
-    """
-    estimate = 1.0
-    for node, table, prev, nxt in _route_walk(gbtt, path, user_node):
-        row = (prev, beam_choices[node], nxt)
-        reference = table.reference_rss.get(prev)
-        if row not in table.rows or reference is None:
-            raise NotTrainable(f"node {node} has no trained row {row}")
-        estimate *= table.rows[row] / reference
-    return float(estimate)
-
-
-def best_beams_for_path(gbtt: dict, path, user_node: int):
-    """Per-hop argmax beam choices; the estimate factorizes per hop."""
-    choices = {}
-    for node, table, prev, nxt in _route_walk(gbtt, path, user_node):
         rows = [(rss, beam) for (p, beam, n), rss in table.rows.items()
                 if p == prev and n == nxt]
         if not rows:
             raise NotTrainable(f"node {node} never trained hop ({prev} -> {nxt})")
         choices[node] = max(rows, key=lambda t: (t[0], -t[1]))[1]
     return choices
-
-
-def distributed_route_and_beams(scene: Scene, gbtt: dict, users=None):
-    """Joint route and beam selection from the global table alone.
-
-    Picks per-hop beams maximizing the composed estimate for every
-    candidate route, then routes the users by separated max-min on the
-    estimates (for one user: the best estimate, ties to fewer hops, then
-    the smaller surface sequence).  Returns the routing solution plus the
-    chosen beam indices per user.
-    """
-    users = list(users) if users is not None else list(range(1, scene.n_users + 1))
-    graphs = {k: build_los_graph(scene, k) for k in users}
-
-    def trained_gain(user, seq):
-        target = scene.n_irs + user
-        try:
-            choices = best_beams_for_path(gbtt, seq, target)
-            return approx_gain(gbtt, seq, target, choices)
-        except NotTrainable:
-            return None
-
-    solution = optimal_multi_route(scene, graphs, m_elements=0, beta=scene.constants.beta,
-                                   gain_fn=trained_gain)
-    return solution, {k: best_beams_for_path(gbtt, refl.irs_sequence, scene.n_irs + k)
-                      for k, refl in solution.paths.items()}
 
 
 def beams_from_choices(bs_codebook: Codebook, irs_codebooks: dict, choices: dict):

@@ -1,21 +1,13 @@
-"""Overhead formulas and the cascaded-channel least-squares estimators."""
+"""Overhead formulas and the cascaded-channel least-squares estimator."""
 
 import math
 
 import numpy as np
 import pytest
 
-from irsim.channels import cascaded_path_channel, synthesize_channels
-from irsim.estimation import (DecoupledEstimate, RankDeficientTraining,
-                              RankOneMismatch, default_training_pairs,
-                              ls_estimate_cascaded_siso,
-                              ls_estimate_los_decoupled, miso_cascade_forms,
-                              overhead_benchmark_siso_general,
-                              overhead_double_irs_single_user,
-                              overhead_multi_user_extra, siso_cascade_matrix)
-from irsim.geometry import build_scene
-
-from conftest import double_only_config
+from irsim.estimation import (RankDeficientTraining, default_training_pairs,
+                              ls_estimate_cascaded_siso, overhead_benchmark_siso_general,
+                              overhead_double_irs_single_user, overhead_multi_user_extra)
 
 
 # ---------------------------------------------------------------------------
@@ -133,173 +125,3 @@ def test_nmse_scales_linearly_with_noise_power():
     slope = np.polyfit(np.log10(sigmas), np.log10(nmse), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
     assert nmse[0] == pytest.approx(nmse[1] / 10.0, rel=0.3)
-
-
-# ---------------------------------------------------------------------------
-# decoupled rank-one estimator
-# ---------------------------------------------------------------------------
-
-def _rank_one_probe(rng, m, noise=0.0):
-    v1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    v2 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    rho = complex(rng.standard_normal(), rng.standard_normal())
-
-    def probe(phi1, phi2):
-        val = rho * (v1 @ phi1) * (v2 @ phi2)
-        if noise:
-            val += noise * complex(rng.standard_normal(), rng.standard_normal())
-        return val
-
-    return probe, (rho, v1, v2)
-
-
-def test_decoupled_noiseless_reconstruction_exact():
-    rng = np.random.default_rng(85)
-    m = 4
-    probe, (rho, v1, v2) = _rank_one_probe(rng, m)
-    est = ls_estimate_los_decoupled(probe, m)
-    for _ in range(20):
-        q1 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        q2 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        want = rho * (v1 @ q1) * (v2 @ q2)
-        assert est.reconstruct(q1, q2) == pytest.approx(want, rel=1e-10)
-
-
-def test_decoupled_pilot_budget_is_2m():
-    m = 5
-    count = {"n": 0}
-
-    rng = np.random.default_rng(86)
-    probe, _ = _rank_one_probe(rng, m)
-
-    def counting_probe(p1, p2):
-        count["n"] += 1
-        return probe(p1, p2)
-
-    ls_estimate_los_decoupled(counting_probe, m, n_validation=3)
-    assert count["n"] == 2 * m + 3
-
-
-def test_scalar_ambiguity_invariance():
-    rng = np.random.default_rng(87)
-    m = 3
-    probe, (rho, v1, v2) = _rank_one_probe(rng, m)
-    est = ls_estimate_los_decoupled(probe, m)
-    w1, w2 = est.factors
-    # (c v1, v2 / c) describes the same product channel
-    scaled = DecoupledEstimate(c1=est.c1 * 3.7j, c2=est.c2,
-                               anchor=est.anchor * 3.7j, residual=0.0)
-    for _ in range(10):
-        q1 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        q2 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        assert scaled.reconstruct(q1, q2) == pytest.approx(est.reconstruct(q1, q2),
-                                                           rel=1e-10)
-        assert (w1 @ q1) * (w2 @ q2) == pytest.approx(est.reconstruct(q1, q2),
-                                                      rel=1e-10)
-    assert np.angle(w1[0]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_full_rank_channel_fails_residual_test():
-    rng = np.random.default_rng(88)
-    m = 4
-    rejected = 0
-    for _ in range(10):
-        s = _random_cascade(rng, m)
-
-        def probe(p1, p2, s=s):
-            return complex(p1 @ s @ p2)
-
-        try:
-            ls_estimate_los_decoupled(probe, m, residual_tol=1e-6)
-        except RankOneMismatch:
-            rejected += 1
-    assert rejected == 10
-
-
-def test_decoupled_estimator_on_synthesized_los_cascade():
-    scene = build_scene(double_only_config(m0=2, n_bs=1))
-    channels = synthesize_channels(scene, 89)
-    m = scene.irs[0].size
-
-    def probe(phi1, phi2):
-        h = cascaded_path_channel(channels, [1, 2], {1: phi1, 2: phi2})
-        return complex(h[0])
-
-    est = ls_estimate_los_decoupled(probe, m)
-    rng = np.random.default_rng(90)
-    for _ in range(10):
-        q1 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        q2 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        assert est.reconstruct(q1, q2) == pytest.approx(probe(q1, q2), rel=1e-10)
-
-
-def test_rayleigh_inter_surface_rejected():
-    cfg = double_only_config(m0=2, n_bs=1,
-                             link_overrides={"1-2": {"kappa_db": "-inf"}})
-    scene = build_scene(cfg)
-    channels = synthesize_channels(scene, 91)
-
-    def probe(phi1, phi2):
-        h = cascaded_path_channel(channels, [1, 2], {1: phi1, 2: phi2})
-        return complex(h[0])
-
-    with pytest.raises(RankOneMismatch):
-        ls_estimate_los_decoupled(probe, scene.irs[0].size)
-
-
-# ---------------------------------------------------------------------------
-# cascade-form identities
-# ---------------------------------------------------------------------------
-
-def test_siso_cascade_matrix_matches_composition():
-    scene = build_scene(double_only_config(m0=3, n_bs=1, kappa_db=9))
-    channels = synthesize_channels(scene, 92)
-    m = scene.irs[0].size
-    q01 = channels.get(0, 1).matrix[:, 0]
-    s12 = channels.get(1, 2).matrix
-    r2 = channels.get(2, 3).matrix[0]
-    s_vec = siso_cascade_matrix(q01, s12, r2)
-    rng = np.random.default_rng(93)
-    for _ in range(10):
-        phi1 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        phi2 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        h = cascaded_path_channel(channels, [1, 2], {1: phi1, 2: phi2})
-        assert (phi1 @ s_vec @ phi2) == pytest.approx(complex(h[0]), rel=1e-12)
-
-
-def test_miso_cascade_reconstruction_identity():
-    scene = build_scene(double_only_config(m0=3, n_bs=4, kappa_db=9))
-    cfg = double_only_config(m0=3, n_bs=4, kappa_db=9)
-    cfg["obstacles"] = []            # single-reflection links must exist
-    scene = build_scene(cfg)
-    channels = synthesize_channels(scene, 94)
-    h01 = channels.get(0, 1).matrix
-    s12 = channels.get(1, 2).matrix
-    r1 = channels.get(1, 3).matrix[0]
-    r2 = channels.get(2, 3).matrix[0]
-    forms = miso_cascade_forms(h01, r1, s12, r2)
-    assert forms.reconstruction_error() < 1e-12
-
-    # the per-element cascades reproduce the double-reflection composition
-    m = scene.irs[0].size
-    rng = np.random.default_rng(95)
-    phi1 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-    phi2 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-    h_double = cascaded_path_channel(channels, [1, 2], {1: phi1, 2: phi2})
-    composed = sum(forms.s_tilde[mm] @ phi1 * phi2[mm] for mm in range(m))
-    assert np.allclose(composed, h_double, rtol=1e-10)
-
-    # and the single-reflection cascade matches too
-    h_single = cascaded_path_channel(channels, [1], {1: phi1})
-    assert np.allclose(forms.r1 @ phi1, h_single, rtol=1e-10)
-
-
-def test_zero_entry_scaling_vector_rejected():
-    rng = np.random.default_rng(96)
-    m = 3
-    h01 = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-    s12 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    r1 = np.array([1.0, 0.0, 1.0], dtype=complex)
-    r2 = np.ones(m, dtype=complex)
-    with pytest.raises(ValueError, match="zero"):
-        miso_cascade_forms(h01, r1, s12, r2)

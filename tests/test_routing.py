@@ -9,11 +9,12 @@ import pytest
 
 from irsim.beams import closed_form_path_gain
 from irsim.geometry import LosGraph, build_los_graph, build_scene, los_indicator
+from irsim import routing
 from irsim.routing import (Infeasible, NoFeasiblePath, ReflectionPath,
                            check_path_separation, edge_weight, enumerate_routes,
                            interference_audit, optimal_multi_route,
-                           optimal_single_route, optimal_single_route_with_direct,
-                           path_distances, path_gain, unconstrained_multi_route)
+                           optimal_single_route, path_distances, path_gain,
+                           unconstrained_multi_route)
 from irsim.channels import synthesize_channels
 from irsim.scenarios import indoor_hall_config
 
@@ -255,56 +256,6 @@ def test_adding_edge_never_hurts_and_m_monotone():
 
 
 # ---------------------------------------------------------------------------
-# direct-link variant
-# ---------------------------------------------------------------------------
-
-def test_with_direct_reduces_to_bellman_ford_when_zero():
-    rng = np.random.default_rng(56)
-    n_bs = 4
-    for _ in range(30):
-        graph = synthetic_graph(rng, 6)
-        routes = enumerate_routes(graph)
-        if not routes:
-            continue
-        responses = {seq[0]: np.exp(1j * rng.uniform(0, 2 * np.pi, n_bs))
-                     for seq in routes}
-        f0 = np.zeros(n_bs, dtype=complex)
-        got = optimal_single_route_with_direct(graph, 16, BETA, n_bs, f0, responses)
-        want = optimal_single_route(graph, 16, BETA, n_bs)
-        assert got.gain == pytest.approx(want.gain, rel=1e-12)
-
-
-def test_with_direct_matches_enumeration():
-    from irsim.beams import path_gain_with_direct
-    rng = np.random.default_rng(57)
-    n_bs = 4
-    for _ in range(30):
-        graph = synthetic_graph(rng, 5)
-        routes = enumerate_routes(graph)
-        if not routes:
-            continue
-        responses = {seq[0]: np.exp(1j * rng.uniform(0, 2 * np.pi, n_bs))
-                     for seq in routes}
-        f = 1e-4 * (rng.standard_normal(n_bs) + 1j * rng.standard_normal(n_bs))
-        got = optimal_single_route_with_direct(graph, 16, BETA, n_bs, f, responses)
-        want = max(path_gain_with_direct(len(seq), 16, n_bs, BETA,
-                                         path_distances(graph, seq), f, responses[seq[0]])
-                   for seq in routes)
-        assert got.gain == pytest.approx(want, rel=1e-12)
-
-
-def test_with_direct_disconnected_fallback():
-    rng = np.random.default_rng(58)
-    graph = synthetic_graph(rng, 3, edge_prob=0.0)
-    f = np.array([1.0 + 0j, 2.0])
-    got = optimal_single_route_with_direct(graph, 4, BETA, 2, f, {})
-    assert got.irs_sequence == ()
-    assert got.gain == pytest.approx(5.0)
-    with pytest.raises(NoFeasiblePath):
-        optimal_single_route_with_direct(graph, 4, BETA, 2, np.zeros(2), {})
-
-
-# ---------------------------------------------------------------------------
 # path separation
 # ---------------------------------------------------------------------------
 
@@ -423,6 +374,29 @@ def test_infeasible_reports_diagnostics():
     with pytest.raises(Infeasible) as err:
         optimal_multi_route(scene, graphs, 576, scene.constants.beta, scene.n_bs)
     assert isinstance(err.value.diagnostics, dict)
+
+
+def _no_routing(*args, **kwargs):
+    raise AssertionError("a route was searched")
+
+
+@pytest.mark.parametrize("router", [optimal_multi_route, unconstrained_multi_route])
+def test_multi_routers_reject_empty_graphs_before_any_work(router, monkeypatch):
+    scene = _hall_scene()
+    monkeypatch.setattr(routing, "enumerate_routes", _no_routing)
+    monkeypatch.setattr(routing, "optimal_single_route", _no_routing)
+    with pytest.raises(ValueError, match="graphs must map at least one user"):
+        router(scene, {}, 576, scene.constants.beta, scene.n_bs)
+
+
+@pytest.mark.parametrize("router", [optimal_multi_route, unconstrained_multi_route])
+def test_multi_routers_reject_a_graph_filed_under_another_user(router, monkeypatch):
+    scene = _hall_scene()
+    graphs = {1: build_los_graph(scene, 1), 2: build_los_graph(scene, 1)}
+    monkeypatch.setattr(routing, "enumerate_routes", _no_routing)
+    monkeypatch.setattr(routing, "optimal_single_route", _no_routing)
+    with pytest.raises(ValueError, match=r"graphs\[2\] is the LoS graph of user 1"):
+        router(scene, graphs, 576, scene.constants.beta, scene.n_bs)
 
 
 # ---------------------------------------------------------------------------

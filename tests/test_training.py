@@ -15,11 +15,10 @@ from irsim.cli import main
 from irsim.experiments import FIG13_KAPPAS_DB, FIG13_PATH
 from irsim.geometry import build_scene, route_links
 from irsim.scenarios import indoor_hall_config, with_users
-from irsim.training import (Codebook, GainEvaluator, NotTrainable, approx_gain,
-                            assemble_global_btt, beams_from_choices, build_bs_btt,
-                            build_irs_btt, dft_codebook, distributed_route_and_beams,
-                            exhaustive_search, irs_neighbor_sets, planar_passive_codebook,
-                            sequential_search, best_beams_for_path)
+from irsim.training import (Codebook, GainEvaluator, NotTrainable, assemble_global_btt,
+                            beams_from_choices, best_beams_for_path, build_bs_btt,
+                            build_irs_btt, dft_codebook, exhaustive_search, irs_neighbor_sets,
+                            planar_passive_codebook, sequential_search)
 
 from conftest import chain_config, zigzag_config
 
@@ -355,6 +354,18 @@ def test_empty_irs_tables_leave_bs_only():
 # composed gain estimates
 # ---------------------------------------------------------------------------
 
+def _estimate(gbtt, path, user_node, choices):
+    """Composed gain estimate of a route under given beams: the BS RSS toward
+    the first surface times each hop's RSS over its unreflected incoming
+    reference (1.0 at the BS)."""
+    links = [(None, 0), *route_links(path, user_node)]
+    estimate = 1.0
+    for (prev, node), (_, nxt) in zip(links, links[1:]):
+        table = gbtt[node]
+        estimate *= table.rows[(prev, choices[node], nxt)] / table.reference_rss[prev]
+    return estimate
+
+
 def _pure_los_tables(scene, bs_cb, irs_cbs, path):
     bs_table = build_bs_btt(scene, bs_cb, threshold=0.0, seed=10, averages=1)
     tables = [build_irs_btt(scene, j, irs_cbs[j], threshold=0.0, seed=10, averages=1)
@@ -367,7 +378,7 @@ def test_single_hop_estimate_equals_bs_rss():
     bs_cb = dft_codebook(2, 2, kind="active")
     irs_cbs = {1: planar_passive_codebook(2, 2)}
     gbtt = _pure_los_tables(scene, bs_cb, irs_cbs, (1,))
-    est = approx_gain(gbtt, (1,), scene.n_irs + 1, {0: 0, 1: 0})
+    est = _estimate(gbtt, (1,), scene.n_irs + 1, {0: 0, 1: 0})
     # single hop: the composition is BS RSS times one normalized hop
     bs_rss = gbtt[0].rows[(None, 0, 1)]
     hop = gbtt[1].rows[(0, 0, 2)] / gbtt[1].reference_rss[0]
@@ -386,7 +397,7 @@ def test_estimate_exact_under_pure_los_any_beams():
         choices = {0: int(rng.integers(bs_cb.size))}
         for j in path:
             choices[j] = int(rng.integers(irs_cbs[j].size))
-        est = approx_gain(gbtt, path, scene.n_irs + 1, choices)
+        est = _estimate(gbtt, path, scene.n_irs + 1, choices)
         w, phases = beams_from_choices(bs_cb, irs_cbs, choices)
         h = cascaded_path_channel(channels, list(path), phases, user=1)
         true = float(abs(h @ w) ** 2)
@@ -402,7 +413,7 @@ def test_estimate_matched_beams_equals_closed_form():
     bs_cb = Codebook(beams=w_star[None, :])
     irs_cbs = {j: Codebook(beams=aligned[j][None, :]) for j in path}
     gbtt = _pure_los_tables(scene, bs_cb, irs_cbs, path)
-    est = approx_gain(gbtt, path, scene.n_irs + 1, {0: 0, 1: 0, 2: 0})
+    est = _estimate(gbtt, path, scene.n_irs + 1, {0: 0, 1: 0, 2: 0})
     seq = [0, *path, scene.n_irs + 1]
     want = closed_form_path_gain(2, 4, 2, scene.constants.beta,
                                  [scene.distance(a, b) for a, b in zip(seq[:-1], seq[1:])])
@@ -419,7 +430,7 @@ def test_estimate_inexact_under_fading():
     tables = [build_irs_btt(scene, j, irs_cbs[j], threshold=0.0, seed=15, averages=10)
               for j in path]
     gbtt = assemble_global_btt(bs_table, tables)
-    est = approx_gain(gbtt, path, scene.n_irs + 1, {0: 0, 1: 0, 2: 0})
+    est = _estimate(gbtt, path, scene.n_irs + 1, {0: 0, 1: 0, 2: 0})
     w, phases = beams_from_choices(bs_cb, irs_cbs, {0: 0, 1: 0, 2: 0})
     h = cascaded_path_channel(channels, list(path), phases, user=1)
     true = float(abs(h @ w) ** 2)
@@ -431,47 +442,20 @@ def test_estimate_inexact_under_fading():
 def test_missing_row_raises_not_trainable():
     scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2))
     bs_cb = dft_codebook(2, 2, kind="active")
-    irs_cbs = {j: planar_passive_codebook(2, 2) for j in (1, 2)}
-    gbtt = _pure_los_tables(scene, bs_cb, irs_cbs, (1, 2))
-    with pytest.raises(NotTrainable):
-        approx_gain(gbtt, (1, 2), scene.n_irs + 1, {0: 0, 1: 99, 2: 0})
+    # a BS table thresholded empty never trained its hop toward surface 1
     empty = assemble_global_btt(build_bs_btt(scene, bs_cb, threshold=1e9, seed=0), [])
-    with pytest.raises(NotTrainable):
-        approx_gain(empty, (1,), scene.n_irs + 1, {0: 0, 1: 0})
+    with pytest.raises(NotTrainable, match=r"node 0 never trained hop \(None -> 1\)"):
+        best_beams_for_path(empty, (1,), scene.n_irs + 1)
+    # surface 2 has no table at all
+    gbtt = _pure_los_tables(scene, bs_cb, {1: planar_passive_codebook(2, 2)}, (1,))
+    assert best_beams_for_path(gbtt, (1,), scene.n_irs + 1).keys() == {0, 1}
+    with pytest.raises(NotTrainable, match="no table for node 2"):
+        best_beams_for_path(gbtt, (1, 2), scene.n_irs + 1)
 
 
 # ---------------------------------------------------------------------------
 # distributed selection
 # ---------------------------------------------------------------------------
-
-def test_distributed_matches_model_based_route_at_pure_los():
-    scene = build_scene(zigzag_config(n_hops=3, m0=2, n_bs=2))
-    channels = synthesize_channels(scene, 16)
-    from irsim.geometry import build_los_graph
-    from irsim.routing import optimal_single_route
-    graph = build_los_graph(scene, 1)
-    model = optimal_single_route(graph, 4, scene.constants.beta, scene.n_bs)
-
-    # codebooks contain the aligned beams of the model-based optimum
-    aligned = multi_hop_phases(channels, list(model.irs_sequence), user=1)
-    bs_cb = Codebook(beams=np.stack(
-        [dft_codebook(2, 2, kind="active").beams[0],
-         mrt_beam(channels.get(0, model.irs_sequence[0]).los_tx)]))
-    irs_cbs = {}
-    for j in range(1, scene.n_irs + 1):
-        planar = planar_passive_codebook(2, 2)
-        base = np.stack([planar.row(d) for d in range(planar.size)])
-        extra = aligned[j][None, :] if j in aligned else base[:1]
-        irs_cbs[j] = Codebook(beams=np.vstack([base, extra]))
-
-    bs_table = build_bs_btt(scene, bs_cb, seed=17, averages=1)
-    tables = [build_irs_btt(scene, j, irs_cbs[j], seed=17, averages=1)
-              for j in range(1, scene.n_irs + 1)]
-    gbtt = assemble_global_btt(bs_table, tables)
-    solution, choices = distributed_route_and_beams(scene, gbtt, users=[1])
-    assert solution.paths[1].irs_sequence == model.irs_sequence
-    assert solution.paths[1].gain == pytest.approx(model.gain, rel=1e-9)
-
 
 def test_training_hierarchy_on_random_instances():
     rng = np.random.default_rng(18)
@@ -501,16 +485,6 @@ def test_training_hierarchy_on_random_instances():
     assert checked == 25
 
 
-def test_distributed_untrainable_raises():
-    scene = build_scene(zigzag_config(n_hops=1, m0=2, n_bs=2))
-    bs_cb = dft_codebook(2, 2, kind="active")
-    empty_bs = build_bs_btt(scene, bs_cb, threshold=1e9, seed=19)
-    gbtt = assemble_global_btt(empty_bs, [])
-    from irsim.routing import Infeasible
-    with pytest.raises(Infeasible):
-        distributed_route_and_beams(scene, gbtt, users=[1])
-
-
 @pytest.mark.parametrize("kappa_db", [5.0, 10.0, 15.0, 20.0])
 def test_best_beams_maximize_composed_estimate(kappa_db):
     # the estimate is a product of per-hop factors, so the per-hop argmax
@@ -526,9 +500,9 @@ def test_best_beams_maximize_composed_estimate(kappa_db):
                                 averages=10) for j in path]
         gbtt = assemble_global_btt(bs_table, tables)
         user = scene.n_irs + 1
-        best = approx_gain(gbtt, path, user, best_beams_for_path(gbtt, path, user))
+        best = _estimate(gbtt, path, user, best_beams_for_path(gbtt, path, user))
         for b0, b1, b2 in itertools.product(range(2), range(4), range(4)):
-            assert best >= approx_gain(gbtt, path, user, {0: b0, 1: b1, 2: b2})
+            assert best >= _estimate(gbtt, path, user, {0: b0, 1: b1, 2: b2})
 
 
 def test_irs_btt_with_both_neighbor_lists_skips_neighbor_search(monkeypatch):
