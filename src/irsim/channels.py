@@ -14,8 +14,8 @@ carrier phase of the nominal distance.  Rician mixing adds an i.i.d.
 circularly-symmetric Gaussian part; that law is written once (`_rician_draws`)
 and also serves the reference-point controller links of beam training.
 
-Every path or graph composition (one explicit path, the full path sum and
-its affine form in one surface's phases, as matrices or projected onto a BS
+Every path or graph composition (one explicit path, the full path sum, and
+the sweep of its affine forms in each surface's phases projected onto a BS
 beam) goes through one dynamic program over an ordered edge list, `_compose`.
 """
 
@@ -241,16 +241,13 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray 
     `edges` holds directed (a, b) node pairs grouped by source, the sources
     in reverse topological order (the BS last) and each source's
     successors in ascending order.  One tail pass builds down[v], the row
-    mapping the signal incident on v's elements to the user amplitude, so
-    h = down[0].  Given `irs`, one head pass also aggregates the BS-to-irs
-    channel projected onto x, and the result is the pair (a, B) with
-    h @ x = a + phases[irs] @ B; a surface no path crosses gets B = 0.
-    x is the BS beam `w` (a scalar a, a vector B, O(M^2) per hop) or,
-    without `w`, the identity, whose exact products give the (N_B,) and
-    (M, N_B) matrix form.  Given a sequence of surfaces, a generator yields
-    (j, a, B) BS first at each one a path crosses, each exact for the phases
-    the caller has updated so far (one Gauss-Seidel sweep).
-    """
+    mapping the signal incident on v's elements to the user amplitude, and
+    returns h = down[0].  Given surfaces `irs` and a BS beam `w`, a generator
+    instead runs one head pass BS first, carrying the BS-to-v channel times w
+    (O(M^2) per hop), and yields (j, a, b) at each surface of `irs` a path
+    crosses: h @ w = a + phases[j] @ b, exact for the phases the caller has
+    moved so far (one Gauss-Seidel sweep; down[j] needs only the surfaces
+    after j, which the sweep has not reached)."""
     scene = channels.scene
     down: dict[int, np.ndarray] = {}
     for a, b in edges:
@@ -265,31 +262,24 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray 
     if irs is None:
         return h
 
-    x = np.eye(scene.n_bs, dtype=complex) if w is None else w
-    col = np.s_[:, None] if w is None else np.s_[:]   # an element vector over x's columns
-
     def sweep(named):
-        total, head = h @ x, {}
+        total, head = h @ w, {}
         for v in reversed(down):       # the sources that reach a user, BS first
             for p in sorted(a for a, b in edges if b == v):
                 if p == 0:
-                    term = channels.get(0, v).matrix @ x
+                    term = channels.get(0, v).matrix @ w
                 elif p in head:
-                    term = channels.get(p, v).matrix @ (head[p] * phases[p][col])
+                    term = channels.get(p, v).matrix @ (head[p] * phases[p])
                 else:
                     continue                       # p is out of the BS's reach
                 head[v] = head[v] + term if v in head else term
             if v in named and v in head:
-                coeff = down[v][0][col] * head[v]
+                coeff = down[v][0] * head[v]
                 base = total - phases[v] @ coeff
                 yield v, base, coeff
                 total = base + phases[v] @ coeff   # with the caller's new phases[v]
 
-    if np.ndim(irs):
-        return sweep(set(irs))
-    for _, base, coeff in sweep({irs}):
-        return base, coeff
-    return h @ x, np.zeros((scene.node_size(irs), *x.shape[1:]), dtype=complex)
+    return sweep(set(irs))
 
 
 def _irs_ids(scene: Scene, ids, name: str) -> list:
@@ -352,23 +342,17 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
     return h
 
 
-def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs,
+def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs, w: np.ndarray,
                              los_only: bool = False, include_direct: bool = True,
-                             irs_subset=None, w: np.ndarray | None = None):
-    """Decompose h = a + B^T theta_irs holding all other phases fixed.
-
-    Returns (a, B) with a of shape (N_B,) and B of shape (M, N_B), so the
-    received amplitude for BS weights w is a @ w + theta @ (B @ w).  Given
-    `w`, returns that projection (a @ w, B @ w) directly, at a vector's
-    cost per hop instead of a matrix's.  A sequence `irs` gives `_compose`'s sweep.
-    """
-    form = _compose(channels, _graph_edges(channels, user, los_only, irs_subset), phases, irs, w)
+                             irs_subset=None):
+    """`_compose`'s sweep over the user's reflection graph: (j, a, b) BS first
+    at each surface of `irs` a path crosses, with h @ w = a + phases[j] @ b
+    exact for the phases the caller has updated so far."""
+    sweep = _compose(channels, _graph_edges(channels, user, los_only, irs_subset), phases, irs, w)
     if not include_direct:
-        return form
-    direct = channels.direct(user) if w is None else channels.direct(user) @ w
-    if np.ndim(irs):
-        return ((j, base + direct, coeff) for j, base, coeff in form)
-    return form[0] + direct, form[1]
+        return sweep
+    direct = channels.direct(user) @ w
+    return ((j, base + direct, coeff) for j, base, coeff in sweep)
 
 
 def mrt_beam(h: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelSet, _compose, _graph_edges, _path_edges, _rician_draws
+from .channels import (ChannelSet, _compose, _graph_edges, _irs_ids, _path_edges,
+                       _rician_draws)
 from .geometry import Scene, route_links
 
 
@@ -87,9 +88,9 @@ class GainEvaluator:
     """Scores codebook beams by their min-user SNR on realized channels.
 
     `path` restricts the composition to one reflection route; otherwise the
-    path sum runs over the LoS reflection graph of the surfaces `irs_ids`.
-    The direct link is never included.  `sweep` scores one node's whole
-    codebook with every other node held fixed, which serves both searches.
+    path sum runs over the LoS reflection graph of the surfaces `irs_ids`
+    (those with codebooks).  The direct link is never included.  ValueError
+    unless both name distinct surfaces and `irs_ids` holds every path surface.
     """
 
     def __init__(self, channels: ChannelSet, users, irs_ids=None, path=None):
@@ -99,8 +100,10 @@ class GainEvaluator:
             raise ValueError("users must name at least one user")
         scene = channels.scene
         every = list(range(1, scene.n_irs + 1))
-        self.irs_ids = (list(path) if path is not None else
-                        sorted(irs_ids if irs_ids is not None else every))
+        ids = every if irs_ids is None else _irs_ids(scene, sorted(irs_ids), "irs_codebooks")
+        self.irs_ids = ids if path is None else _irs_ids(scene, path, "path")
+        if not set(self.irs_ids) <= set(ids):
+            raise ValueError(f"irs_codebooks lacks a surface of path {self.irs_ids}")
         subset = None if self.irs_ids == every else self.irs_ids   # the graph's own edge list
         self._edges = {k: (_path_edges(path, scene.n_irs + k) if path is not None
                            else _graph_edges(channels, k, True, subset))
@@ -110,21 +113,30 @@ class GainEvaluator:
     def _channel(self, user: int, phases: dict) -> np.ndarray:
         return _compose(self.channels, self._edges[user], phases)
 
-    def sweep(self, node: int, codebook: Codebook, w: np.ndarray, phases: dict) -> np.ndarray:
-        """Min-user SNR of every beam in the codebook of `node` (0 for the BS,
-        whose sweep ignores `w`), the other nodes held at `w` and `phases`;
-        counts one evaluation per beam."""
+    def _snrs(self, codebook: Codebook, amps) -> np.ndarray:
         consts = self.channels.scene.constants
-        snrs = np.full(codebook.size, np.inf)
-        for k in self.users:
-            if node == 0:
-                amps = codebook.apply(self._channel(k, phases))
-            else:
-                base, coeff = _compose(self.channels, self._edges[k], phases, node, w)
-                amps = codebook.apply(coeff) + base
-            snrs = np.minimum(snrs, consts.tx_power * np.abs(amps) ** 2 / consts.noise_power)
         self.evaluations += codebook.size
-        return snrs
+        return np.min([consts.tx_power * np.abs(a) ** 2 / consts.noise_power for a in amps], axis=0)
+
+    def sweep(self, codebook: Codebook, phases: dict) -> np.ndarray:
+        """Min-user SNR of every BS beam in `codebook`, the surfaces held at
+        `phases`; like `search_sweep`, counts one evaluation per beam."""
+        return self._snrs(codebook, [codebook.apply(self._channel(k, phases)) for k in self.users])
+
+    def search_sweep(self, codebooks: dict, choices: dict):
+        """Yield (node, snrs) for the BS and then, BS first, each surface the
+        paths cross, the other nodes at their beams in `choices` (which the
+        caller may move before resuming): one composition sweep per user,
+        opened with the chosen BS beam, run in lockstep over the same surfaces."""
+        _, phases = beams_from_choices(codebooks[0], codebooks, choices)
+        yield 0, self.sweep(codebooks[0], phases)
+        w = codebooks[0].row(choices[0])
+        for forms in zip(*(_compose(self.channels, self._edges[k], phases, self.irs_ids, w)
+                           for k in self.users)):
+            node, codebook = forms[0][0], codebooks[forms[0][0]]
+            yield node, self._snrs(codebook, [codebook.apply(coeff) + base
+                                              for _, base, coeff in forms])
+            phases[node] = codebook.row(choices[node])
 
 
 @dataclass
@@ -162,7 +174,7 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
     for choice in itertools.product(*(range(irs_codebooks[j].size) for j in ids)):
         irs_idx = dict(zip(ids, choice))
         _, phases = beams_from_choices(bs_codebook, irs_codebooks, {0: 0, **irs_idx})
-        snrs = evaluator.sweep(0, bs_codebook, None, phases)
+        snrs = evaluator.sweep(bs_codebook, phases)
         bs_idx = int(np.argmax(snrs))                # the lowest BS index among ties
         key = (float(snrs[bs_idx]), -bs_idx)
         if best is None or key > best[0]:            # strict: earlier surface indices win ties
@@ -178,20 +190,22 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
                       irs_codebooks: dict, path=None, max_sweeps: int = 20) -> TrainedBeams:
     """Cyclic per-node beam updates until a full sweep changes nothing.
 
-    Each sweep costs D_B + sum_j D_I(j) evaluations; the min-user SNR is
-    nondecreasing across updates.  ValueError for max_sweeps below 1.
+    Each sweep updates the BS and then, BS first, each surface a path
+    crosses, at D_B + sum_j D_I(j) evaluations over those surfaces; the
+    min-user SNR is nondecreasing across updates.  ValueError for
+    max_sweeps below 1, or for several users without a path.
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path)
+    if path is None and len(evaluator.users) > 1:
+        raise ValueError("sequential search over the graph serves one user; give a path")
     ids = evaluator.irs_ids
     codebooks = {0: bs_codebook, **{j: irs_codebooks[j] for j in ids}}
     choices = dict.fromkeys(codebooks, 0)          # node -> beam index, the BS first
     for sweeps in range(1, max_sweeps + 1):
         changed = False
-        for node, codebook in codebooks.items():
-            w, phases = beams_from_choices(bs_codebook, irs_codebooks, choices)
-            snrs = evaluator.sweep(node, codebook, w, phases)
+        for node, snrs in evaluator.search_sweep(codebooks, choices):
             new = int(np.argmax(snrs))
             if snrs[new] > snrs[choices[node]]:
                 choices[node], changed = new, True

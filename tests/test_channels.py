@@ -307,15 +307,19 @@ def test_effective_channel_affine_decomposition():
     channels = synthesize_channels(scene, 14)
     rng = np.random.default_rng(15)
     phases = {j: np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for j in (1, 2, 3)}
-    h = effective_channel(channels, 1, phases, los_only=True)
-    for j in (1, 2, 3):
-        base, coeff = effective_channel_affine(channels, 1, phases, j, los_only=True)
-        assert np.allclose(base + phases[j] @ coeff, h, rtol=1e-12)
+    w = mrt_beam(rng.normal(size=2) + 1j * rng.normal(size=2))
+    amp = effective_channel(channels, 1, phases, los_only=True) @ w
+    sweep = effective_channel_affine(channels, 1, phases, (3, 1, 2), w, los_only=True)
+    seen = []
+    for j, base, coeff in sweep:
+        seen.append(j)
+        assert np.shape(base) == () and coeff.shape == (4,)
+        assert np.isclose(base + phases[j] @ coeff, amp, rtol=1e-12)
         # swapping the phase vector stays consistent
         other = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        swapped = {**phases, j: other}
-        h_other = effective_channel(channels, 1, swapped, los_only=True)
-        assert np.allclose(base + other @ coeff, h_other, rtol=1e-12)
+        amp_other = effective_channel(channels, 1, {**phases, j: other}, los_only=True) @ w
+        assert np.isclose(base + other @ coeff, amp_other, rtol=1e-12)
+    assert seen == [1, 2, 3]             # BS first, whatever order they are named in
 
 
 def test_common_phase_rotation_leaves_single_path_gain():

@@ -1,11 +1,15 @@
-"""Randomized oracle of the closed-form path gain.
+"""Randomized oracles of the closed forms that routing and training rely on.
 
 On random pure-LoS corridor scenes (surfaces alternating on both sides
 between the BS and the user, each with its own element count), every
 reflection route of the LoS graph, aligned by `multi_hop_phases` with MRT at
 the BS, must attain the closed-form peak gain that routing scores it by
-(`routing.path_gain`).
+(`routing.path_gain`), and the training tables' composed estimate must equal
+the true gain of any beam choice.  On random reflection graphs, the edge
+weights of a route must add up to the negative log of its closed-form gain.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +19,16 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from irsim.beams import multi_hop_phases  # noqa: E402
 from irsim.channels import cascaded_path_channel, mrt_beam, synthesize_channels  # noqa: E402
-from irsim.geometry import build_los_graph, build_scene  # noqa: E402
-from irsim.routing import enumerate_routes, path_gain  # noqa: E402
+from irsim.geometry import build_los_graph, build_scene, route_links  # noqa: E402
+from irsim.routing import edge_weight, enumerate_routes, path_gain  # noqa: E402
+from irsim.training import (assemble_global_btt, beams_from_choices,  # noqa: E402
+                            build_bs_btt, build_irs_btt, dft_codebook,
+                            planar_passive_codebook)
+
+from conftest import synthetic_graph  # noqa: E402
+from test_training import _estimate  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=500, deadline=None)
 
 
 @st.composite
@@ -45,11 +57,13 @@ def pure_los_routes(draw):
     graph = build_los_graph(scene, 1)
     routes = enumerate_routes(graph)
     assume(routes)
-    channels = synthesize_channels(scene, draw(st.integers(0, 2 ** 16)))
-    return channels, graph, draw(st.sampled_from(routes))
+    route = draw(st.sampled_from(routes))
+    channels = synthesize_channels(scene, draw(st.integers(0, 2 ** 16)),
+                                   links=route_links(route, graph.user_node))
+    return channels, graph, route
 
 
-@settings(max_examples=250, deadline=None)
+@PROPERTY_SETTINGS
 @given(pure_los_routes())
 def test_aligned_route_attains_its_closed_form_gain(instance):
     channels, graph, route = instance
@@ -59,3 +73,46 @@ def test_aligned_route_attains_its_closed_form_gain(instance):
     h = cascaded_path_channel(channels, route, multi_hop_phases(channels, route))
     got = float(abs(h @ mrt_beam(h)) ** 2)
     assert abs(got - peak) <= 1e-10 * peak
+
+
+@PROPERTY_SETTINGS
+@given(pure_los_routes())
+def test_table_estimate_is_the_true_gain_of_any_beams(instance):
+    # about a quarter of random beam sets sit in exact nulls, where the DP
+    # and the table product agree only to rounding: the tolerance is scaled
+    # by the route's peak gain, not by the value
+    channels, graph, route = instance
+    scene = channels.scene
+    links = route_links(route, graph.user_node)
+    bs_cb = dft_codebook(scene.n_bs, scene.n_bs, kind="active")
+    irs_cbs = {j: planar_passive_codebook(*scene.irs[j - 1].shape) for j in route}
+    gbtt = assemble_global_btt(
+        build_bs_btt(scene, bs_cb, threshold=0.0, averages=1, next_nodes=[route[0]]),
+        [build_irs_btt(scene, j, irs_cbs[j], threshold=0.0, averages=1,
+                       prev_nodes=[links[i][0]], next_nodes=[links[i + 1][1]])
+         for i, j in enumerate(route)])
+    rng = np.random.default_rng(channels.seed)       # the beam set follows the drawn seed
+    choices = {0: int(rng.integers(bs_cb.size)),
+               **{j: int(rng.integers(irs_cbs[j].size)) for j in route}}
+    w, phases = beams_from_choices(bs_cb, irs_cbs, choices)
+    true = float(abs(cascaded_path_channel(channels, route, phases) @ w) ** 2)
+    peak = path_gain(graph, route, {j: scene.irs[j - 1].size for j in route},
+                     scene.constants.beta, scene.n_bs)
+    assert abs(_estimate(gbtt, route, graph.user_node, choices) - true) <= 1e-12 * peak
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2 ** 32 - 1))
+def test_edge_weights_add_up_to_the_log_path_gain(seed):
+    rng = np.random.default_rng(seed)
+    n_irs = int(rng.integers(2, 6))
+    graph = synthetic_graph(rng, n_irs, edge_prob=0.8)
+    routes = enumerate_routes(graph)
+    assume(routes)
+    sizes = {j: int(rng.integers(1, 65)) for j in range(1, n_irs + 1)}
+    n_bs, beta = int(rng.integers(1, 65)), 10.0 ** (rng.uniform(-4.0, -2.0))
+    for route in routes:
+        weight = sum(edge_weight((a, b, b == graph.user_node), graph.distances[(a, b)], sizes, beta)
+                     for a, b in route_links(route, graph.user_node))
+        want = -math.log(path_gain(graph, route, sizes, beta, n_bs) / n_bs)
+        assert abs(weight - want) <= 1e-12 * max(1.0, abs(want))

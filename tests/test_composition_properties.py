@@ -2,25 +2,26 @@
 
 Small random corridor scenes (surfaces alternating on both sides between the
 BS and the users) with random unit-modulus phases: the dynamic program must
-agree with the explicit path sum, the affine form must rebuild the full
-channel for every surface, its projection onto a BS beam must equal the
-matrix form times that beam, and a path-restricted evaluator must reproduce
-the cascaded path channel.  The sweep form of the affine decomposition must
-yield the surfaces its paths cross BS first, equal the single-surface form
-when nothing moves, and stay exact while the caller moves each surface.
+agree with the explicit path sum, and a path-restricted evaluator must
+reproduce the cascaded path channel.  The sweep of affine forms projected
+onto a BS beam must rebuild the full channel for every surface it yields,
+yield the surfaces its paths cross BS first, and stay exact while the caller
+moves each surface.  Sequential search must make the choices of a search
+that re-scores every beam by full recomposition.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from irsim.channels import (_compose, _path_edges, cascaded_path_channel,  # noqa: E402
-                            effective_channel, effective_channel_affine,
-                            enumerate_graph_paths, synthesize_channels)
+from irsim.channels import (cascaded_path_channel, effective_channel,  # noqa: E402
+                            effective_channel_affine, enumerate_graph_paths,
+                            synthesize_channels)
 from irsim.geometry import build_los_graph, build_scene  # noqa: E402
-from irsim.training import GainEvaluator  # noqa: E402
+from irsim.training import (GainEvaluator, beams_from_choices, dft_codebook,  # noqa: E402
+                            planar_passive_codebook, sequential_search)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -79,58 +80,29 @@ def test_dp_equals_explicit_path_sum(instance):
     _assert_close(h_direct - h, channels.direct(user), np.linalg.norm(h_direct))
 
 
+def _unit_beam(rng, n):
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return w / np.linalg.norm(w)
+
+
 @PROPERTY_SETTINGS
 @given(random_instances())
 def test_affine_form_rebuilds_channel_for_every_surface(instance):
     channels, phases, user, subset, los_only, rng = instance
+    scene = channels.scene
     used = {j: phases[j] for j in subset}          # surfaces outside get no phases
     compose = dict(los_only=los_only, irs_subset=subset)
-    h = effective_channel(channels, user, used, **compose)
-    for j in range(1, channels.scene.n_irs + 1):
-        base, coeff = effective_channel_affine(channels, user, used, j, **compose)
-        assert coeff.shape == (channels.scene.irs[j - 1].size, channels.scene.n_bs)
-        if j not in subset:
-            assert not coeff.any()
-            _assert_close(base, h, np.linalg.norm(h))
-            continue
-        scale = np.linalg.norm(base) + np.abs(coeff).sum()
-        _assert_close(base + phases[j] @ coeff, h, scale)
+    w = _unit_beam(rng, scene.n_bs)
+    amp = effective_channel(channels, user, used, **compose) @ w
+    every = range(1, scene.n_irs + 1)
+    for j, base, coeff in effective_channel_affine(channels, user, used, every, w, **compose):
+        assert j in subset and np.shape(base) == () and coeff.shape == (scene.irs[j - 1].size,)
+        scale = abs(base) + np.abs(coeff).sum()
+        _assert_close(base + phases[j] @ coeff, amp, scale)
         # the decomposition stays exact for any other phase vector of surface j
         other = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeff.shape[0]))
-        moved = effective_channel(channels, user, {**used, j: other}, **compose)
+        moved = effective_channel(channels, user, {**used, j: other}, **compose) @ w
         _assert_close(base + other @ coeff, moved, scale)
-
-
-def _assert_projection(projected, matrix_form, w):
-    """(a_w, b_w) equals (a @ w, B @ w) within 1e-12 of the matrix form's
-    scale (w is unit norm); a surface no path crosses projects to b_w = 0."""
-    (a_w, b_w), (a, B) = projected, matrix_form
-    assert np.shape(a_w) == () and b_w.shape == B.shape[:1]
-    scale = np.linalg.norm(a) + np.linalg.norm(B) + 1e-300
-    assert abs(a_w - a @ w) <= 1e-12 * scale
-    assert np.all(np.abs(b_w - B @ w) <= 1e-12 * scale)
-    if not B.any():
-        assert not b_w.any()
-
-
-@PROPERTY_SETTINGS
-@given(random_instances())
-def test_projected_affine_form_is_matrix_form_times_beam(instance):
-    channels, phases, user, subset, los_only, rng = instance
-    scene = channels.scene
-    w = rng.normal(size=scene.n_bs) + 1j * rng.normal(size=scene.n_bs)
-    w /= np.linalg.norm(w)
-    for include_direct in (False, True):
-        compose = dict(los_only=los_only, irs_subset=subset, include_direct=include_direct)
-        for j in range(1, scene.n_irs + 1):
-            _assert_projection(effective_channel_affine(channels, user, phases, j, w=w, **compose),
-                               effective_channel_affine(channels, user, phases, j, **compose), w)
-    target = scene.n_irs + user
-    for seq in enumerate_graph_paths(build_los_graph(scene, user, require_los=los_only)):
-        edges = _path_edges(seq, target)
-        for j in range(1, scene.n_irs + 1):
-            _assert_projection(_compose(channels, edges, phases, j, w),
-                               _compose(channels, edges, phases, j), w)
 
 
 @PROPERTY_SETTINGS
@@ -151,18 +123,14 @@ def test_path_evaluator_matches_cascaded_path_channel(instance):
         _assert_close(h, ref[0], np.linalg.norm(ref))
 
 
-def _unit_beam(rng, n):
-    w = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return w / np.linalg.norm(w)
-
-
 @PROPERTY_SETTINGS
 @given(random_instances())
 def test_sweep_yields_the_crossed_surfaces_bs_first(instance):
-    channels, phases, user, subset, los_only, _ = instance
+    channels, phases, user, subset, los_only, rng = instance
     graph = build_los_graph(channels.scene, user, require_los=los_only)
     paths = [seq for seq in enumerate_graph_paths(graph) if set(seq) <= set(subset)]
-    sweep = effective_channel_affine(channels, user, phases, subset[::-1], los_only=los_only,
+    sweep = effective_channel_affine(channels, user, phases, subset[::-1],
+                                     _unit_beam(rng, channels.scene.n_bs), los_only=los_only,
                                      irs_subset=subset)
     order = [j for j, _, _ in sweep]
     assert sorted(order) == sorted({j for seq in paths for j in seq})
@@ -174,35 +142,95 @@ def test_sweep_yields_the_crossed_surfaces_bs_first(instance):
 
 @PROPERTY_SETTINGS
 @given(random_instances())
-def test_sweep_without_updates_equals_each_single_surface_form(instance):
+def test_sweep_carries_each_update_into_the_total(instance):
+    """Moving each yielded surface to random phases before resuming, every
+    pair (a, b) still rebuilds the projected channel at the current phases."""
     channels, phases, user, subset, los_only, rng = instance
-    for w in (_unit_beam(rng, channels.scene.n_bs), None):
-        for include_direct in (False, True):
-            compose = dict(los_only=los_only, irs_subset=subset, include_direct=include_direct,
-                           w=w)
-            for j, base, coeff in effective_channel_affine(channels, user, phases, subset,
-                                                           **compose):
-                want_base, want_coeff = effective_channel_affine(channels, user, phases, j,
-                                                                 **compose)
-                np.testing.assert_array_equal(coeff, want_coeff)
-                _assert_close(base, want_base, np.linalg.norm(want_base) + np.abs(coeff).sum())
+    compose = dict(los_only=los_only, irs_subset=subset)
+    w = _unit_beam(rng, channels.scene.n_bs)
+    current = {j: theta.copy() for j, theta in phases.items()}
+    scale = 0.0                        # bounds every path term met so far
+    for j, base, coeff in effective_channel_affine(channels, user, current, subset, w, **compose):
+        scale = max(scale, abs(base) + np.abs(coeff).sum())
+        for move in (False, True):         # as yielded, then after the move
+            if move:
+                current[j][:] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeff.shape[0]))
+            amp = effective_channel(channels, user, current, **compose) @ w
+            _assert_close(base + current[j] @ coeff, amp, scale)
+
+
+def _codebooks(scene, ids):
+    """A BS codebook of 2 N_B beams and a 16-beam planar codebook per surface."""
+    return (dft_codebook(2 * scene.n_bs, scene.n_bs, kind="active"),
+            {j: planar_passive_codebook(4, scene.irs[j - 1].shape[0]) for j in ids})
+
+
+def _oracle_search(channels, users, bs_cb, irs_cbs, compose, order, max_sweeps=20):
+    """Sequential search that scores every beam by a full recomposition
+    `compose(user, phases)`, sweeping the BS and then the surfaces `order`;
+    returns (choices, sweeps, evaluations, objective)."""
+    consts = channels.scene.constants
+    codebooks = {0: bs_cb, **irs_cbs}
+    choices = dict.fromkeys(codebooks, 0)
+    evaluations = 0
+
+    def score(choice):
+        w, phases = beams_from_choices(bs_cb, irs_cbs, choice)
+        return min(consts.tx_power * abs(compose(k, phases) @ w) ** 2 / consts.noise_power
+                   for k in users)
+
+    for sweeps in range(1, max_sweeps + 1):
+        changed = False
+        for node in (0, *order):
+            snrs = [score({**choices, node: d}) for d in range(codebooks[node].size)]
+            evaluations += len(snrs)
+            new = int(np.argmax(snrs))
+            if snrs[new] > snrs[choices[node]]:
+                choices[node], changed = new, True
+            objective = snrs[choices[node]]
+        if not changed:
+            break
+    return choices, sweeps, evaluations, objective
+
+
+def _assert_same_search(result, oracle):
+    choices, sweeps, evaluations, objective = oracle
+    assert {0: result.bs_index, **result.irs_indices} == choices
+    assert (result.sweeps, result.evaluations) == (sweeps, evaluations)
+    assert abs(result.objective - objective) <= 1e-12 * objective
+
+
+@pytest.mark.parametrize("n_users", [1, 2])
+@PROPERTY_SETTINGS
+@given(instance=random_instances(), data=st.data())
+def test_sequential_search_on_a_path_matches_recomposition(n_users, instance, data):
+    channels, _, _, _, los_only, _ = instance
+    scene = channels.scene
+    assume(scene.n_users >= n_users)
+    users = list(range(1, n_users + 1))
+    paths = [seq for seq in enumerate_graph_paths(build_los_graph(scene, 1, require_los=los_only))
+             if all((seq[-1], scene.n_irs + k) in channels.links for k in users)]
+    assume(paths)
+    path = data.draw(st.sampled_from(sorted(paths, key=len, reverse=True)))   # long ones first
+    bs_cb, irs_cbs = _codebooks(scene, path)
+    result = sequential_search(channels, users, bs_cb, irs_cbs, path=path)
+    _assert_same_search(result, _oracle_search(
+        channels, users, bs_cb, irs_cbs,
+        lambda k, phases: cascaded_path_channel(channels, path, phases, user=k), path))
 
 
 @PROPERTY_SETTINGS
 @given(random_instances())
-def test_sweep_carries_each_update_into_the_total(instance):
-    """Moving each yielded surface to random phases before resuming, every
-    pair (a, B) still rebuilds the full channel at the current phases."""
-    channels, phases, user, subset, los_only, rng = instance
-    compose = dict(los_only=los_only, irs_subset=subset)
-    for w in (_unit_beam(rng, channels.scene.n_bs), None):
-        current = {j: theta.copy() for j, theta in phases.items()}
-        scale = 0.0                    # bounds every path term met so far
-        for j, base, coeff in effective_channel_affine(channels, user, current, subset, w=w,
-                                                       **compose):
-            scale = max(scale, np.linalg.norm(base) + np.abs(coeff).sum())
-            for move in (False, True):     # as yielded, then after the move
-                if move:
-                    current[j][:] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeff.shape[0]))
-                h = effective_channel(channels, user, current, **compose)
-                _assert_close(base + current[j] @ coeff, h if w is None else h @ w, scale)
+def test_sequential_search_over_the_graph_matches_recomposition(instance):
+    channels, _, user, subset, _, _ = instance
+    scene = channels.scene
+    graph = build_los_graph(scene, user, require_los=True)
+    crossed = {j for seq in enumerate_graph_paths(graph) if set(seq) <= set(subset) for j in seq}
+    sources = list(dict.fromkeys(a for a, _ in graph.edge_order))
+    bs_cb, irs_cbs = _codebooks(scene, subset)
+    result = sequential_search(channels, [user], bs_cb, irs_cbs)
+    _assert_same_search(result, _oracle_search(
+        channels, [user], bs_cb, irs_cbs,
+        lambda k, phases: effective_channel(channels, k, phases, los_only=True,
+                                            include_direct=False, irs_subset=subset),
+        [v for v in reversed(sources) if v in crossed]))

@@ -94,9 +94,11 @@ def test_one_round_reaches_single_surface_optimum(instance, include_direct):
     channels, _, user, subset, los_only, _ = instance
     assume(channels.scene.n_bs == 1)
     options = dict(los_only=los_only, include_direct=include_direct, irs_subset=subset[:1])
-    base, coeff = effective_channel_affine(channels, user, unit_phases(channels.scene),
-                                           subset[0], **options)
-    optimum = (abs(base[0]) + np.abs(coeff[:, 0]).sum()) ** 2
+    phases = unit_phases(channels.scene)
+    optimum = abs(effective_channel(channels, user, phases, **options)[0]) ** 2
+    for _, base, coeff in effective_channel_affine(channels, user, phases, subset[:1],
+                                                   np.ones(1), **options):
+        optimum = (abs(base) + np.abs(coeff).sum()) ** 2
     assume(optimum > 0.0)
     sol = ao_joint_beamforming(channels, user, max_iters=1, **options)
     assert sol.achieved_gains[user] == pytest.approx(optimum, rel=1e-12)

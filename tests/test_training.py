@@ -101,7 +101,7 @@ def _brute_force_search(channels, users, bs_cb, irs_cbs, path):
         for choice in itertools.product(*(range(irs_cbs[j].size) for j in ids)):
             irs_idx = dict(zip(ids, choice))
             _, phases = beams_from_choices(bs_cb, irs_cbs, {0: b, **irs_idx})
-            obj = float(evaluator.sweep(0, one_beam, None, phases)[0])
+            obj = float(evaluator.sweep(one_beam, phases)[0])
             if best is None or obj > best[0]:
                 best = (obj, b, irs_idx)
     return best
@@ -162,6 +162,57 @@ def test_searches_reject_an_empty_user_list_before_any_composition(search, monke
     monkeypatch.setattr(training, "_compose", no_composition)
     with pytest.raises(ValueError, match="users"):
         search(channels, [], bs_cb, irs_cbs)
+
+
+@pytest.mark.parametrize("search", [exhaustive_search, sequential_search])
+@pytest.mark.parametrize("path, codebook_ids, name", [
+    ((), (1, 2), "path"),                 # the direct link is never scored
+    ((1, 1), (1, 2), "path"),
+    ((99,), (1, 2), "path"),
+    ((1, 2), (1,), "irs_codebooks"),      # a path surface with no codebook
+    (None, (99,), "irs_codebooks"),
+    (None, (), "irs_codebooks"),
+])
+def test_searches_reject_a_bad_path_or_codebook_map_before_any_composition(
+        search, path, codebook_ids, name, monkeypatch):
+    def no_composition(*args, **kwargs):
+        raise AssertionError("a channel was composed")
+
+    _, channels, bs_cb, irs_cbs = _tiny_setup(kappa_db=8)
+    monkeypatch.setattr(training, "_compose", no_composition)
+    cbs = {j: irs_cbs[1] for j in codebook_ids}
+    with pytest.raises(ValueError, match=name):
+        search(channels, [1], bs_cb, cbs, path=path)
+
+
+def test_sequential_over_the_graph_rejects_several_users_before_any_composition(monkeypatch):
+    def no_composition(*args, **kwargs):
+        raise AssertionError("a channel was composed")
+
+    _, channels, bs_cb, irs_cbs = _two_user_setup(seed=72, n_hops=2)
+    monkeypatch.setattr(training, "_compose", no_composition)
+    with pytest.raises(ValueError, match="one user"):
+        sequential_search(channels, [1, 2], bs_cb, irs_cbs)
+
+
+@pytest.mark.parametrize("users", [[1], [1, 2]])
+def test_sequential_composes_twice_per_user_per_sweep(users, monkeypatch):
+    # one channel for the BS sweep, then one composition sweep over the surfaces
+    calls = collections.Counter()
+    real = training._compose
+
+    def counting(*args, **kwargs):
+        calls["compose"] += 1
+        return real(*args, **kwargs)
+
+    scene = build_scene(with_users(zigzag_config(n_hops=3, m0=2, n_bs=2, kappa_db=8),
+                                   [[24, -2, 1.5], [26, -1, 1.5]]))   # both see surface 3
+    channels = synthesize_channels(scene, 70)
+    bs_cb = dft_codebook(2, 2, kind="active")
+    irs_cbs = {j: planar_passive_codebook(2, 2) for j in (1, 2, 3)}
+    monkeypatch.setattr(training, "_compose", counting)
+    result = sequential_search(channels, users, bs_cb, irs_cbs, path=(1, 2, 3))
+    assert result.sweeps == 2 and calls["compose"] == 2 * len(users) * result.sweeps
 
 
 def test_evaluator_over_every_surface_composes_over_the_graphs_own_edge_list(monkeypatch):
