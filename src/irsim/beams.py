@@ -16,8 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, check_unit_modulus,
-                       effective_channel, effective_channel_affine, mrt_beam, unit_phases)
+from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, _user_ids,
+                       check_unit_modulus, effective_channel, effective_channel_affine, mrt_beam,
+                       unit_phases)
 from .geometry import route_links
 
 
@@ -37,9 +38,12 @@ def multi_hop_phases(channels: ChannelSet, path, user: int = 1) -> dict:
 
     Each surface conjugates the product of its incoming receive response
     and outgoing transmit response, which turns every reflection bracket
-    into its element count M.  Raises if any hop lacks an LoS component.
+    into its element count M.  ValueError if any hop lacks an LoS
+    component, or for a bad `path` or `user`.
     """
-    hops = route_links(path, channels.scene.n_irs + user)
+    scene = channels.scene
+    path = _irs_ids(scene, path, "path")
+    hops = route_links(path, scene.n_irs + _user_ids(scene, user, "user")[0])
     phases = {}
     for idx, irs in enumerate(path):
         incoming = channels.get(*hops[idx])
@@ -101,27 +105,22 @@ def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float, cap="
     return w, objective, False, max_iters
 
 
-def ao_joint_beamforming(channels: ChannelSet, user: int = 1, tol: float = 1e-12,
-                         max_iters: int = 200, include_direct: bool = False,
-                         los_only: bool = False, irs_subset=None) -> BeamSolution:
+def ao_joint_beamforming(channels: ChannelSet, user: int = 1, max_iters: int = 200) -> BeamSolution:
     """Alternating optimization of BS weights and all surface phases.
 
     Alternates MRT at the BS with the exact closed-form phases of each
     surface in turn, BS first (the loop `optimize_path_phases` shares), so
     |h @ w|^2 never decreases; stops when a round's relative gain falls
-    below tol.  Every surface starts at zero phase.
+    below 1e-12.  The channel is the sum over every reflection path of the
+    user's graph, the direct link excluded.  Every surface starts at zero phase.
     """
     phases = unit_phases(channels.scene)
-    irs_ids = sorted(phases if irs_subset is None else
-                     _irs_ids(channels.scene, irs_subset, "irs_subset"))
-    options = dict(los_only=los_only, include_direct=include_direct,
-                   irs_subset=None if irs_subset is None else irs_ids)
 
     def compose(phases, irs=None, w=None):
-        return (effective_channel(channels, user, phases, **options) if irs is None
-                else effective_channel_affine(channels, user, phases, irs, w=w, **options))
+        return (effective_channel(channels, user, phases, include_direct=False) if irs is None
+                else effective_channel_affine(channels, user, phases, irs, w))
 
-    w, objective, converged, it = _alternate(compose, phases, irs_ids, max_iters, tol)
+    w, objective, converged, it = _alternate(compose, phases, sorted(phases), max_iters, 1e-12)
     check_unit_modulus(phases)
     return BeamSolution(phases=phases, bs_beams={user: w},
                         achieved_gains={user: objective},
@@ -136,7 +135,7 @@ def optimize_path_phases(channels: ChannelSet, path, user: int = 1, max_sweeps: 
     (relative).  Returns (phases, gain) with the gain under MRT at the BS.
     """
     path = _irs_ids(channels.scene, path, "path")
-    edges = _path_edges(path, channels.scene.n_irs + user)
+    edges = _path_edges(path, channels.scene.n_irs + _user_ids(channels.scene, user, "user")[0])
     phases = {j: np.ones(channels.scene.irs[j - 1].size, dtype=complex) for j in path}
     _, gain, _, _ = _alternate(partial(_compose, channels, edges), phases, path, max_sweeps, 1e-10,
                                "max_sweeps")
@@ -182,15 +181,19 @@ def linear_receivers(H: np.ndarray, noise_power: float, tx_power: float,
 
     zf uses the pseudo-inverse; when the channel is rank deficient the
     regularized inverse leaves residual interference and the SINRs
-    saturate with power.  mmse solves (P H H^H + sigma^2 I)^{-1} h_k; mrt
-    is the matched filter.
+    saturate with power.  mmse solves (P H H^H + sigma^2 I)^{-1} h_k.
+    ValueError for a user (column of H) with an all-zero channel, or a
+    power that is not positive and finite.
     """
     H = np.asarray(H)
     K = H.shape[1]
+    if not np.all(np.any(H != 0, axis=0)):
+        raise ValueError("H has an all-zero column: a user with no channel has no SINR")
+    for name, value in (("noise_power", noise_power), ("tx_power", tx_power)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     deficient = numerical_rank(H) < K
-    if scheme == "mrt":
-        R = H / np.linalg.norm(H, axis=0, keepdims=True)
-    elif scheme == "mmse":
+    if scheme == "mmse":
         gram = tx_power * (H @ H.conj().T) + noise_power * np.eye(H.shape[0])
         R = np.linalg.solve(gram, H)
     elif scheme == "zf":

@@ -289,29 +289,39 @@ def _irs_ids(scene: Scene, ids, name: str) -> list:
     return list(ids)
 
 
+def _user_ids(scene: Scene, users, name: str) -> list:
+    """`users` (one id, or several) as a list; a ValueError naming `name`
+    unless it names distinct users."""
+    ids = list(users) if np.iterable(users) else [users]
+    if not 0 < len(ids) == len(set(ids) & set(range(1, scene.n_users + 1))):
+        raise ValueError(f"{name} must name distinct users in 1..{scene.n_users}, got {users!r}")
+    return ids
+
+
 def _path_edges(path, target: int) -> list:
     """Edge list of one explicit reflection path (a chain graph), last hop
     first as `_compose` expects."""
     return route_links(path, target)[::-1]
 
 
-def _graph_edges(channels: ChannelSet, user: int, los_only: bool, irs_subset=None) -> tuple | list:
-    """Edge order of a user's reflection graph, restricted to `irs_subset`."""
-    edges = build_los_graph(channels.scene, user, los_only).edge_order
+def _graph_edges(channels: ChannelSet, user: int, irs_subset=None) -> tuple | list:
+    """Edge order of a user's reflection graph (every admissible link),
+    restricted to `irs_subset` (a ValueError unless it lists distinct surfaces)."""
+    edges = build_los_graph(channels.scene, user, False).edge_order
     if irs_subset is None:
         return edges
-    keep = {0, *irs_subset}      # an excluded surface then never enters the DP
-    return [(a, b) for a, b in edges if a in keep]
+    keep = {0, *_irs_ids(channels.scene, irs_subset, "irs_subset")}
+    return [(a, b) for a, b in edges if a in keep]   # an excluded surface never enters the DP
 
 
-def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int | None = None) -> np.ndarray:
+def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int = 1) -> np.ndarray:
     """Effective BS-side channel vector of one reflection path.
 
-    `path` is the ordered IRS index list; the terminal hop goes to the
-    given user (default user 1).  Returns h with received amplitude h @ w.
+    `path` is the ordered IRS index list; the terminal hop goes to `user`.
+    Returns h with received amplitude h @ w.
     """
     _irs_ids(channels.scene, path, "path")
-    target = channels.scene.n_irs + (user if user is not None else 1)
+    target = channels.scene.n_irs + _user_ids(channels.scene, user, "user")[0]
     return _compose(channels, _path_edges(path, target), phases)
 
 
@@ -327,32 +337,25 @@ def enumerate_graph_paths(graph: LosGraph):
 
 
 def effective_channel(channels: ChannelSet, user: int, phases: dict,
-                      los_only: bool = False, include_direct: bool = True,
-                      irs_subset=None) -> np.ndarray:
+                      include_direct: bool = True, irs_subset=None) -> np.ndarray:
     """Superposed effective channel of one user over all reflection paths.
 
-    The path sum runs over the user's reflection graph (every admissible
-    path, or only the LoS paths with `los_only`); `irs_subset` restricts
-    the graph to the named IRSs.  Computed by dynamic programming over the
-    acyclic graph, which is equivalent to the explicit path sum.
+    The path sum runs over every admissible path of the user's reflection
+    graph; `irs_subset` restricts the graph to the named IRSs.  Computed by
+    dynamic programming over the acyclic graph, which is equivalent to the
+    explicit path sum.
     """
-    h = _compose(channels, _graph_edges(channels, user, los_only, irs_subset), phases)
+    h = _compose(channels, _graph_edges(channels, user, irs_subset), phases)
     if include_direct:
         h = h + channels.direct(user)
     return h
 
 
-def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs, w: np.ndarray,
-                             los_only: bool = False, include_direct: bool = True,
-                             irs_subset=None):
-    """`_compose`'s sweep over the user's reflection graph: (j, a, b) BS first
-    at each surface of `irs` a path crosses, with h @ w = a + phases[j] @ b
-    exact for the phases the caller has updated so far."""
-    sweep = _compose(channels, _graph_edges(channels, user, los_only, irs_subset), phases, irs, w)
-    if not include_direct:
-        return sweep
-    direct = channels.direct(user) @ w
-    return ((j, base + direct, coeff) for j, base, coeff in sweep)
+def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs, w: np.ndarray):
+    """`_compose`'s sweep over the user's reflection graph, the direct link
+    excluded: (j, a, b) BS first at each surface of `irs` a path crosses, with
+    h @ w = a + phases[j] @ b exact for the phases the caller has updated so far."""
+    return _compose(channels, _graph_edges(channels, user), phases, irs, w)
 
 
 def mrt_beam(h: np.ndarray) -> np.ndarray:

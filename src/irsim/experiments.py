@@ -161,8 +161,7 @@ FIG7_POWERS_DBM = [-10, 0, 10, 20, 30, 40]
 
 
 def _fig7_channels(channels, irs_subset, phases, n_users):
-    cols = [effective_channel(channels, k, phases, los_only=False,
-                              include_direct=False, irs_subset=irs_subset)
+    cols = [effective_channel(channels, k, phases, include_direct=False, irs_subset=irs_subset)
             for k in range(1, n_users + 1)]
     return np.stack(cols, axis=1)
 

@@ -216,8 +216,7 @@ def interference_audit(channels, solution: RoutingSolution) -> dict:
         beams[k] = mrt_beam(channels.get(0, path.irs_sequence[0]).los_tx)
 
     users = sorted(solution.paths)
-    h = {k: effective_channel(channels, k, phases, los_only=False, include_direct=True)
-         for k in users}
+    h = {k: effective_channel(channels, k, phases) for k in users}
     report = {}
     for k in users:
         desired = consts.tx_power * abs(h[k] @ beams[k]) ** 2

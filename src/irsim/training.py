@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _graph_edges, _irs_ids, _path_edges,
-                       _rician_draws)
+from .channels import ChannelSet, _compose, _irs_ids, _path_edges, _rician_draws, _user_ids
 from .geometry import Scene, route_links
 
 
@@ -85,29 +84,21 @@ def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
 # ---------------------------------------------------------------------------
 
 class GainEvaluator:
-    """Scores codebook beams by their min-user SNR on realized channels.
+    """Scores codebook beams by their min-user SNR on realized channels,
+    composed along one reflection route `path`, the direct link excluded.
 
-    `path` restricts the composition to one reflection route; otherwise the
-    path sum runs over the LoS reflection graph of the surfaces `irs_ids`
-    (those with codebooks).  The direct link is never included.  ValueError
-    unless both name distinct surfaces and `irs_ids` holds every path surface.
+    ValueError unless `users` names distinct users, `path` distinct surfaces,
+    and `irs_codebooks` (keyed by surface id) every surface of `path`.
     """
 
-    def __init__(self, channels: ChannelSet, users, irs_ids=None, path=None):
-        self.channels = channels
-        self.users = list(users)
-        if not self.users:
-            raise ValueError("users must name at least one user")
+    def __init__(self, channels: ChannelSet, users, path, irs_codebooks):
         scene = channels.scene
-        every = list(range(1, scene.n_irs + 1))
-        ids = every if irs_ids is None else _irs_ids(scene, sorted(irs_ids), "irs_codebooks")
-        self.irs_ids = ids if path is None else _irs_ids(scene, path, "path")
-        if not set(self.irs_ids) <= set(ids):
+        self.channels = channels
+        self.users = _user_ids(scene, users, "users")
+        self.irs_ids = _irs_ids(scene, path, "path")
+        if not set(self.irs_ids) <= set(_irs_ids(scene, irs_codebooks, "irs_codebooks")):
             raise ValueError(f"irs_codebooks lacks a surface of path {self.irs_ids}")
-        subset = None if self.irs_ids == every else self.irs_ids   # the graph's own edge list
-        self._edges = {k: (_path_edges(path, scene.n_irs + k) if path is not None
-                           else _graph_edges(channels, k, True, subset))
-                       for k in self.users}
+        self._edges = {k: _path_edges(path, scene.n_irs + k) for k in self.users}
         self.evaluations = 0
 
     def _channel(self, user: int, phases: dict) -> np.ndarray:
@@ -124,8 +115,8 @@ class GainEvaluator:
         return self._snrs(codebook, [codebook.apply(self._channel(k, phases)) for k in self.users])
 
     def search_sweep(self, codebooks: dict, choices: dict):
-        """Yield (node, snrs) for the BS and then, BS first, each surface the
-        paths cross, the other nodes at their beams in `choices` (which the
+        """Yield (node, snrs) for the BS and then, BS first, each surface of
+        the path, the other nodes at their beams in `choices` (which the
         caller may move before resuming): one composition sweep per user,
         opened with the chosen BS beam, run in lockstep over the same surfaces."""
         _, phases = beams_from_choices(codebooks[0], codebooks, choices)
@@ -154,17 +145,18 @@ class TrainedBeams:
 
 
 def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
-                      irs_codebooks: dict, path=None,
+                      irs_codebooks: dict, path,
                       max_combinations: int = 10_000_000) -> TrainedBeams:
-    """Global search over every active/passive beam combination.
+    """Global search over every active/passive beam combination along the
+    reflection route `path`.
 
     Sweeps the whole BS codebook once per surface-beam combination, so it
     counts one evaluation per combination.  The highest min-user SNR wins,
-    ties going to the lowest BS index, then the lowest surface indices.
-    Refuses when the combination count D_B * prod(D_I) exceeds
-    max_combinations.
+    ties going to the lowest BS index, then the lowest surface indices (in
+    path order).  Refuses when the combination count D_B * prod(D_I)
+    exceeds max_combinations.
     """
-    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path)
+    evaluator = GainEvaluator(channels, users, path, irs_codebooks)
     ids = evaluator.irs_ids
     combos = bs_codebook.size * math.prod(irs_codebooks[j].size for j in ids)   # no int64 wrap
     if combos > max_combinations:
@@ -187,19 +179,17 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
 
 
 def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
-                      irs_codebooks: dict, path=None, max_sweeps: int = 20) -> TrainedBeams:
-    """Cyclic per-node beam updates until a full sweep changes nothing.
+                      irs_codebooks: dict, path, max_sweeps: int = 20) -> TrainedBeams:
+    """Cyclic per-node beam updates along the reflection route `path` until
+    a full sweep changes nothing.
 
-    Each sweep updates the BS and then, BS first, each surface a path
-    crosses, at D_B + sum_j D_I(j) evaluations over those surfaces; the
-    min-user SNR is nondecreasing across updates.  ValueError for
-    max_sweeps below 1, or for several users without a path.
+    Each sweep updates the BS and then each surface of the path in order,
+    at D_B + sum_j D_I(j) evaluations over the path's surfaces; the
+    min-user SNR is nondecreasing across updates.  ValueError for max_sweeps below 1.
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_codebooks), path=path)
-    if path is None and len(evaluator.users) > 1:
-        raise ValueError("sequential search over the graph serves one user; give a path")
+    evaluator = GainEvaluator(channels, users, path, irs_codebooks)
     ids = evaluator.irs_ids
     codebooks = {0: bs_codebook, **{j: irs_codebooks[j] for j in ids}}
     choices = dict.fromkeys(codebooks, 0)          # node -> beam index, the BS first

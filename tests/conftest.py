@@ -44,6 +44,20 @@ def double_only_config(m0=3, n_bs=1, kappa_db="inf", link_overrides=None):
     }
 
 
+def double_chain_config():
+    """Two surfaces whose geometry, not a blockage, leaves BS -> 1 -> 2 -> user
+    the only admissible reflection route: the user is behind surface 1 and
+    the BS behind surface 2."""
+    return {
+        "bs": {"position": [0, 0, 2], "normal": [1, 0, 0], "shape": [1, 1], "n_elements": 1},
+        "irs": [{"position": [10, 5, 2], "normal": [0, -1, 0], "m0": 3},
+                {"position": [20, -5, 2], "normal": unit([1, 2, 0]), "m0": 3}],
+        "users": [[25, 8, 1.5]],
+        "constants": {"beta_db": -30, "kappa_db": "inf", "carrier_hz": 5e9,
+                      "noise_dbm": -90, "tx_dbm": 0},
+    }
+
+
 def zigzag_config(n_hops=3, m0=2, n_bs=4, kappa_db="inf"):
     """Chain of n_hops surfaces zigzagging toward the user; no obstacles."""
     positions = {1: [6, 3, 2], 2: [13, -3, 2], 3: [20, 3, 2]}

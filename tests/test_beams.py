@@ -9,15 +9,17 @@ import re
 import numpy as np
 import pytest
 
+import irsim.channels
 from irsim import beams
 from irsim.beams import (ao_joint_beamforming, closed_form_path_gain, linear_receivers,
                          mrt_beam, multi_hop_phases, numerical_rank, optimize_path_phases)
 from irsim.channels import (cascaded_path_channel, effective_channel,
                             synthesize_channels, unit_phases)
 from irsim.cli import main
-from irsim.geometry import build_scene
+from irsim.geometry import build_los_graph, build_scene
+from irsim.scenarios import indoor_hall_config
 
-from conftest import double_only_config, zigzag_config
+from conftest import double_chain_config, double_only_config, zigzag_config
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +148,13 @@ def test_loglog_gain_slopes_in_m():
 # alternating optimization
 # ---------------------------------------------------------------------------
 
-def test_ao_reaches_closed_form_on_pure_los_double(double_scene):
-    channels = synthesize_channels(double_scene, 37)
-    sol = ao_joint_beamforming(channels, user=1, los_only=True)
+def test_ao_reaches_closed_form_on_pure_los_double():
+    scene = build_scene(double_chain_config())
+    assert build_los_graph(scene, 1, False).edge_order == ((2, 3), (1, 2), (0, 1))
+    channels = synthesize_channels(scene, 37)
+    sol = ao_joint_beamforming(channels, user=1)
     assert sol.converged
-    assert sol.achieved_gains[1] == pytest.approx(_double_closed_form(double_scene), rel=1e-6)
+    assert sol.achieved_gains[1] == pytest.approx(_double_closed_form(scene), rel=1e-6)
 
 
 def test_ao_objective_monotone():
@@ -162,7 +166,7 @@ def test_ao_objective_monotone():
     # run AO step by step by capping iterations
     prev = None
     for iters in range(1, 8):
-        sol = ao_joint_beamforming(channels, user=1, max_iters=iters, tol=0.0)
+        sol = ao_joint_beamforming(channels, user=1, max_iters=iters)
         objectives.append(sol.achieved_gains[1])
         if prev is not None:
             assert sol.achieved_gains[1] >= prev - 1e-18
@@ -183,9 +187,9 @@ def test_ao_beats_random_sampling():
     assert sol.achieved_gains[1] >= best
 
 
-def test_ao_phases_stay_unit_modulus(double_scene):
-    channels = synthesize_channels(double_scene, 41)
-    sol = ao_joint_beamforming(channels, user=1, los_only=True)
+def test_ao_phases_stay_unit_modulus():
+    channels = synthesize_channels(build_scene(double_chain_config()), 41)
+    sol = ao_joint_beamforming(channels, user=1)
     for theta in sol.phases.values():
         assert np.allclose(np.abs(theta), 1.0, atol=1e-12)
 
@@ -217,37 +221,6 @@ def test_optimize_path_phases_rejects_a_negative_sweep_cap_before_any_compositio
         optimize_path_phases(channels, [1], user=1, max_sweeps=-1)
 
 
-def test_ao_without_a_subset_composes_over_the_whole_graph(double_scene, monkeypatch):
-    channels = synthesize_channels(double_scene, 45)
-    subsets = []
-
-    def recording(compose):
-        def wrapped(*args, irs_subset=None, **kwargs):
-            subsets.append(irs_subset)
-            return compose(*args, irs_subset=irs_subset, **kwargs)
-        return wrapped
-
-    for name in ("effective_channel", "effective_channel_affine"):
-        monkeypatch.setattr(beams, name, recording(getattr(beams, name)))
-    whole = ao_joint_beamforming(channels, user=1, max_iters=3)
-    assert subsets and set(subsets) == {None}
-    subsets.clear()
-    named = ao_joint_beamforming(channels, user=1, max_iters=3, irs_subset=(2, 1))
-    assert subsets and all(s == [1, 2] for s in subsets)
-    assert named.achieved_gains == whole.achieved_gains
-
-
-@pytest.mark.parametrize("subset", [[99], [0], []])
-def test_ao_rejects_an_unknown_or_empty_subset_before_any_composition(
-        double_scene, monkeypatch, subset):
-    channels = synthesize_channels(double_scene, 46)
-    monkeypatch.setattr(beams, "effective_channel", _no_composition)
-    monkeypatch.setattr(beams, "effective_channel_affine", _no_composition)
-    got = re.escape(str(subset))
-    with pytest.raises(ValueError, match=rf"irs_subset must list distinct IRS ids .*, got {got}"):
-        ao_joint_beamforming(channels, user=1, irs_subset=subset)
-
-
 @pytest.mark.parametrize("path", [[], [1, 99], [1, 1]])
 def test_optimize_path_phases_rejects_a_bad_path_before_any_composition(
         double_scene, monkeypatch, path):
@@ -258,6 +231,23 @@ def test_optimize_path_phases_rejects_a_bad_path_before_any_composition(
         optimize_path_phases(channels, path, user=1)
     with pytest.raises(ValueError, match=rf"path .*got {got}"):
         cascaded_path_channel(channels, path, unit_phases(double_scene))
+    with pytest.raises(ValueError, match=rf"path .*got {got}"):
+        multi_hop_phases(channels, path)
+
+
+@pytest.mark.parametrize("user", [0, 3, 99])
+def test_route_phases_and_channel_reject_an_unknown_user_before_any_composition(
+        monkeypatch, user):
+    channels = synthesize_channels(build_scene(indoor_hall_config(m0=4, kappa_db="inf")), 49)
+    route, message = (3, 4, 5), rf"user must name distinct users in 1\.\.2, got {user}"
+    monkeypatch.setattr(beams, "_compose", _no_composition)
+    monkeypatch.setattr(irsim.channels, "_compose", _no_composition)
+    for call in (lambda: cascaded_path_channel(channels, route, unit_phases(channels.scene),
+                                               user=user),
+                 lambda: multi_hop_phases(channels, route, user=user),
+                 lambda: optimize_path_phases(channels, route, user=user)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_ao_round_is_one_sweep_and_one_closing_channel(monkeypatch):
@@ -276,7 +266,7 @@ def test_ao_round_is_one_sweep_and_one_closing_channel(monkeypatch):
         monkeypatch.setattr(beams, name, counting(name, getattr(beams, name)))
     for k in (0, 1, 4):
         calls.clear()
-        sol = ao_joint_beamforming(channels, user=1, max_iters=k, tol=0.0)
+        sol = ao_joint_beamforming(channels, user=1, max_iters=k)
         assert sol.iterations == k and not (k and sol.converged)
         assert (calls["effective_channel"], calls["effective_channel_affine"]) == (k + 1, k)
 
@@ -296,7 +286,7 @@ def test_uniform_channel_scaling_preserves_argmax():
     cfg = double_only_config(m0=2, n_bs=3, kappa_db=6)
     scene = build_scene(cfg)
     channels = synthesize_channels(scene, 43)
-    sol1 = ao_joint_beamforming(channels, user=1, include_direct=False)
+    sol1 = ao_joint_beamforming(channels, user=1)
     scaled = synthesize_channels(scene, 43)
     user_node = scene.n_irs + 1
     for key in list(scaled.links):
@@ -307,7 +297,7 @@ def test_uniform_channel_scaling_preserves_argmax():
             i=link.i, j=link.j, matrix=4.0 * link.matrix, distance_m=link.distance_m,
             path_loss_linear=link.path_loss_linear, los_gain=link.los_gain,
             los_rx=link.los_rx, los_tx=link.los_tx)
-    sol2 = ao_joint_beamforming(scaled, user=1, include_direct=False)
+    sol2 = ao_joint_beamforming(scaled, user=1)
     align = abs(np.vdot(sol1.bs_beams[1], sol2.bs_beams[1]))
     assert align == pytest.approx(1.0, abs=1e-9)
     for j in (1, 2):
@@ -317,13 +307,12 @@ def test_uniform_channel_scaling_preserves_argmax():
     # receiver directions are invariant to scaling the multi-user matrix
     rng = np.random.default_rng(99)
     h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    for scheme in ("zf", "mrt"):
-        r1 = linear_receivers(h, 1e-3, 1.0, scheme).beams
-        r2 = linear_receivers(5.0 * h, 1e-3, 1.0, scheme).beams
-        for k in range(3):
-            c1 = r1[:, k] / np.linalg.norm(r1[:, k])
-            c2 = r2[:, k] / np.linalg.norm(r2[:, k])
-            assert abs(np.vdot(c1, c2)) == pytest.approx(1.0, abs=1e-9)
+    r1 = linear_receivers(h, 1e-3, 1.0, "zf").beams
+    r2 = linear_receivers(5.0 * h, 1e-3, 1.0, "zf").beams
+    for k in range(3):
+        c1 = r1[:, k] / np.linalg.norm(r1[:, k])
+        c2 = r2[:, k] / np.linalg.norm(r2[:, k])
+        assert abs(np.vdot(c1, c2)) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +330,27 @@ def test_single_user_all_schemes_align():
     rng = np.random.default_rng(44)
     h = (rng.standard_normal(5) + 1j * rng.standard_normal(5)).reshape(5, 1)
     dirs = []
-    for scheme in ("zf", "mmse", "mrt"):
+    for scheme in ("zf", "mmse"):
         res = linear_receivers(h, 1e-3, 1.0, scheme)
         dirs.append(res.beams[:, 0] / np.linalg.norm(res.beams[:, 0]))
     for d in dirs[1:]:
         assert abs(np.vdot(dirs[0], d)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mmse"])
+def test_receivers_reject_a_user_with_an_all_zero_channel(scheme):
+    h = np.eye(4, 2).astype(complex)
+    h[:, 1] = 0.0
+    with pytest.raises(ValueError, match="H has an all-zero column"):
+        linear_receivers(h, 1e-3, 1.0, scheme)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["noise_power", "tx_power"])
+def test_receivers_reject_a_power_that_is_not_positive_and_finite(name, value):
+    powers = {"noise_power": 1e-3, "tx_power": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+        linear_receivers(np.eye(4, 2).astype(complex), scheme="zf", **powers)
 
 
 def test_rank_deficient_zf_saturates():
@@ -381,10 +386,10 @@ def test_rank_gain_check_on_double_irs_instance():
     phases = unit_phases(scene)
     cols_single, cols_double = [], []
     for k in (1, 2, 3):
-        cols_single.append(effective_channel(channels, k, phases, los_only=False,
-                                             include_direct=False, irs_subset=[2]))
-        cols_double.append(effective_channel(channels, k, phases, los_only=False,
-                                             include_direct=False, irs_subset=[1, 2]))
+        cols_single.append(effective_channel(channels, k, phases, include_direct=False,
+                                             irs_subset=[2]))
+        cols_double.append(effective_channel(channels, k, phases, include_direct=False,
+                                             irs_subset=[1, 2]))
     h_s = np.stack(cols_single, axis=1)
     h_d = np.stack(cols_double, axis=1)
     g2 = np.stack([np.conj(channels.get(2, scene.n_irs + k).matrix[0]) for k in (1, 2, 3)],

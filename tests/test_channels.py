@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+import irsim.channels
 from irsim.channels import (ChannelSet, _graph_edges, _rician_draws, array_response,
                             cascaded_path_channel,
                             effective_channel, effective_channel_affine, enumerate_graph_paths,
@@ -249,12 +251,14 @@ def test_cascade_multilinear_in_each_phase_entry():
             assert np.allclose(h1 - hz, 2.0 * (h0 - hz), rtol=1e-10)
 
 
-@pytest.mark.parametrize("los_only", [True, False])
+@pytest.mark.parametrize("require_los", [True, False])
 @pytest.mark.parametrize("user", [1, 2])
-def test_composition_walks_the_los_graph_edge_order(user, los_only):
+def test_composition_walks_the_los_graph_edge_order(user, require_los):
+    # composition walks the admissible graph, routing the LoS one: both keep this order
     scene = build_scene(indoor_hall_config(m0=4))
-    graph = build_los_graph(scene, user, los_only)
-    assert _graph_edges(ChannelSet(scene, seed=0), user, los_only) == graph.edge_order
+    admissible = build_los_graph(scene, user, False)
+    assert _graph_edges(ChannelSet(scene, seed=0), user) == admissible.edge_order
+    graph = build_los_graph(scene, user, require_los)
     # reference: surfaces by decreasing BS distance, then the BS, each with its successors
     surfaces = [n for n in graph.bs_distance if n not in (0, graph.user_node)]
     by_distance = sorted(surfaces, key=lambda n: -graph.bs_distance[n]) + [0]
@@ -279,7 +283,8 @@ def test_double_irs_effective_channel_is_four_term_sum():
     channels = synthesize_channels(scene, 10)
     rng = np.random.default_rng(11)
     phases = {j: np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for j in (1, 2)}
-    h = effective_channel(channels, 1, phases, los_only=True)
+    assert build_los_graph(scene, 1, True) == build_los_graph(scene, 1, False)
+    h = effective_channel(channels, 1, phases)
     t_direct = channels.direct(1)
     t_single1 = cascaded_path_channel(channels, [1], phases)
     t_single2 = cascaded_path_channel(channels, [2], phases)
@@ -293,12 +298,13 @@ def test_effective_channel_matches_path_enumeration():
     rng = np.random.default_rng(13)
     phases = {j: np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for j in (1, 2, 3)}
     graph = build_los_graph(scene, 1)
+    assert graph == build_los_graph(scene, 1, False)
     paths = enumerate_graph_paths(graph)
     assert len(paths) > 3
     want = channels.direct(1).copy()
     for p in paths:
         want = want + cascaded_path_channel(channels, list(p), phases)
-    got = effective_channel(channels, 1, phases, los_only=True)
+    got = effective_channel(channels, 1, phases)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
 
@@ -308,8 +314,8 @@ def test_effective_channel_affine_decomposition():
     rng = np.random.default_rng(15)
     phases = {j: np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for j in (1, 2, 3)}
     w = mrt_beam(rng.normal(size=2) + 1j * rng.normal(size=2))
-    amp = effective_channel(channels, 1, phases, los_only=True) @ w
-    sweep = effective_channel_affine(channels, 1, phases, (3, 1, 2), w, los_only=True)
+    amp = effective_channel(channels, 1, phases, include_direct=False) @ w
+    sweep = effective_channel_affine(channels, 1, phases, (3, 1, 2), w)
     seen = []
     for j, base, coeff in sweep:
         seen.append(j)
@@ -317,9 +323,24 @@ def test_effective_channel_affine_decomposition():
         assert np.isclose(base + phases[j] @ coeff, amp, rtol=1e-12)
         # swapping the phase vector stays consistent
         other = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        amp_other = effective_channel(channels, 1, {**phases, j: other}, los_only=True) @ w
+        moved = {**phases, j: other}
+        amp_other = effective_channel(channels, 1, moved, include_direct=False) @ w
         assert np.isclose(base + other @ coeff, amp_other, rtol=1e-12)
     assert seen == [1, 2, 3]             # BS first, whatever order they are named in
+
+
+def _no_composition(*args, **kwargs):
+    raise AssertionError("a channel was composed")
+
+
+@pytest.mark.parametrize("subset", [[99], [0], []])
+def test_effective_channel_rejects_a_bad_subset_before_any_composition(monkeypatch, subset):
+    channels = synthesize_channels(build_scene(indoor_hall_config(m0=4)), 46)
+    monkeypatch.setattr(irsim.channels, "_compose", _no_composition)
+    message = rf"irs_subset must list distinct IRS ids in 1\.\.8, got {re.escape(str(subset))}"
+    with pytest.raises(ValueError, match=message):
+        effective_channel(channels, 1, unit_phases(channels.scene), include_direct=False,
+                          irs_subset=subset)
 
 
 def test_common_phase_rotation_leaves_single_path_gain():

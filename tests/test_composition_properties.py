@@ -6,8 +6,8 @@ agree with the explicit path sum, and a path-restricted evaluator must
 reproduce the cascaded path channel.  The sweep of affine forms projected
 onto a BS beam must rebuild the full channel for every surface it yields,
 yield the surfaces its paths cross BS first, and stay exact while the caller
-moves each surface.  Sequential search must make the choices of a search
-that re-scores every beam by full recomposition.
+moves each surface.  Sequential search along a route must make the choices
+of a search that re-scores every beam by full recomposition.
 """
 
 import numpy as np
@@ -27,9 +27,10 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def random_instances(draw):
-    """(channels, random phases, user, irs subset, los_only) on a random scene."""
-    n_irs = draw(st.integers(2, 4))
+def random_instances(draw, irs_counts=st.integers(2, 4)):
+    """(channels, random phases, user, irs subset, rng) on a random scene of
+    `irs_counts` surfaces."""
+    n_irs = draw(irs_counts)
     irs = []
     for j in range(n_irs):
         side = 1.0 if j % 2 == 0 else -1.0
@@ -57,8 +58,7 @@ def random_instances(draw):
     phases = {j: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, scene.irs[j - 1].size))
               for j in range(1, n_irs + 1)}
     subset = sorted(draw(st.sets(st.integers(1, n_irs), min_size=1)))
-    return (channels, phases, draw(st.integers(1, n_users)), subset, draw(st.booleans()),
-            rng)
+    return channels, phases, draw(st.integers(1, n_users)), subset, rng
 
 
 def _assert_close(got, want, scale):
@@ -68,15 +68,14 @@ def _assert_close(got, want, scale):
 @PROPERTY_SETTINGS
 @given(random_instances())
 def test_dp_equals_explicit_path_sum(instance):
-    channels, phases, user, subset, los_only, _ = instance
-    graph = build_los_graph(channels.scene, user, require_los=los_only)
+    channels, phases, user, subset, _ = instance
+    graph = build_los_graph(channels.scene, user, require_los=False)
     terms = [cascaded_path_channel(channels, seq, phases, user=user)
              for seq in enumerate_graph_paths(graph) if set(seq) <= set(subset)]
     want = np.sum(terms, axis=0) if terms else np.zeros(channels.scene.n_bs, dtype=complex)
-    h = effective_channel(channels, user, phases, los_only=los_only,
-                          include_direct=False, irs_subset=subset)
+    h = effective_channel(channels, user, phases, include_direct=False, irs_subset=subset)
     _assert_close(h, want, sum(np.linalg.norm(t) for t in terms))
-    h_direct = effective_channel(channels, user, phases, los_only=los_only, irs_subset=subset)
+    h_direct = effective_channel(channels, user, phases, irs_subset=subset)
     _assert_close(h_direct - h, channels.direct(user), np.linalg.norm(h_direct))
 
 
@@ -88,32 +87,30 @@ def _unit_beam(rng, n):
 @PROPERTY_SETTINGS
 @given(random_instances())
 def test_affine_form_rebuilds_channel_for_every_surface(instance):
-    channels, phases, user, subset, los_only, rng = instance
+    channels, phases, user, _, rng = instance
     scene = channels.scene
-    used = {j: phases[j] for j in subset}          # surfaces outside get no phases
-    compose = dict(los_only=los_only, irs_subset=subset)
     w = _unit_beam(rng, scene.n_bs)
-    amp = effective_channel(channels, user, used, **compose) @ w
+    amp = effective_channel(channels, user, phases, include_direct=False) @ w
     every = range(1, scene.n_irs + 1)
-    for j, base, coeff in effective_channel_affine(channels, user, used, every, w, **compose):
-        assert j in subset and np.shape(base) == () and coeff.shape == (scene.irs[j - 1].size,)
+    for j, base, coeff in effective_channel_affine(channels, user, phases, every, w):
+        assert np.shape(base) == () and coeff.shape == (scene.irs[j - 1].size,)
         scale = abs(base) + np.abs(coeff).sum()
         _assert_close(base + phases[j] @ coeff, amp, scale)
         # the decomposition stays exact for any other phase vector of surface j
         other = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeff.shape[0]))
-        moved = effective_channel(channels, user, {**used, j: other}, **compose) @ w
+        moved = effective_channel(channels, user, {**phases, j: other}, include_direct=False) @ w
         _assert_close(base + other @ coeff, moved, scale)
 
 
 @PROPERTY_SETTINGS
 @given(random_instances())
 def test_path_evaluator_matches_cascaded_path_channel(instance):
-    channels, phases, user, _, los_only, _ = instance
+    channels, phases, user, _, _ = instance
     scene = channels.scene
     target = scene.n_irs + user
-    for seq in enumerate_graph_paths(build_los_graph(scene, user, require_los=los_only)):
+    for seq in enumerate_graph_paths(build_los_graph(scene, user, require_los=False)):
         h = cascaded_path_channel(channels, seq, phases, user=user)
-        evaluator = GainEvaluator(channels, [user], path=seq)
+        evaluator = GainEvaluator(channels, [user], seq, seq)
         np.testing.assert_array_equal(evaluator._channel(user, phases), h)
         # independent reference: H_last diag(theta_n) ... diag(theta_1) H_first
         hops = [0, *seq, target]
@@ -126,16 +123,15 @@ def test_path_evaluator_matches_cascaded_path_channel(instance):
 @PROPERTY_SETTINGS
 @given(random_instances())
 def test_sweep_yields_the_crossed_surfaces_bs_first(instance):
-    channels, phases, user, subset, los_only, rng = instance
-    graph = build_los_graph(channels.scene, user, require_los=los_only)
-    paths = [seq for seq in enumerate_graph_paths(graph) if set(seq) <= set(subset)]
+    channels, phases, user, subset, rng = instance
+    graph = build_los_graph(channels.scene, user, require_los=False)
+    paths = enumerate_graph_paths(graph)
     sweep = effective_channel_affine(channels, user, phases, subset[::-1],
-                                     _unit_beam(rng, channels.scene.n_bs), los_only=los_only,
-                                     irs_subset=subset)
+                                     _unit_beam(rng, channels.scene.n_bs))
     order = [j for j, _, _ in sweep]
-    assert sorted(order) == sorted({j for seq in paths for j in seq})
-    for seq in paths:                  # each path meets its surfaces in yield order
-        assert [j for j in order if j in seq] == list(seq)
+    assert sorted(order) == sorted({j for seq in paths for j in seq if j in subset})
+    for seq in paths:                  # each path meets the named surfaces in yield order
+        assert [j for j in order if j in seq] == [j for j in seq if j in subset]
     sources = list(dict.fromkeys(a for a, _ in graph.edge_order))
     assert order == [v for v in reversed(sources) if v in order]
 
@@ -145,17 +141,16 @@ def test_sweep_yields_the_crossed_surfaces_bs_first(instance):
 def test_sweep_carries_each_update_into_the_total(instance):
     """Moving each yielded surface to random phases before resuming, every
     pair (a, b) still rebuilds the projected channel at the current phases."""
-    channels, phases, user, subset, los_only, rng = instance
-    compose = dict(los_only=los_only, irs_subset=subset)
+    channels, phases, user, subset, rng = instance
     w = _unit_beam(rng, channels.scene.n_bs)
     current = {j: theta.copy() for j, theta in phases.items()}
     scale = 0.0                        # bounds every path term met so far
-    for j, base, coeff in effective_channel_affine(channels, user, current, subset, w, **compose):
+    for j, base, coeff in effective_channel_affine(channels, user, current, subset, w):
         scale = max(scale, abs(base) + np.abs(coeff).sum())
         for move in (False, True):         # as yielded, then after the move
             if move:
                 current[j][:] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeff.shape[0]))
-            amp = effective_channel(channels, user, current, **compose) @ w
+            amp = effective_channel(channels, user, current, include_direct=False) @ w
             _assert_close(base + current[j] @ coeff, amp, scale)
 
 
@@ -204,11 +199,11 @@ def _assert_same_search(result, oracle):
 @PROPERTY_SETTINGS
 @given(instance=random_instances(), data=st.data())
 def test_sequential_search_on_a_path_matches_recomposition(n_users, instance, data):
-    channels, _, _, _, los_only, _ = instance
+    channels, _, _, _, _ = instance
     scene = channels.scene
     assume(scene.n_users >= n_users)
     users = list(range(1, n_users + 1))
-    paths = [seq for seq in enumerate_graph_paths(build_los_graph(scene, 1, require_los=los_only))
+    paths = [seq for seq in enumerate_graph_paths(build_los_graph(scene, 1, require_los=False))
              if all((seq[-1], scene.n_irs + k) in channels.links for k in users)]
     assume(paths)
     path = data.draw(st.sampled_from(sorted(paths, key=len, reverse=True)))   # long ones first
@@ -217,20 +212,3 @@ def test_sequential_search_on_a_path_matches_recomposition(n_users, instance, da
     _assert_same_search(result, _oracle_search(
         channels, users, bs_cb, irs_cbs,
         lambda k, phases: cascaded_path_channel(channels, path, phases, user=k), path))
-
-
-@PROPERTY_SETTINGS
-@given(random_instances())
-def test_sequential_search_over_the_graph_matches_recomposition(instance):
-    channels, _, user, subset, _, _ = instance
-    scene = channels.scene
-    graph = build_los_graph(scene, user, require_los=True)
-    crossed = {j for seq in enumerate_graph_paths(graph) if set(seq) <= set(subset) for j in seq}
-    sources = list(dict.fromkeys(a for a, _ in graph.edge_order))
-    bs_cb, irs_cbs = _codebooks(scene, subset)
-    result = sequential_search(channels, [user], bs_cb, irs_cbs)
-    _assert_same_search(result, _oracle_search(
-        channels, [user], bs_cb, irs_cbs,
-        lambda k, phases: effective_channel(channels, k, phases, los_only=True,
-                                            include_direct=False, irs_subset=subset),
-        [v for v in reversed(sources) if v in crossed]))

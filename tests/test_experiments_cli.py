@@ -1,6 +1,7 @@
 """Determinism of the experiment harness and the CLI contract."""
 
 import copy
+import hashlib
 import json
 import os
 
@@ -40,12 +41,21 @@ def test_run_trials_worker_invariance(monkeypatch):
     assert serial == threaded
 
 
-@pytest.mark.parametrize("scenario", ["fig8", "fig9", "fig11"])
+RERUN_DIGESTS = {      # sha256 of each CSV at seed 11, 5 trials
+    "fig7": "84eb74366f047c2a10a836f5c4649a9b520aef707d34d0a1b41e97000c3f4221",
+    "fig8": "3706894b6e3e771a4dc49610ea18a70dea0e7a0d348bdc7b6e83fe414a5989ec",
+    "fig9": "cb493740337a0446242b35eb46ba45a5b82016a55a874d2590e41a7e55e8e343",
+    "fig11": "a629b7dc7e8af6d0f0ccc176087b13253a4c2ccd8bf6a0a4edd8719f8bc407c3",
+}
+
+
+@pytest.mark.parametrize("scenario", ["fig7", "fig8", "fig9", "fig11"])
 def test_scenario_reruns_byte_identical(scenario):
     cfg = ExperimentConfig(scenario=scenario, seed=11, trials=5)
     a = run_scenario(cfg).to_csv()
     b = run_scenario(cfg).to_csv()
     assert a == b
+    assert hashlib.sha256(a.encode()).hexdigest() == RERUN_DIGESTS[scenario]
 
 
 def test_fig9_runs_without_channel_synthesis(monkeypatch):

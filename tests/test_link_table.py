@@ -73,12 +73,12 @@ def test_los_graph_built_once_per_scene_user_and_flag():
     scene = build_scene(indoor_hall_config(m0=2))
     fresh = build_scene(indoor_hall_config(m0=2))
     for user in (1, 2):
+        assert _graph_edges(synthesize_channels(scene, 0), user) \
+            is build_los_graph(scene, user, False).edge_order
         for require_los in (True, False):
             graph = build_los_graph(scene, user, require_los)
             assert build_los_graph(scene, user, require_los) is graph
             assert build_los_graph(scene, user, int(require_los)) is graph
-            assert _graph_edges(synthesize_channels(scene, 0), user, require_los) \
-                is graph.edge_order
             other = build_los_graph(fresh, user, require_los)
             assert other is not graph and other == graph
     assert build_los_graph(scene, 1, True) is not build_los_graph(scene, 1, False)

@@ -70,35 +70,32 @@ def test_update_never_below_per_element_pass(problem):
 
 
 @PROPERTY_SETTINGS
-@given(random_instances(), st.booleans())
-def test_ao_objective_nondecreasing_in_rounds(instance, include_direct):
-    channels, _, user, subset, los_only, _ = instance
-    options = dict(los_only=los_only, include_direct=include_direct, irs_subset=subset)
-    start = effective_channel(channels, user, unit_phases(channels.scene), **options)
+@given(random_instances())
+def test_ao_objective_nondecreasing_in_rounds(instance):
+    channels, _, user, _, _ = instance
+    start = effective_channel(channels, user, unit_phases(channels.scene), include_direct=False)
     assume(np.linalg.norm(start) > 0.0)            # MRT needs a nonzero channel
     previous = 0.0
     for k in range(6):
-        sol = ao_joint_beamforming(channels, user, max_iters=k, tol=0.0, **options)
+        sol = ao_joint_beamforming(channels, user, max_iters=k)
         # the objective the returned phases really attain, not only the reported one
         attained = float(np.linalg.norm(effective_channel(channels, user, sol.phases,
-                                                          **options)) ** 2)
+                                                          include_direct=False)) ** 2)
         assert sol.achieved_gains[user] == pytest.approx(attained, rel=1e-12)
         assert attained >= previous * (1.0 - 1e-12)
         previous = attained
 
 
 @PROPERTY_SETTINGS
-@given(random_instances(), st.booleans())
-def test_one_round_reaches_single_surface_optimum(instance, include_direct):
+@given(random_instances(irs_counts=st.just(1)))
+def test_one_round_reaches_single_surface_optimum(instance):
     # one BS antenna and one surface: the first exact update is globally optimal
-    channels, _, user, subset, los_only, _ = instance
+    channels, _, user, _, _ = instance
     assume(channels.scene.n_bs == 1)
-    options = dict(los_only=los_only, include_direct=include_direct, irs_subset=subset[:1])
     phases = unit_phases(channels.scene)
-    optimum = abs(effective_channel(channels, user, phases, **options)[0]) ** 2
-    for _, base, coeff in effective_channel_affine(channels, user, phases, subset[:1],
-                                                   np.ones(1), **options):
+    optimum = abs(effective_channel(channels, user, phases, include_direct=False)[0]) ** 2
+    for _, base, coeff in effective_channel_affine(channels, user, phases, [1], np.ones(1)):
         optimum = (abs(base) + np.abs(coeff).sum()) ** 2
     assume(optimum > 0.0)
-    sol = ao_joint_beamforming(channels, user, max_iters=1, **options)
+    sol = ao_joint_beamforming(channels, user, max_iters=1)
     assert sol.achieved_gains[user] == pytest.approx(optimum, rel=1e-12)

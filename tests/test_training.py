@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def _tiny_setup(seed=70, kappa_db="inf", n_hops=2):
 
 def test_exhaustive_combination_count():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=1)
-    result = exhaustive_search(channels, [1], bs_cb, irs_cbs)
+    result = exhaustive_search(channels, [1], bs_cb, irs_cbs, path=(1,))
     assert result.combinations == 2 * 4
     assert result.evaluations == 2 * 4          # one user, one eval per combo
 
@@ -84,7 +85,7 @@ def _two_user_setup(seed, n_hops, kappa_db=8):
 
 def test_exhaustive_counts_one_evaluation_per_combination_for_two_users():
     _, channels, bs_cb, irs_cbs = _two_user_setup(seed=72, n_hops=2)
-    result = exhaustive_search(channels, [1, 2], bs_cb, irs_cbs)
+    result = exhaustive_search(channels, [1, 2], bs_cb, irs_cbs, path=(1, 2))
     assert result.combinations == 2 * 4 * 4
     assert result.evaluations == result.combinations
 
@@ -93,7 +94,7 @@ def _brute_force_search(channels, users, bs_cb, irs_cbs, path):
     """(objective, BS index, surface indices) of the best combination, each
     scored alone by an evaluator sweep over a one-beam BS codebook; ties go
     to the lowest BS index, then the lowest surface indices."""
-    evaluator = GainEvaluator(channels, users, irs_ids=sorted(irs_cbs), path=path)
+    evaluator = GainEvaluator(channels, users, path, irs_cbs)
     ids = evaluator.irs_ids
     best = None
     for b in range(bs_cb.size):
@@ -107,12 +108,10 @@ def _brute_force_search(channels, users, bs_cb, irs_cbs, path):
     return best
 
 
-@pytest.mark.parametrize("n_hops", [1, 2])
-@pytest.mark.parametrize("mode", ["graph", "path"])
-def test_exhaustive_returns_brute_force_argmax(n_hops, mode):
+@pytest.mark.parametrize("path", [(1,), (1, 2)], ids=["path-1", "path-2"])
+def test_exhaustive_returns_brute_force_argmax(path):
     for seed, users in itertools.product(range(3), ([1], [1, 2])):
-        _, channels, bs_cb, irs_cbs = _two_user_setup(seed=80 + seed, n_hops=n_hops)
-        path = tuple(range(1, n_hops + 1)) if mode == "path" else None
+        _, channels, bs_cb, irs_cbs = _two_user_setup(seed=80 + seed, n_hops=len(path))
         obj, bs_idx, irs_idx = _brute_force_search(channels, users, bs_cb, irs_cbs, path)
         result = exhaustive_search(channels, users, bs_cb, irs_cbs, path=path)
         assert (result.bs_index, result.irs_indices) == (bs_idx, irs_idx)
@@ -125,7 +124,7 @@ def test_exhaustive_returns_brute_force_argmax(n_hops, mode):
 def test_exhaustive_refuses_oversized_search():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
     with pytest.raises(ValueError, match="combinations"):
-        exhaustive_search(channels, [1], bs_cb, irs_cbs, max_combinations=3)
+        exhaustive_search(channels, [1], bs_cb, irs_cbs, path=(1, 2), max_combinations=3)
 
 
 def test_exhaustive_refuses_a_combination_count_beyond_int64(monkeypatch):
@@ -138,7 +137,8 @@ def test_exhaustive_refuses_a_combination_count_beyond_int64(monkeypatch):
     channels = synthesize_channels(scene, 0)
     irs_cbs = {j: planar_passive_codebook(16, 4) for j in range(1, scene.n_irs + 1)}
     with pytest.raises(ValueError, match=f"would need {2 ** 69} combinations"):
-        exhaustive_search(channels, [1], dft_codebook(32, 32, kind="active"), irs_cbs)
+        exhaustive_search(channels, [1], dft_codebook(32, 32, kind="active"), irs_cbs,
+                          path=tuple(irs_cbs))
 
 
 @pytest.mark.parametrize("max_sweeps", [0, -1])
@@ -150,7 +150,7 @@ def test_sequential_rejects_a_sweep_cap_below_one_before_any_composition(max_swe
     monkeypatch.setattr(training, "_compose", no_composition)
     _, channels, bs_cb, irs_cbs = _tiny_setup(kappa_db=8)
     with pytest.raises(ValueError, match=f"max_sweeps must be >= 1, got {max_sweeps}"):
-        sequential_search(channels, [1], bs_cb, irs_cbs, max_sweeps=max_sweeps)
+        sequential_search(channels, [1], bs_cb, irs_cbs, path=(1, 2), max_sweeps=max_sweeps)
 
 
 @pytest.mark.parametrize("search", [exhaustive_search, sequential_search])
@@ -161,7 +161,21 @@ def test_searches_reject_an_empty_user_list_before_any_composition(search, monke
     _, channels, bs_cb, irs_cbs = _tiny_setup()
     monkeypatch.setattr(training, "_compose", no_composition)
     with pytest.raises(ValueError, match="users"):
-        search(channels, [], bs_cb, irs_cbs)
+        search(channels, [], bs_cb, irs_cbs, path=(1, 2))
+
+
+@pytest.mark.parametrize("search", [exhaustive_search, sequential_search])
+@pytest.mark.parametrize("users", [[0], [2], [99], [1, 1]])
+def test_searches_reject_an_unknown_or_repeated_user_before_any_composition(
+        search, users, monkeypatch):
+    def no_composition(*args, **kwargs):
+        raise AssertionError("a channel was composed")
+
+    _, channels, bs_cb, irs_cbs = _tiny_setup(kappa_db=8)
+    monkeypatch.setattr(training, "_compose", no_composition)
+    message = rf"users must name distinct users in 1\.\.1, got {re.escape(str(users))}"
+    with pytest.raises(ValueError, match=message):
+        search(channels, users, bs_cb, irs_cbs, path=(1, 2))
 
 
 @pytest.mark.parametrize("search", [exhaustive_search, sequential_search])
@@ -170,8 +184,8 @@ def test_searches_reject_an_empty_user_list_before_any_composition(search, monke
     ((1, 1), (1, 2), "path"),
     ((99,), (1, 2), "path"),
     ((1, 2), (1,), "irs_codebooks"),      # a path surface with no codebook
-    (None, (99,), "irs_codebooks"),
-    (None, (), "irs_codebooks"),
+    ((1,), (99,), "irs_codebooks"),
+    ((1,), (), "irs_codebooks"),
 ])
 def test_searches_reject_a_bad_path_or_codebook_map_before_any_composition(
         search, path, codebook_ids, name, monkeypatch):
@@ -183,16 +197,6 @@ def test_searches_reject_a_bad_path_or_codebook_map_before_any_composition(
     cbs = {j: irs_cbs[1] for j in codebook_ids}
     with pytest.raises(ValueError, match=name):
         search(channels, [1], bs_cb, cbs, path=path)
-
-
-def test_sequential_over_the_graph_rejects_several_users_before_any_composition(monkeypatch):
-    def no_composition(*args, **kwargs):
-        raise AssertionError("a channel was composed")
-
-    _, channels, bs_cb, irs_cbs = _two_user_setup(seed=72, n_hops=2)
-    monkeypatch.setattr(training, "_compose", no_composition)
-    with pytest.raises(ValueError, match="one user"):
-        sequential_search(channels, [1, 2], bs_cb, irs_cbs)
 
 
 @pytest.mark.parametrize("users", [[1], [1, 2]])
@@ -215,22 +219,6 @@ def test_sequential_composes_twice_per_user_per_sweep(users, monkeypatch):
     assert result.sweeps == 2 and calls["compose"] == 2 * len(users) * result.sweeps
 
 
-def test_evaluator_over_every_surface_composes_over_the_graphs_own_edge_list(monkeypatch):
-    seen = []
-    real = training._graph_edges
-
-    def recording(channels, user, los_only, irs_subset=None):
-        seen.append(irs_subset)
-        return real(channels, user, los_only, irs_subset)
-
-    monkeypatch.setattr(training, "_graph_edges", recording)
-    _, channels, _, _ = _tiny_setup(n_hops=2)
-    GainEvaluator(channels, [1])
-    GainEvaluator(channels, [1], irs_ids=[2, 1])
-    GainEvaluator(channels, [1], irs_ids=[2])
-    assert seen == [None, None, [2]]
-
-
 def test_exhaustive_finds_planted_optimum():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
     path = (1, 2)
@@ -250,10 +238,10 @@ def test_exhaustive_finds_planted_optimum():
 
 def test_sequential_cost_counts_and_dominance():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(kappa_db=8)
-    seq = sequential_search(channels, [1], bs_cb, irs_cbs)
+    seq = sequential_search(channels, [1], bs_cb, irs_cbs, path=(1, 2))
     per_sweep = bs_cb.size + sum(cb.size for cb in irs_cbs.values())
     assert seq.evaluations == seq.sweeps * per_sweep
-    exh = exhaustive_search(channels, [1], bs_cb, irs_cbs)
+    exh = exhaustive_search(channels, [1], bs_cb, irs_cbs, path=(1, 2))
     assert exh.objective >= seq.objective - 1e-15
 
 
@@ -261,7 +249,7 @@ def test_sequential_objective_nondecreasing_across_sweeps():
     scene, channels, bs_cb, irs_cbs = _tiny_setup(kappa_db=3, seed=71)
     prev = 0.0
     for cap in range(1, 6):
-        res = sequential_search(channels, [1], bs_cb, irs_cbs, max_sweeps=cap)
+        res = sequential_search(channels, [1], bs_cb, irs_cbs, path=(1, 2), max_sweeps=cap)
         assert res.objective >= prev - 1e-15
         prev = res.objective
 
