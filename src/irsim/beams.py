@@ -16,9 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, _user_ids,
-                       check_unit_modulus, effective_channel, effective_channel_affine, mrt_beam,
-                       unit_phases)
+from .channels import (ChannelSet, _compose, _irs_ids, _los_terms, _path_edges, _positive,
+                       _user_ids, check_unit_modulus, effective_channel, effective_channel_affine,
+                       mrt_beam, unit_phases)
 from .geometry import route_links
 
 
@@ -38,35 +38,32 @@ def multi_hop_phases(channels: ChannelSet, path, user: int = 1) -> dict:
 
     Each surface conjugates the product of its incoming receive response
     and outgoing transmit response, which turns every reflection bracket
-    into its element count M.  ValueError if any hop lacks an LoS
-    component, or for a bad `path` or `user`.
+    into its element count M.  The responses come from the scene geometry,
+    so the route's links need not be drawn.  ValueError if any hop lacks an
+    LoS component, or for a bad `path` or `user`.
     """
     scene = channels.scene
     path = _irs_ids(scene, path, "path")
     hops = route_links(path, scene.n_irs + _user_ids(scene, user, "user")[0])
-    phases = {}
-    for idx, irs in enumerate(path):
-        incoming = channels.get(*hops[idx])
-        outgoing = channels.get(*hops[idx + 1])
-        if incoming.los_gain is None or outgoing.los_gain is None:
-            raise ValueError(
-                f"hop ({hops[idx]} or {hops[idx + 1]}) has no LoS decomposition; "
-                "use AO or beam training instead")
-        phases[irs] = np.conj(incoming.los_rx * outgoing.los_tx)
-    return phases
+    terms = [_los_terms(scene, *hop) for hop in hops]       # (.., rho, a_rx, a_tx)
+    if blocked := [hop for hop, t in zip(hops, terms) if t[3] is None]:
+        raise ValueError(f"hop {blocked[0]} has no LoS decomposition; "
+                         "use AO or beam training instead")
+    return {irs: np.conj(terms[idx][4] * terms[idx + 1][5]) for idx, irs in enumerate(path)}
 
 
 def closed_form_path_gain(n: int, m_elements, n_bs: int, beta: float, distances) -> float:
     """Peak power gain of an n-reflection LoS path (active gain included).
 
     `m_elements` is the per-surface element count, either a scalar shared
-    by the whole path or one value per hop.
+    by the whole path or one value per hop.  ValueError unless the counts,
+    `beta` and the distances are positive and finite.
     """
-    distances = np.asarray(distances, dtype=float)
+    distances = np.asarray(_positive(distances, "distances"), dtype=float)
     if n < 1 or len(distances) != n + 1:
         raise ValueError("need n >= 1 and n + 1 link distances")
-    m = np.broadcast_to(np.asarray(m_elements, dtype=float), (n,))
-    hops = beta * distances ** -2.0      # hop by hop, so a long route's factors cannot overflow
+    m = np.broadcast_to(np.asarray(_positive(m_elements, "m_elements"), dtype=float), (n,))
+    hops = _positive(beta, "beta") * distances ** -2.0   # hop by hop: a long route cannot overflow
     return float(n_bs * hops[0] * np.prod(m ** 2 * hops[1:]))
 
 
@@ -189,9 +186,8 @@ def linear_receivers(H: np.ndarray, noise_power: float, tx_power: float,
     K = H.shape[1]
     if not np.all(np.any(H != 0, axis=0)):
         raise ValueError("H has an all-zero column: a user with no channel has no SINR")
-    for name, value in (("noise_power", noise_power), ("tx_power", tx_power)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _positive(noise_power, "noise_power")
+    _positive(tx_power, "tx_power")
     deficient = numerical_rank(H) < K
     if scheme == "mmse":
         gram = tx_power * (H @ H.conj().T) + noise_power * np.eye(H.shape[0])

@@ -12,7 +12,8 @@ LoS components are far-field rank-one: H_los = rho * outer(a_rx, a_tx)
 with unit-modulus array responses and rho carrying the path gain and the
 carrier phase of the nominal distance.  Rician mixing adds an i.i.d.
 circularly-symmetric Gaussian part; that law is written once (`_rician_draws`)
-and also serves the reference-point controller links of beam training.
+and also serves the reference-point controller links of beam training, and
+`_rician_rows` draws x @ H alone, with H's law, for a consumer of fixed rows x.
 
 Every path or graph composition (one explicit path, the full path sum, and
 the sweep of its affine forms in each surface's phases projected onto a BS
@@ -60,12 +61,10 @@ class LinkChannel:
     los_tx: np.ndarray | None   # response at node i
 
 
-def _node_response(scene: Scene, node: int, direction, lam: float) -> np.ndarray:
-    if node == 0:
-        return array_response(scene.bs, direction, lam)
-    if scene.is_user(node):
+def _node_response(scene: Scene, node: int, direction, lam: float, panel: bool) -> np.ndarray:
+    if not panel or scene.is_user(node):         # a user, or a reference-point antenna
         return np.ones(1, dtype=complex)
-    return array_response(scene.irs[node - 1], direction, lam)
+    return array_response(scene.bs if node == 0 else scene.irs[node - 1], direction, lam)
 
 
 def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
@@ -89,20 +88,9 @@ def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count:
     Gaussian matrices are drawn into it once, keyed by the entropy `rng`
     was freshly seeded with, and mixed from there on every later call.
     """
-    consts = scene.constants
-    lam = consts.wavelength
-    d = scene.distance(i, j)
-    alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
-    pl = path_loss(d, alpha, consts.beta)
+    d, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
     n_rx = scene.node_size(j) if rx_panel else 1
     n_tx = scene.node_size(i) if tx_panel else 1
-
-    rho = a_rx = a_tx = None
-    if has_geometric_los(scene, i, j):
-        u = (scene.node_position(j) - scene.node_position(i)) / d
-        a_tx = _node_response(scene, i, u, lam) if tx_panel else np.ones(1, dtype=complex)
-        a_rx = _node_response(scene, j, -u, lam) if rx_panel else np.ones(1, dtype=complex)
-        rho = math.sqrt(pl) * np.exp(-2j * np.pi * d / lam)
 
     pure_los = rho is not None and math.isinf(kappa)
     if pure_los:
@@ -123,6 +111,35 @@ def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count:
             _add_gaussian(matrix, next(units), math.sqrt(pl), math.sqrt(1 / (1 + kappa)))
         yield LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
                           los_gain=rho, los_rx=a_rx, los_tx=a_tx)
+
+
+def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
+    """(distance, path loss, kappa, rho, a_rx, a_tx) of link i -> j, the last three
+    None when it is geometrically blocked; the ends as in `_rician_draws`."""
+    consts = scene.constants
+    lam = consts.wavelength
+    d = scene.distance(i, j)
+    alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
+    pl = path_loss(d, alpha, consts.beta)
+    if not has_geometric_los(scene, i, j):
+        return d, pl, kappa, None, None, None
+    u = (scene.node_position(j) - scene.node_position(i)) / d
+    return (d, pl, kappa, math.sqrt(pl) * np.exp(-2j * np.pi * d / lam),
+            _node_response(scene, j, -u, lam, rx_panel), _node_response(scene, i, u, lam, tx_panel))
+
+
+def _rician_rows(scene: Scene, seed: int, i: int, j: int, x: np.ndarray) -> np.ndarray:
+    """x @ (the matrix of link i -> j under `seed`), drawn as that product
+    alone: the law of `_rician_draws`, its Gaussian part drawn by `_cn_rows`."""
+    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
+    if rho is None:
+        los, kappa = 0.0, 0.0                      # a blocked link is pure NLoS
+    else:
+        los = np.multiply.outer(rho * (x @ a_rx), a_tx)
+        if math.isinf(kappa):
+            return los
+    z = _cn_rows(_link_rng(seed, i, j), x, scene.node_size(i))
+    return math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z
 
 
 def _los_matrix(rho: complex, a_rx: np.ndarray, a_tx: np.ndarray) -> np.ndarray:
@@ -171,6 +188,14 @@ def _cn(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
             part[rows] = rng.standard_normal(part[rows].shape)
     z /= math.sqrt(2.0)
     return z
+
+
+def _cn_rows(rng: np.random.Generator, x: np.ndarray, n: int) -> np.ndarray:
+    """x @ Z for Z an (x.shape[1] x n) `_cn` matrix, from min(x.shape) Gaussian rows:
+    for the reduced QR x^H = Q T, Q^H Z is unit Gaussian too, so T^H Q^H Z has
+    Z's law at any rank of x.  Z @ w is the transpose case, _cn_rows(rng, w.T, n).T."""
+    t = np.linalg.qr(x.conj().T, mode="r")
+    return t.conj().T @ _cn(rng, t.shape[0], n)
 
 
 @dataclass
@@ -235,6 +260,22 @@ def check_unit_modulus(phases: dict) -> None:
 # Composition
 # ---------------------------------------------------------------------------
 
+def _tail_pass(scene: Scene, edges, phases: dict, link) -> dict:
+    """`_compose`'s tail pass: down[v] for each source v that reaches a user.
+    `link(a, b, x)` is x @ (link a -> b's matrix), or that matrix for x None (a
+    link into a user); a phase vector may also hold one row per row of down."""
+    down: dict[int, np.ndarray] = {}
+    for a, b in edges:
+        if scene.is_user(b):
+            term = link(a, b, None)
+        elif b in down:
+            term = link(a, b, down[b] * phases[b])
+        else:
+            continue                               # b reaches no user
+        down[a] = down[a] + term if a in down else term
+    return down
+
+
 def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray | None = None):
     """Sum over every BS-to-user path of an ordered reflection edge list.
 
@@ -248,17 +289,9 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray 
     crosses: h @ w = a + phases[j] @ b, exact for the phases the caller has
     moved so far (one Gauss-Seidel sweep; down[j] needs only the surfaces
     after j, which the sweep has not reached)."""
-    scene = channels.scene
-    down: dict[int, np.ndarray] = {}
-    for a, b in edges:
-        if scene.is_user(b):
-            term = channels.get(a, b).matrix
-        elif b in down:
-            term = (down[b] * phases[b][None, :]) @ channels.get(a, b).matrix
-        else:
-            continue                               # b reaches no user
-        down[a] = down[a] + term if a in down else term
-    h = down[0][0] if 0 in down else np.zeros(scene.n_bs, dtype=complex)
+    down = _tail_pass(channels.scene, edges, phases, lambda a, b, x: (
+        channels.get(a, b).matrix if x is None else x @ channels.get(a, b).matrix))
+    h = down[0][0] if 0 in down else np.zeros(channels.scene.n_bs, dtype=complex)
     if irs is None:
         return h
 
@@ -296,6 +329,13 @@ def _user_ids(scene: Scene, users, name: str) -> list:
     if not 0 < len(ids) == len(set(ids) & set(range(1, scene.n_users + 1))):
         raise ValueError(f"{name} must name distinct users in 1..{scene.n_users}, got {users!r}")
     return ids
+
+
+def _positive(value, name: str):
+    """`value`; a ValueError naming `name` unless its entries are positive and finite."""
+    if not np.all((0 < (arr := np.asarray(value, dtype=float))) & (arr < np.inf)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _path_edges(path, target: int) -> list:
@@ -343,9 +383,12 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
     The path sum runs over every admissible path of the user's reflection
     graph; `irs_subset` restricts the graph to the named IRSs.  Computed by
     dynamic programming over the acyclic graph, which is equivalent to the
-    explicit path sum.
+    explicit path sum.  ValueError if `phases` lacks a surface of the graph.
     """
-    h = _compose(channels, _graph_edges(channels, user, irs_subset), phases)
+    edges = _graph_edges(channels, user, irs_subset)
+    if missing := sorted({a for a, _ in edges if a} - set(phases)):
+        raise ValueError(f"phases lacks IRS {missing} of user {user}'s graph")
+    h = _compose(channels, edges, phases)
     if include_direct:
         h = h + channels.direct(user)
     return h

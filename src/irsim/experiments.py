@@ -287,11 +287,8 @@ def run_fig11(config: ExperimentConfig) -> ResultTable:
               1, config.seed)
 
     def audit_trial(t, s):
-        channels = synthesize_channels(scene, s)
-        unc = interference_audit(channels, unconstrained)
-        con = interference_audit(channels, constrained)
-        return (max(r["interference_over_noise"] for r in unc.values()),
-                max(r["interference_over_noise"] for r in con.values()))
+        return [max(r["interference_over_noise"] for r in report.values())
+                for report in interference_audit(scene, s, [unconstrained, constrained])]
 
     trials = max(5, config.trials // 10)
     audits = run_trials(audit_trial, trials, config.seed)

@@ -112,6 +112,12 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _cross(u, v) -> np.ndarray:
+    """u x v of two 3-vectors: np.cross's arithmetic, without its overhead."""
+    (a, b, c), (d, e, f) = u, v
+    return np.array([b * f - c * e, c * d - a * f, a * e - b * d])
+
+
 def panel_axes(normal):
     """Return the in-plane (horizontal, vertical) axes of a panel.
 
@@ -120,10 +126,10 @@ def panel_axes(normal):
     """
     n = _unit(normal)
     up = np.array([0.0, 0.0, 1.0])
-    if np.linalg.norm(np.cross(up, n)) < 1e-9:
+    if np.linalg.norm(_cross(up, n)) < 1e-9:
         up = np.array([0.0, 1.0, 0.0])
-    ax_h = _unit(np.cross(up, n))
-    ax_v = np.cross(n, ax_h)
+    ax_h = _unit(_cross(up, n))
+    ax_v = _cross(n, ax_h)
     return ax_h, ax_v
 
 
@@ -583,14 +589,20 @@ class LosGraph:
 
     @functools.cached_property
     def edge_order(self) -> tuple[tuple[int, int], ...]:
-        """Edges by source in decreasing BS distance (the BS last), then by
-        successor: a reverse topological order.  ValueError for an edge out of
-        the user, or into the BS or a surface no farther from the BS."""
-        rank = {**self.bs_distance, self.user_node: math.inf}
-        bad = [e for e in self.edges if not rank[e[0]] < rank[e[1]]]
-        if bad:
-            raise ValueError(f"edge {min(bad)} does not lead away from the BS")
-        return tuple(sorted(self.edges, key=lambda e: (e[0] == 0, -rank[e[0]], e)))
+        """`_edge_order` of this graph alone."""
+        return _edge_order([self])
+
+
+def _edge_order(graphs) -> tuple[tuple[int, int], ...]:
+    """The edges of every graph, by source in decreasing BS distance (the BS
+    last), then by successor: a reverse topological order.  ValueError for an
+    edge out of a user, or into the BS or a surface no farther from the BS."""
+    rank = {n: d for g in graphs for n, d in g.bs_distance.items()}
+    rank.update((g.user_node, math.inf) for g in graphs)
+    edges = set().union(*(g.edges for g in graphs))
+    if bad := [e for e in edges if not rank[e[0]] < rank[e[1]]]:
+        raise ValueError(f"edge {min(bad)} does not lead away from the BS")
+    return tuple(sorted(edges, key=lambda e: (e[0] == 0, -rank[e[0]], e)))
 
 
 def build_los_graph(scene: Scene, user: int, require_los: bool = True) -> LosGraph:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import closed_form_path_gain, multi_hop_phases
-from .channels import effective_channel, enumerate_graph_paths, mrt_beam, unit_phases
-from .geometry import LosGraph, Scene, route_links
+from .channels import (_los_terms, _positive, _rician_rows, _tail_pass, enumerate_graph_paths,
+                       mrt_beam, synthesize_channels, unit_phases)
+from .geometry import LosGraph, Scene, _edge_order, build_los_graph, route_links
 
 enumerate_routes = enumerate_graph_paths     # public name of the route enumeration
 
@@ -54,7 +55,8 @@ class RoutingSolution:
 
 def _irs_elements(j: int, m_elements) -> float:
     """Element count of surface j: the common scalar, or its own entry."""
-    return float(m_elements if np.isscalar(m_elements) else m_elements[j])
+    return _positive(float(m_elements if np.isscalar(m_elements) else m_elements[j]),
+                     "m_elements")
 
 
 def edge_weight(edge, distance: float, m_elements, beta: float) -> float:
@@ -69,7 +71,10 @@ def edge_weight(edge, distance: float, m_elements, beta: float) -> float:
 
 
 def path_distances(graph: LosGraph, path) -> list[float]:
-    return [graph.distances[link] for link in route_links(path, graph.user_node)]
+    links = route_links(path, graph.user_node)
+    if not all(link in graph.distances for link in links):     # () is the direct link
+        raise ValueError(f"path must be a route of user {graph.user}'s graph, got {path}")
+    return [graph.distances[link] for link in links]
 
 
 def path_gain(graph: LosGraph, path, m_elements, beta: float, n_bs: int = 1) -> float:
@@ -85,8 +90,9 @@ def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1
     the worst-case assumption).  Each edge is relaxed once, in topological
     order (the reverse of `graph.edge_order`), so a node's label is final
     before its edges are walked.  Ties prefer fewer hops, then the smallest
-    IRS sequence.
+    IRS sequence.  ValueError unless `beta` and the element counts are positive and finite.
     """
+    _positive(beta, "beta")
     best = {0: (0.0, 0, ())}           # node -> (weight, hops, sequence)
     for i, j in reversed(graph.edge_order):
         if i in best:
@@ -197,34 +203,44 @@ def unconstrained_multi_route(scene: Scene, graphs: dict, m_elements, beta: floa
 # Interference audit
 # ---------------------------------------------------------------------------
 
-def interference_audit(channels, solution: RoutingSolution) -> dict:
-    """Received interference per user under the full scattered channel.
+def interference_audit(scene: Scene, seed: int, solutions) -> list[dict]:
+    """Received interference per user of each routed solution, all under one
+    draw of the full scattered channel at `seed`: one {user: report} each.
 
-    Beamforming follows the routed solution: each surface on a route gets
-    the closed-form phases of that route, surfaces serving nobody stay at
-    zero phase (conflicting assignments resolve in user order, the later
-    user winning), and the BS applies per-user MRT toward the first
-    surface of each route.  Interference is evaluated on the complete
-    multi-path channel including the scattered (non-LoS-path) reflections.
-    """
-    scene = channels.scene
+    Each surface on a route gets that route's closed-form phases, others stay
+    at zero phase (the later user wins a conflict), and the BS applies MRT
+    toward each route's first surface.  One tail pass over the users' graphs
+    carries a row per (solution, user), zero-phased off that user's graph.
+    Links into users, the direct ones included, are drawn in full; links into
+    surfaces only as their product with those rows (the same law)."""
     consts = scene.constants
-    phases = unit_phases(scene)
-    beams = {}
-    for k, path in sorted(solution.paths.items()):
-        phases.update(multi_hop_phases(channels, path.irs_sequence, user=k))
-        beams[k] = mrt_beam(channels.get(0, path.irs_sequence[0]).los_tx)
+    rows = [(s, k) for s, sol in enumerate(solutions) for k in sorted(sol.paths)]
+    if not rows:
+        raise ValueError("solutions must route at least one user")
+    owner = np.array([scene.n_irs + k for _, k in rows])
+    channels = synthesize_channels(scene, seed, [ij for ij in scene._links[0] if ij[1] in owner])
+    configs, beams = [], []
+    for sol in solutions:
+        configs.append(unit_phases(scene))
+        for k, path in sorted(sol.paths.items()):
+            configs[-1].update(multi_hop_phases(channels, path.irs_sequence, user=k))
+        beams.append({k: mrt_beam(_los_terms(scene, 0, path.irs_sequence[0])[5])
+                      for k, path in sol.paths.items()})
+    stacked = {j: np.array([configs[s][j] * (j in scene.effective_regions[k - 1])
+                            for s, k in rows]) for j in configs[0]}
 
-    users = sorted(solution.paths)
-    h = {k: effective_channel(channels, k, phases) for k in users}
-    report = {}
-    for k in users:
-        desired = consts.tx_power * abs(h[k] @ beams[k]) ** 2
-        interference = sum(consts.tx_power * abs(h[k] @ beams[kp]) ** 2
-                           for kp in users if kp != k)
-        report[k] = {
-            "desired": desired,
-            "interference": interference,
-            "interference_over_noise": interference / consts.noise_power,
-        }
-    return report
+    def link(a, b, x):
+        if x is None:
+            return (owner == b)[:, None] * channels.get(a, b).matrix
+        return _rician_rows(scene, seed, a, b, x)
+
+    graphs = [build_los_graph(scene, k, False) for k in {k for _, k in rows}]
+    h = _tail_pass(scene, [*_edge_order(graphs), *((0, g.user_node) for g in graphs)],
+                   stacked, link)[0]
+    reports = [{} for _ in solutions]
+    for r, (s, k) in enumerate(rows):
+        power = {kp: consts.tx_power * abs(h[r] @ w) ** 2 for kp, w in beams[s].items()}
+        interference = sum(p for kp, p in power.items() if kp != k)
+        reports[s][k] = {"desired": power[k], "interference": interference,
+                         "interference_over_noise": interference / consts.noise_power}
+    return reports

@@ -201,9 +201,7 @@ def test_criterion_5_path_separation():
     con = optimal_multi_route(scene, graphs, m, scene.constants.beta, scene.n_bs)
     worst_unc, worst_con = [], []
     for seed in range(10):
-        channels = synthesize_channels(scene, 500 + seed)
-        ru = interference_audit(channels, unc)
-        rc = interference_audit(channels, con)
+        ru, rc = interference_audit(scene, 500 + seed, [unc, con])
         worst_unc.append(max(r["interference_over_noise"] for r in ru.values()))
         worst_con.append(max(r["interference_over_noise"] for r in rc.values()))
     margin_db = 10 * math.log10(np.mean(worst_unc) / np.mean(worst_con))

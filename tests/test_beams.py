@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,20 @@ def test_closed_form_path_gain_arithmetic():
     g1 = closed_form_path_gain(1, 20, 4, 1e-3, [5, 7])
     g1_doubled = closed_form_path_gain(1, 40, 4, 1e-3, [5, 7])
     assert math.log2(g1_doubled / g1) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((1, 400, 1, 1e-3, [-10, 10]), "distances"),
+    ((1, 400, 1, 1e-3, [0.0, 10]), "distances"),
+    ((1, 0, 1, 1e-3, [10, 10]), "m_elements"),
+    ((2, [400, -1], 1, 1e-3, [10, 10, 10]), "m_elements"),
+    ((1, 400, 1, 0.0, [10, 10]), "beta"),
+], ids=["negative_distance", "zero_distance", "zero_elements", "negative_elements", "zero_beta"])
+def test_closed_form_path_gain_rejects_a_value_that_is_not_positive_and_finite(args, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            closed_form_path_gain(*args)
 
 
 def test_loglog_gain_slopes_in_m():

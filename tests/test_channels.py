@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import irsim.channels
-from irsim.channels import (ChannelSet, _graph_edges, _rician_draws, array_response,
+from irsim.channels import (ChannelSet, _cn_rows, _graph_edges, _rician_draws, array_response,
                             cascaded_path_channel,
                             effective_channel, effective_channel_affine, enumerate_graph_paths,
                             mrt_beam, path_loss, synth_link, synthesize_channels, unit_phases)
@@ -188,6 +188,27 @@ def test_link_substreams_independent_of_other_links(chain_scene):
     assert np.array_equal(full.get(0, 1).matrix, restricted.get(0, 1).matrix)
 
 
+@pytest.mark.parametrize("rows", [[0, 1, 2], [0, 1, 0, 1], [0, 1, 2, 3, 4]],
+                         ids=["full_rank", "repeated_rows", "more_rows_than_columns"])
+def test_projected_draw_has_the_law_of_the_full_draw(monkeypatch, rows):
+    # x @ Z, Z unit complex Gaussian, has i.i.d. columns CN(0, x x^H): the
+    # sample covariance of n columns is n x x^H within a few standard errors,
+    # drawn with min(x.shape) Gaussian rows
+    base = np.random.default_rng(12).standard_normal((5, 6)).view(complex)
+    x, n = base[rows], 20000
+    drawn = []
+    cn = irsim.channels._cn
+    monkeypatch.setattr(irsim.channels, "_cn",
+                        lambda rng, r, c: drawn.append((r, c)) or cn(rng, r, c))
+    y = _cn_rows(np.random.default_rng(13), x, n)
+    assert y.shape == (len(rows), n) and drawn == [(min(x.shape), n)]
+    want = x @ x.conj().T
+    power = np.diag(want).real
+    assert np.all(np.abs(y @ y.conj().T - n * want) <= 5 * np.sqrt(n * np.outer(power, power)))
+    if len(rows) == 4:                       # repeated rows of x give equal rows of x @ Z
+        np.testing.assert_allclose(y[2:], y[:2], rtol=0, atol=1e-12 * np.abs(y).max())
+
+
 # ---------------------------------------------------------------------------
 # cascaded composition
 # ---------------------------------------------------------------------------
@@ -341,6 +362,16 @@ def test_effective_channel_rejects_a_bad_subset_before_any_composition(monkeypat
     with pytest.raises(ValueError, match=message):
         effective_channel(channels, 1, unit_phases(channels.scene), include_direct=False,
                           irs_subset=subset)
+
+
+def test_effective_channel_rejects_phases_missing_a_surface_of_its_graph(monkeypatch):
+    channels = synthesize_channels(build_scene(indoor_hall_config(m0=4)), 46)
+    monkeypatch.setattr(irsim.channels, "_compose", _no_composition)
+    with pytest.raises(ValueError, match=r"phases lacks IRS \[.*8\] of user 1's graph"):
+        effective_channel(channels, 1, {})
+    partial = {j: p for j, p in unit_phases(channels.scene).items() if j != 8}
+    with pytest.raises(ValueError, match=r"phases lacks IRS \[8\] of user 1's graph"):
+        effective_channel(channels, 1, partial)
 
 
 def test_common_phase_rotation_leaves_single_path_gain():

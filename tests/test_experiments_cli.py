@@ -45,7 +45,7 @@ RERUN_DIGESTS = {      # sha256 of each CSV at seed 11, 5 trials
     "fig7": "84eb74366f047c2a10a836f5c4649a9b520aef707d34d0a1b41e97000c3f4221",
     "fig8": "3706894b6e3e771a4dc49610ea18a70dea0e7a0d348bdc7b6e83fe414a5989ec",
     "fig9": "cb493740337a0446242b35eb46ba45a5b82016a55a874d2590e41a7e55e8e343",
-    "fig11": "a629b7dc7e8af6d0f0ccc176087b13253a4c2ccd8bf6a0a4edd8719f8bc407c3",
+    "fig11": "9db37f0f2d6afb05b73db5355599fee0deff05fb2b7ba544580431f442c553b3",
 }
 
 

@@ -1,21 +1,24 @@
 """Routing: log-weight identity, one-pass routing vs Bellman-Ford and
 exhaustive oracles, separation constraints, and the interference audit."""
 
+import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from irsim.beams import closed_form_path_gain
+import irsim.channels
+from irsim.beams import closed_form_path_gain, multi_hop_phases
 from irsim.geometry import LosGraph, build_los_graph, build_scene, los_indicator
 from irsim import routing
-from irsim.routing import (Infeasible, NoFeasiblePath, ReflectionPath,
+from irsim.routing import (Infeasible, NoFeasiblePath, ReflectionPath, RoutingSolution,
                            check_path_separation, edge_weight, enumerate_routes,
                            interference_audit, optimal_multi_route,
                            optimal_single_route, path_distances, path_gain,
                            unconstrained_multi_route)
-from irsim.channels import synthesize_channels
+from irsim.channels import effective_channel, mrt_beam, synthesize_channels, unit_phases
 from irsim.scenarios import indoor_hall_config
 
 from conftest import random_two_user_config, synthetic_graph, zigzag_config
@@ -151,6 +154,23 @@ def test_edge_order_rejects_an_edge_that_does_not_lead_away_from_the_bs(bad_edge
         optimal_single_route(graph, 16, BETA)
     with pytest.raises(ValueError, match="does not lead away from the BS"):
         enumerate_routes(graph)
+
+
+@pytest.mark.parametrize("path", [(99,), ()], ids=["unknown_surface", "empty"])
+def test_path_gain_rejects_a_path_that_is_not_a_route_of_the_graph(path):
+    graph = _hand_built_graph({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)})
+    message = rf"path must be a route of user 1's graph, got {re.escape(str(path))}"
+    with pytest.raises(ValueError, match=message):
+        path_gain(graph, path, 16, BETA)
+
+
+@pytest.mark.parametrize("m, beta, name", [
+    (0, BETA, "m_elements"), ({1: 16, 2: -4}, BETA, "m_elements"),
+    (16, 0.0, "beta"), (16, math.nan, "beta")])
+def test_single_route_rejects_a_value_that_is_not_positive_and_finite(m, beta, name):
+    graph = _hand_built_graph({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)})
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        optimal_single_route(graph, m, beta)
 
 
 def _recursive_routes(graph):
@@ -405,12 +425,11 @@ def test_multi_routers_reject_a_graph_filed_under_another_user(router, monkeypat
 
 def test_single_user_audit_has_zero_interference():
     scene = _hall_scene()
-    channels = synthesize_channels(scene, 60)
     graph = build_los_graph(scene, 1)
     path = optimal_single_route(graph, 576, scene.constants.beta, scene.n_bs)
     from irsim.routing import RoutingSolution
     sol = RoutingSolution(paths={1: path}, objective=path.gain, separation_ok=True)
-    report = interference_audit(channels, sol)
+    report, = interference_audit(scene, 60, [sol])
     assert report[1]["interference"] == 0.0
     assert report[1]["desired"] > 0
 
@@ -423,9 +442,7 @@ def test_separated_pairing_has_less_interference():
     con = optimal_multi_route(scene, graphs, m, scene.constants.beta, scene.n_bs)
     worst_unc, worst_con = [], []
     for seed in range(5):
-        channels = synthesize_channels(scene, 61 + seed)
-        ru = interference_audit(channels, unc)
-        rc = interference_audit(channels, con)
+        ru, rc = interference_audit(scene, 61 + seed, [unc, con])
         worst_unc.append(max(r["interference_over_noise"] for r in ru.values()))
         worst_con.append(max(r["interference_over_noise"] for r in rc.values()))
     assert np.mean(worst_con) < np.mean(worst_unc)
@@ -444,9 +461,119 @@ def test_clean_los_separated_interference_below_noise():
             sol = optimal_multi_route(scene, graphs, 9, scene.constants.beta, scene.n_bs)
         except (Infeasible, NoFeasiblePath):
             continue
-        channels = synthesize_channels(scene, 63)
-        report = interference_audit(channels, sol)
+        report, = interference_audit(scene, 63, [sol])
         for r in report.values():
             assert r["interference_over_noise"] < 1.0
         return
     pytest.skip("no feasible separated instance drawn")
+
+
+@pytest.mark.parametrize("solutions", [[], [RoutingSolution({}, 0.0, True)]],
+                         ids=["no_solution", "no_user"])
+def test_audit_rejects_solutions_that_route_nobody(solutions):
+    with pytest.raises(ValueError, match="solutions must route at least one user"):
+        interference_audit(_hall_scene(), 0, solutions)
+
+
+def _reference_audit(scene, seed, solutions):
+    """The audit on fully drawn link matrices, from the public functions."""
+    channels = synthesize_channels(scene, seed)
+    consts = scene.constants
+    reports = []
+    for sol in solutions:
+        phases = unit_phases(scene)
+        for k, path in sorted(sol.paths.items()):
+            phases.update(multi_hop_phases(channels, path.irs_sequence, user=k))
+        beams = {k: mrt_beam(channels.get(0, path.irs_sequence[0]).los_tx)
+                 for k, path in sol.paths.items()}
+        report = {}
+        for k in sorted(sol.paths):
+            h = effective_channel(channels, k, phases)
+            power = {kp: consts.tx_power * abs(h @ w) ** 2 for kp, w in beams.items()}
+            interference = sum(p for kp, p in power.items() if kp != k)
+            report[k] = {"desired": power[k], "interference": interference,
+                         "interference_over_noise": interference / consts.noise_power}
+        reports.append(report)
+    return reports
+
+
+def _both_routings(scene):
+    """The unconstrained and the separated routing of users 1 and 2."""
+    graphs = {k: build_los_graph(scene, k) for k in (1, 2)}
+    m, beta = scene.irs[0].size, scene.constants.beta
+    return [unconstrained_multi_route(scene, graphs, m, beta, scene.n_bs),
+            optimal_multi_route(scene, graphs, m, beta, scene.n_bs)]
+
+
+def _audit_cases():
+    """The hall at m0 = 3, and six two-user scenes whose users have distinct
+    effective regions (three of the hall, three random), each with both of
+    its routings."""
+    hall = build_scene(indoor_hall_config(m0=3, kappa_db=0))
+    cases = [(hall, _both_routings(hall))]
+    rng = np.random.default_rng(64)
+    for from_hall in (True, False):
+        found = 0
+        for _ in range(300):
+            cfg = (indoor_hall_config(m0=3) if from_hall
+                   else random_two_user_config(rng, n_irs=6))
+            cfg["constants"]["kappa_db"] = float(rng.choice([0.0, 10.0, 20.0]))
+            n = len(cfg["irs"])
+            regions = [sorted(int(j) + 1 for j in rng.permutation(n)[:n - 1 - from_hall])
+                       for _ in (1, 2)]
+            cfg["effective_regions"] = {"1": regions[0], "2": regions[1]}
+            try:
+                scene = build_scene(cfg)
+                solutions = _both_routings(scene)
+            except (Infeasible, NoFeasiblePath):
+                continue
+            if regions[0] != regions[1]:
+                cases.append((scene, solutions))
+                found += 1
+            if found == 3:
+                break
+    assert len(cases) == 7
+    return cases
+
+
+def test_audit_equals_the_full_matrix_audit_with_the_draws_zeroed(monkeypatch):
+    """With every Gaussian draw zero both audits see the LoS parts alone, so
+    they agree to rounding; where the users' regions differ, the rows' zero
+    phases off each user's graph keep the other user's paths out."""
+    monkeypatch.setattr(irsim.channels, "_cn",
+                        lambda rng, n_rx, n_tx: np.zeros((n_rx, n_tx), dtype=complex))
+    for scene, solutions in _audit_cases():
+        got = interference_audit(scene, 65, solutions)
+        want = _reference_audit(scene, 65, solutions)
+        for g, w in zip(got, want, strict=True):
+            assert g.keys() == w.keys()
+            for k in w:
+                for key in ("desired", "interference"):
+                    assert g[k][key] == pytest.approx(w[k][key], rel=1e-12, abs=1e-300)
+
+
+def test_audit_has_the_law_of_the_full_matrix_audit():
+    """Over 300 seeds, each desired and interference power and each
+    solution's max over users has the full-matrix audit's mean, within 4
+    standard errors of the paired difference (the links into users are
+    shared, the links into surfaces drawn apart).  The direct links, the
+    same draws on both sides, are faded out so that the reflected paths
+    carry the powers."""
+    cfg = indoor_hall_config(m0=3, kappa_db=0)
+    cfg["constants"]["alpha"] = {"bs_user": 10.0}
+    scene = build_scene(cfg)
+    solutions = _both_routings(scene)
+    diffs = collections.defaultdict(list)
+    for seed in range(300):
+        got = interference_audit(scene, seed, solutions)
+        want = _reference_audit(scene, seed, solutions)
+        for s, (g, w) in enumerate(zip(got, want)):
+            for k in w:
+                for key in ("desired", "interference"):
+                    diffs[s, k, key].append(g[k][key] - w[k][key])
+            diffs[s, "max"].append(max(r["interference"] for r in g.values())
+                                   - max(r["interference"] for r in w.values()))
+    assert len(diffs) == 2 * 5
+    for name, d in diffs.items():
+        d = np.asarray(d)
+        assert abs(d.mean()) <= 4 * d.std(ddof=1) / math.sqrt(len(d)), name
