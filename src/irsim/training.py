@@ -17,6 +17,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -216,22 +217,24 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
 class BeamTrainingTable:
     """Per-node table of thresholded RSS measurements.
 
-    Rows are keyed (previous node, beam index, next node); the BS table
-    uses previous node None.  `reference_rss` stores the unreflected
-    controller-to-controller strength of each incoming link, used to
-    normalize composed gain estimates (1.0 under None: the BS transmits
-    itself).  Rows with a user as next node are the online part of the
-    protocol.
+    `rss` maps each sounded hop (previous node, next node) to its RSS per
+    beam, -inf below the threshold; the BS table uses previous node None.
+    `reference_rss` stores the unreflected controller-to-controller strength
+    of each incoming link, used to normalize composed gain estimates (1.0
+    under None: the BS transmits itself).  Hops toward a user are the online
+    part of the protocol.
     """
 
     owner: int
     threshold: float
-    rows: dict = field(default_factory=dict)
+    rss: dict = field(default_factory=dict)
     reference_rss: dict = field(default_factory=dict)
 
-    def add(self, prev, beam: int, nxt: int, rss: float) -> None:
-        if rss >= self.threshold:
-            self.rows[(prev, beam, nxt)] = rss
+    @property
+    def rows(self) -> MappingProxyType:
+        """A read-only (previous node, beam, next node) -> RSS view of the kept entries."""
+        return MappingProxyType({(p, int(b), n): float(v[b]) for (p, n), v in self.rss.items()
+                                 for b in np.flatnonzero(v > -np.inf)})
 
 
 def _controller_rng(seed: int, owner: int, prev, nxt: int, kind: int = 0) -> np.random.Generator:
@@ -255,7 +258,7 @@ def _bs_neighbors(scene: Scene) -> list[int]:
 
 def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Codebook,
            next_nodes, seed: int) -> None:
-    """Add the time-averaged RSS of every beam of `table.owner` at each next
+    """Store the time-averaged RSS of every beam of `table.owner` at each next
     node's controller; `incident[t]` scales the owner's elements in
     realization t (1.0 for the BS, which transmits itself)."""
     for nxt in next_nodes:
@@ -264,8 +267,7 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
                               rx_panel=False)
         rss = sum(np.abs(codebook.apply(out.matrix[0] * scale)) ** 2
                   for out, scale in zip(draws, incident)) / len(incident)
-        for beam, value in enumerate(rss):
-            table.add(prev, beam, nxt, float(value))
+        table.rss[(prev, nxt)] = np.where(rss >= table.threshold, rss, -np.inf)
 
 
 def _check_averages(averages: int) -> None:
@@ -344,11 +346,10 @@ def best_beams_for_path(gbtt: dict, path, user_node: int):
         table = gbtt.get(node)
         if table is None:
             raise NotTrainable(f"no table for node {node}")
-        rows = [(rss, beam) for (p, beam, n), rss in table.rows.items()
-                if p == prev and n == nxt]
-        if not rows:
+        rss = table.rss.get((prev, nxt))
+        if rss is None or not np.any(rss > -np.inf):
             raise NotTrainable(f"node {node} never trained hop ({prev} -> {nxt})")
-        choices[node] = max(rows, key=lambda t: (t[0], -t[1]))[1]
+        choices[node] = int(rss.argmax())          # the lowest beam among ties
     return choices
 
 

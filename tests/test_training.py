@@ -492,6 +492,60 @@ def test_missing_row_raises_not_trainable():
         best_beams_for_path(gbtt, (1, 2), scene.n_irs + 1)
 
 
+def test_best_beams_take_the_lowest_beam_among_ties():
+    scene = build_scene(chain_config(m0=2, n_bs=4))
+    w_star = mrt_beam(synthesize_channels(scene, 0, links=[(0, 1)]).get(0, 1).los_tx)
+    cb = Codebook(beams=np.stack([dft_codebook(4, 4, kind="active").beams[1], w_star, w_star]))
+    table = build_bs_btt(scene, cb, threshold=0.0, seed=2, averages=1)
+    assert table.rows[(None, 1, 1)] == table.rows[(None, 2, 1)] > table.rows[(None, 0, 1)]
+    irs_table = build_irs_btt(scene, 1, planar_passive_codebook(2, 2), threshold=0.0, seed=2)
+    assert best_beams_for_path({0: table, 1: irs_table}, (1,), scene.n_irs + 1)[0] == 1
+    with pytest.raises(TypeError):
+        table.rows[(None, 0, 1)] = 0.0                 # a read-only view of `rss`
+
+
+def test_a_sounded_hop_with_every_entry_below_threshold_is_not_trainable():
+    scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2, kappa_db=10))
+    bs_table = build_bs_btt(scene, dft_codebook(2, 2, kind="active"), threshold=0.0, seed=9)
+    irs_table = build_irs_btt(scene, 1, planar_passive_codebook(2, 2), threshold=1e9, seed=9,
+                              prev_nodes=[0], next_nodes=[2])
+    assert np.all(irs_table.rss[(0, 2)] == -np.inf) and not irs_table.rows
+    with pytest.raises(NotTrainable, match=r"node 1 never trained hop \(0 -> 2\)"):
+        best_beams_for_path(assemble_global_btt(bs_table, [irs_table]), (1, 2), scene.n_irs + 1)
+
+
+def _row_scan_choices(gbtt, path, user_node):
+    """Per hop, the beam of the highest kept row, the lowest beam among ties,
+    found by scanning every row of the table."""
+    links = [(None, 0), *route_links(path, user_node)]
+    choices = {}
+    for (prev, node), (_, nxt) in zip(links, links[1:]):
+        rows = [(rss, beam) for (p, beam, n), rss in gbtt[node].rows.items()
+                if p == prev and n == nxt]
+        choices[node] = max(rows, key=lambda t: (t[0], -t[1]))[1]
+    return choices
+
+
+@pytest.mark.parametrize("seed", [10, 20])
+def test_fig13_table_choices_equal_the_row_scan_at_every_kappa(seed):
+    m0, path = 24, FIG13_PATH
+    bs_cb = dft_codebook(32, 32, kind="active")
+    irs_cbs = {j: planar_passive_codebook(32, m0) for j in path}
+    for kappa_db in FIG13_KAPPAS_DB:
+        scene = build_scene(indoor_hall_config(m0=m0, kappa_db=kappa_db))
+        links = route_links(path, scene.n_irs + 1)
+        averages = 1 if kappa_db == "inf" else 10
+        gbtt = assemble_global_btt(
+            build_bs_btt(scene, bs_cb, seed=seed, averages=averages, next_nodes=[path[0]]),
+            [build_irs_btt(scene, j, irs_cbs[j], seed=seed, averages=averages,
+                           prev_nodes=[links[i][0]], next_nodes=[links[i + 1][1]])
+             for i, j in enumerate(path)])
+        choices = best_beams_for_path(gbtt, path, scene.n_irs + 1)
+        assert choices == _row_scan_choices(gbtt, path, scene.n_irs + 1), kappa_db
+        if kappa_db == "inf":                          # pure LoS: no draw, the same choices
+            assert choices == {0: 14, 3: 32, 4: 992, 5: 32}
+
+
 # ---------------------------------------------------------------------------
 # distributed selection
 # ---------------------------------------------------------------------------
