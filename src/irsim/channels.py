@@ -11,9 +11,10 @@ a BS weight vector w; the matched (MRT) beam is conj(h)/norm(h).
 LoS components are far-field rank-one: H_los = rho * outer(a_rx, a_tx)
 with unit-modulus array responses and rho carrying the path gain and the
 carrier phase of the nominal distance.  Rician mixing adds an i.i.d.
-circularly-symmetric Gaussian part; that law is written once (`_rician_draws`)
-and also serves the reference-point controller links of beam training, and
-`_rician_rows` draws x @ H alone, with H's law, for a consumer of fixed rows x.
+circularly-symmetric Gaussian part.  `_rician_draws` mixes whole link
+matrices, and `_rician_rows` draws x @ H (or H @ w) alone, with H's law, for
+a consumer of fixed rows x (or a fixed beam w): the interference audit and
+the beam-training controller links.
 
 Every path or graph composition (one explicit path, the full path sum, and
 the sweep of its affine forms in each surface's phases projected onto a BS
@@ -79,18 +80,15 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
 
 
 def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count: int = 1,
-                  rx_panel: bool = True, tx_panel: bool = True, draws: dict | None = None):
+                  draws: dict | None = None):
     """Yield `count` Rician realizations of link i -> j drawn from one stream.
 
-    With `rx_panel`/`tx_panel` false that end is the node's single
-    reference-point (controller) antenna instead of its element panel.
     `draws` is a draw store (see `synthesize_channels`): the stream's unit
     Gaussian matrices are drawn into it once, keyed by the entropy `rng`
     was freshly seeded with, and mixed from there on every later call.
     """
-    d, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
-    n_rx = scene.node_size(j) if rx_panel else 1
-    n_tx = scene.node_size(i) if tx_panel else 1
+    d, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
+    n_rx, n_tx = scene.node_size(j), scene.node_size(i)
 
     pure_los = rho is not None and math.isinf(kappa)
     if pure_los:
@@ -115,7 +113,8 @@ def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count:
 
 def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
     """(distance, path loss, kappa, rho, a_rx, a_tx) of link i -> j, the last three
-    None when it is geometrically blocked; the ends as in `_rician_draws`."""
+    None when it is geometrically blocked; with `rx_panel`/`tx_panel` false that
+    end is the node's single reference-point (controller) antenna."""
     consts = scene.constants
     lam = consts.wavelength
     d = scene.distance(i, j)
@@ -128,17 +127,20 @@ def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bo
             _node_response(scene, j, -u, lam, rx_panel), _node_response(scene, i, u, lam, tx_panel))
 
 
-def _rician_rows(scene: Scene, seed: int, i: int, j: int, x: np.ndarray) -> np.ndarray:
-    """x @ (the matrix of link i -> j under `seed`), drawn as that product
-    alone: the law of `_rician_draws`, its Gaussian part drawn by `_cn_rows`."""
-    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
-    if rho is None:
-        los, kappa = 0.0, 0.0                      # a blocked link is pure NLoS
-    else:
-        los = np.multiply.outer(rho * (x @ a_rx), a_tx)
-        if math.isinf(kappa):
-            return los
-    z = _cn_rows(_link_rng(seed, i, j), x, scene.node_size(i))
+def _rician_rows(scene: Scene, i: int, j: int, x: np.ndarray, rng: np.random.Generator,
+                 count: int = 1, rx_panel=True, tx_panel=True, tx_side=False):
+    """`count` draws of x @ H (of x @ H.T with `tx_side`: H @ w is the draw for x = w.T,
+    transposed) as one (count, len(x), n) array, H link i -> j's matrix from `rng` with
+    its ends as in `_los_terms`, each drawn as that product alone, with H's law: the
+    Gaussian parts of every draw come from one `_cn_rows` call."""
+    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
+    out, panel, a_x, a_out = (j, rx_panel, a_tx, a_rx) if tx_side else (i, tx_panel, a_rx, a_tx)
+    n = scene.node_size(out) if panel else 1       # the entries of each row drawn
+    los = 0.0 if rho is None else np.multiply.outer(rho * (x @ a_x), a_out)
+    kappa = 0.0 if rho is None else kappa          # a blocked link is pure NLoS
+    if math.isinf(kappa):
+        return np.broadcast_to(los, (count, *los.shape))
+    z = _cn_rows(rng, x, n * count).reshape(len(x), count, n).swapaxes(0, 1)
     return math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z
 
 

@@ -320,9 +320,8 @@ def run_fig13(config: ExperimentConfig) -> ResultTable:
     Trial-major: every kappa of a trial runs on the same seed substreams, so
     the trial's draw store draws each route link's unit Gaussian matrix once
     and every kappa mixes it with its own weights.  The tables' controller
-    draws, about a quarter of the Gaussian entries, are drawn afresh for
-    each kappa: storing them too raised the scenario's peak memory by about
-    15%.
+    draws are drawn afresh for each kappa, the BS-fed sounding only as its
+    projection onto the sounding beam.
     """
     m0 = 24
     path = FIG13_PATH

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import closed_form_path_gain, multi_hop_phases
-from .channels import (_los_terms, _positive, _rician_rows, _tail_pass, enumerate_graph_paths,
-                       mrt_beam, synthesize_channels, unit_phases)
+from .channels import (_link_rng, _los_terms, _positive, _rician_rows, _tail_pass,
+                       enumerate_graph_paths, mrt_beam, synthesize_channels, unit_phases)
 from .geometry import LosGraph, Scene, _edge_order, build_los_graph, route_links
 
 enumerate_routes = enumerate_graph_paths     # public name of the route enumeration
@@ -232,7 +232,7 @@ def interference_audit(scene: Scene, seed: int, solutions) -> list[dict]:
     def link(a, b, x):
         if x is None:
             return (owner == b)[:, None] * channels.get(a, b).matrix
-        return _rician_rows(scene, seed, a, b, x)
+        return _rician_rows(scene, a, b, x, _link_rng(seed, a, b))[0]
 
     graphs = [build_los_graph(scene, k, False) for k in {k for _, k in rows}]
     h = _tail_pass(scene, [*_edge_order(graphs), *((0, g.user_node) for g in graphs)],

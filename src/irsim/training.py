@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channels import ChannelSet, _compose, _irs_ids, _path_edges, _rician_draws, _user_ids
+from .channels import ChannelSet, _compose, _irs_ids, _path_edges, _rician_rows, _user_ids
 from .geometry import Scene, route_links
 
 
@@ -262,11 +262,11 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
     node's controller; `incident[t]` scales the owner's elements in
     realization t (1.0 for the BS, which transmits itself)."""
     for nxt in next_nodes:
-        draws = _rician_draws(scene, table.owner, nxt,
-                              _controller_rng(seed, table.owner, prev, nxt), len(incident),
-                              rx_panel=False)
-        rss = sum(np.abs(codebook.apply(out.matrix[0] * scale)) ** 2
-                  for out, scale in zip(draws, incident)) / len(incident)
+        rows = _rician_rows(scene, table.owner, nxt, np.ones((1, 1), dtype=complex),
+                            _controller_rng(seed, table.owner, prev, nxt), len(incident),
+                            rx_panel=False)[:, 0]
+        rss = sum(np.abs(codebook.apply(row * scale)) ** 2
+                  for row, scale in zip(rows, incident)) / len(incident)
         table.rss[(prev, nxt)] = np.where(rss >= table.threshold, rss, -np.inf)
 
 
@@ -314,16 +314,13 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
         next_nodes = default_next if next_nodes is None else next_nodes
     next_nodes = list(next_nodes)
     for prev in prev_nodes:
-        # the BS sounds with its element panel, a surface with its controller
-        w = (np.ones(scene.n_bs, dtype=complex) / math.sqrt(scene.n_bs) if prev == 0
-             else np.ones(1, dtype=complex))
-        incident = [c.matrix @ w for c in _rician_draws(
-            scene, prev, irs, _controller_rng(seed, irs, prev, irs), averages, tx_panel=prev == 0)]
-        ref_draws = [c.matrix[0] @ w for c in _rician_draws(
-            scene, prev, irs, _controller_rng(seed, irs, prev, irs, kind=1), averages,
-            rx_panel=False, tx_panel=prev == 0)]
-        table.reference_rss[prev] = float(np.mean([abs(r) ** 2 for r in ref_draws]))
-        _sound(table, scene, prev, incident, codebook, next_nodes, seed)
+        n = scene.n_bs if prev == 0 else 1   # sounding from the BS panel or a surface controller
+        w = np.full((1, n), 1 / math.sqrt(n), dtype=complex)
+        incident, reference = (_rician_rows(   # H @ w at the surface's panel, and at its controller
+            scene, prev, irs, w, _controller_rng(seed, irs, prev, irs, kind=kind), averages,
+            rx_panel=kind == 0, tx_panel=prev == 0, tx_side=True) for kind in (0, 1))
+        table.reference_rss[prev] = float(np.mean(np.abs(reference[:, 0, 0]) ** 2))
+        _sound(table, scene, prev, incident[:, 0], codebook, next_nodes, seed)
     return table
 
 

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import math
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from irsim import training
 from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
-from irsim.channels import cascaded_path_channel, synthesize_channels
+from irsim.channels import _los_terms, _rician_rows, cascaded_path_channel, synthesize_channels
 from irsim.cli import main
 from irsim.experiments import FIG13_KAPPAS_DB, FIG13_PATH
 from irsim.geometry import build_scene, route_links
@@ -291,6 +292,14 @@ def test_bs_btt_matched_beam_rss_closed_form():
     assert table.rows[(None, 0, 1)] == pytest.approx(want, rel=1e-9)
 
 
+def _forbid_draws(monkeypatch):
+    """Make every link draw of the table builders fail."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a link was drawn")
+
+    monkeypatch.setattr(training, "_rician_rows", no_draw)
+
+
 @pytest.mark.parametrize("averages", [0, -3])
 @pytest.mark.parametrize("build", [
     lambda scene, averages: build_bs_btt(scene, dft_codebook(4, 2, kind="active"),
@@ -299,10 +308,7 @@ def test_bs_btt_matched_beam_rss_closed_form():
                                           averages=averages),
 ], ids=["bs", "irs"])
 def test_btt_rejects_averages_below_one_before_any_draw(build, averages, monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a link was drawn")
-
-    monkeypatch.setattr(training, "_rician_draws", no_draw)
+    _forbid_draws(monkeypatch)
     scene = build_scene(chain_config(m0=2, n_bs=4))
     with pytest.raises(ValueError, match=f"averages must be at least 1, got {averages}"):
         build(scene, averages)
@@ -316,10 +322,7 @@ def test_btt_rejects_averages_below_one_before_any_draw(build, averages, monkeyp
                                           averages=averages),
 ], ids=["bs", "irs"])
 def test_btt_rejects_non_integer_averages_before_any_draw(build, averages, monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a link was drawn")
-
-    monkeypatch.setattr(training, "_rician_draws", no_draw)
+    _forbid_draws(monkeypatch)
     scene = build_scene(chain_config(m0=2, n_bs=4))
     with pytest.raises(ValueError, match=f"averages must be an integer, got {averages!r}"):
         build(scene, averages)
@@ -613,10 +616,7 @@ def test_irs_btt_with_both_neighbor_lists_skips_neighbor_search(monkeypatch):
 
 
 def test_irs_btt_rejects_an_owner_that_is_not_a_surface_before_any_draw(monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a link was drawn")
-
-    monkeypatch.setattr(training, "_rician_draws", no_draw)
+    _forbid_draws(monkeypatch)
     scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2))
     for irs in (0, scene.n_irs + 1):
         with pytest.raises(ValueError, match="irs"):
@@ -668,12 +668,71 @@ def test_a_trial_store_draws_each_route_link_once_across_the_finite_kappas(monke
 
 def test_fig13_csv_matches_its_golden_digest_drawing_each_route_link_once_per_trial(
         capsys, monkeypatch):
-    """The CSV bytes of `irsim run --scenario fig13 --seed 3 --trials 2`, as
-    computed before the draw store and the trial-major loop, with each route
-    link's unit draw made once per trial rather than once per kappa."""
+    """The CSV bytes of `irsim run --scenario fig13 --seed 3 --trials 2` with the
+    tables' BS-fed sounding drawn projected onto the sounding beam, each route
+    link's unit draw made once per trial rather than once per kappa.  The
+    kappa = inf rows and every gain_sequential_db row are the bytes computed
+    before the draw store, the trial-major loop and the projected sounding."""
     calls = _recording_cn(monkeypatch)
     assert main(["run", "--scenario", "fig13", "--seed", "3", "--trials", "2"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "f86f23dc365206d5fa9664ba4a609a6e6a89e37301373af60e500619af837dde"
+    assert digest == "4cfc6c27a8cc9f5b2e97e7166d5236d78c2631b77288eb9d1643e90d256a2ffa"
     links = collections.Counter(e for e in calls if len(e) == 3)
     assert len(links) == 2 * (len(FIG13_PATH) + 1) and set(links.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the projected controller sounding
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("config, j, rx_panel, blocked", [
+    (zigzag_config(n_hops=2, m0=3, n_bs=4, kappa_db=0), 1, True, False),
+    (zigzag_config(n_hops=2, m0=3, n_bs=4, kappa_db=0), 1, False, False),
+    (chain_config(m0=3, n_bs=4, kappa_db=0), 2, True, True),
+], ids=["incident", "reference", "blocked"])
+def test_projected_sounding_has_the_law_of_the_projected_full_draw(config, j, rx_panel, blocked):
+    """Over 4000 draws at a fixed seed, each entry of H @ w drawn projected
+    has the closed-form mean, second moment E[y^2] and power E|y|^2 within 5
+    standard errors, as does H @ w of the full Rician matrix drawn by its
+    formula, and the two agree within 5 standard errors of their difference."""
+    scene = build_scene(config)
+    w = np.exp(2j * np.pi * np.arange(4) / 5)[None, :] * 0.7        # |w|^2 = 1.96
+    n = 4000
+    proj = _rician_rows(scene, 0, j, w, np.random.default_rng(31), n, rx_panel=rx_panel,
+                        tx_side=True)[:, 0]
+    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, 0, j, rx_panel)
+    assert (rho is None) == blocked and proj.shape == (n, scene.node_size(j) if rx_panel else 1)
+    if blocked:
+        los, kappa = np.zeros((proj.shape[1], scene.n_bs)), 0.0
+    else:
+        los = math.sqrt(kappa / (1 + kappa)) * rho * np.outer(a_rx, a_tx)
+    rng = np.random.default_rng(32)
+    shape = (n, proj.shape[1], scene.n_bs)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    full = (los + math.sqrt(pl / (1 + kappa)) * z) @ w[0]
+    mean = los @ w[0]
+    power = np.abs(mean) ** 2 + pl / (1 + kappa) * np.sum(np.abs(w) ** 2)
+    moments = [(lambda y: y, mean), (lambda y: y ** 2, mean ** 2), (lambda y: np.abs(y) ** 2, power)]
+    for moment, want in moments:
+        a, b = moment(proj), moment(full)
+        for q in (a, b):
+            assert np.all(np.abs(q.mean(0) - want) <= 5 * q.std(0) / math.sqrt(n))
+        assert np.all(np.abs(a.mean(0) - b.mean(0)) <= 5 * np.sqrt((a.var(0) + b.var(0)) / n))
+
+
+def test_fig13_tables_draw_controller_rows_only(monkeypatch):
+    """On the fig13 hall, the route's tables draw no 576 x 32 BS link: each
+    (previous, next) hop draws its incident and its sounding as one block of
+    ten 576-entry rows each, and its reference as ten scalars."""
+    from irsim import channels
+
+    shapes = collections.Counter()
+    real = channels._cn
+    monkeypatch.setattr(channels, "_cn", lambda rng, n_rx, n_tx: (
+        shapes.update([(n_rx, n_tx)]) or real(rng, n_rx, n_tx)))
+    scene = build_scene(indoor_hall_config(m0=24, kappa_db=10))
+    links = route_links(FIG13_PATH, scene.n_irs + 1)
+    for i, j in enumerate(FIG13_PATH):
+        build_irs_btt(scene, j, planar_passive_codebook(32, 24), seed=3, averages=10,
+                      prev_nodes=[links[i][0]], next_nodes=[links[i + 1][1]])
+    assert shapes == {(1, 10 * 576): 3 * 2, (1, 10): 3}
