@@ -21,7 +21,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channels import ChannelSet, _compose, _irs_ids, _path_edges, _rician_rows, _user_ids
+from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, _positive, _rician_rows,
+                       _user_ids)
 from .geometry import Scene, route_links
 
 
@@ -60,7 +61,7 @@ class Codebook:
 
 def dft_codebook(n_points: int, dim: int, kind: str = "passive") -> Codebook:
     """DFT steering grid with n_points beams over `dim` elements."""
-    if n_points < dim:
+    if n_points < _positive(dim, "dim"):
         raise ValueError(f"codebook needs at least as many points ({n_points}) as elements ({dim})")
     m = np.arange(dim)
     d = np.arange(n_points)[:, None]
@@ -77,7 +78,15 @@ def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
 
     Joint beam index d = d_h * n_points + d_v; each beam has m0^2 entries.
     """
-    return Codebook(line=dft_codebook(n_points, m0).beams)
+    return Codebook(line=dft_codebook(n_points, _positive(m0, "m0")).beams)
+
+
+def _codebook_for(scene: Scene, node: int, codebook: Codebook, name: str) -> Codebook:
+    """`codebook`; a ValueError naming `name` unless its beams have node `node`'s dimension."""
+    dim = codebook.beams.shape[1] if codebook.line is None else codebook.line.shape[1] ** 2
+    if dim != (want := scene.node_size(node)):
+        raise ValueError(f"{name} beams must have node {node}'s {want} entries, got {dim}")
+    return codebook
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +98,7 @@ class GainEvaluator:
     composed along one reflection route `path`, the direct link excluded.
 
     ValueError unless `users` names distinct users, `path` distinct surfaces,
-    and `irs_codebooks` (keyed by surface id) every surface of `path`.
+    and `irs_codebooks` (keyed by surface id) a codebook of each surface of `path`.
     """
 
     def __init__(self, channels: ChannelSet, users, path, irs_codebooks):
@@ -99,6 +108,8 @@ class GainEvaluator:
         self.irs_ids = _irs_ids(scene, path, "path")
         if not set(self.irs_ids) <= set(_irs_ids(scene, irs_codebooks, "irs_codebooks")):
             raise ValueError(f"irs_codebooks lacks a surface of path {self.irs_ids}")
+        for j in self.irs_ids:
+            _codebook_for(scene, j, irs_codebooks[j], f"irs_codebooks[{j}]")
         self._edges = {k: _path_edges(path, scene.n_irs + k) for k in self.users}
         self.evaluations = 0
 
@@ -157,6 +168,7 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
     path order).  Refuses when the combination count D_B * prod(D_I)
     exceeds max_combinations.
     """
+    _codebook_for(channels.scene, 0, bs_codebook, "bs_codebook")
     evaluator = GainEvaluator(channels, users, path, irs_codebooks)
     ids = evaluator.irs_ids
     combos = bs_codebook.size * math.prod(irs_codebooks[j].size for j in ids)   # no int64 wrap
@@ -190,6 +202,7 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    _codebook_for(channels.scene, 0, bs_codebook, "bs_codebook")
     evaluator = GainEvaluator(channels, users, path, irs_codebooks)
     ids = evaluator.irs_ids
     codebooks = {0: bs_codebook, **{j: irs_codebooks[j] for j in ids}}
@@ -270,11 +283,12 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
         table.rss[(prev, nxt)] = np.where(rss >= table.threshold, rss, -np.inf)
 
 
-def _check_averages(averages: int) -> None:
+def _check_sounding(scene: Scene, owner: int, codebook: Codebook, averages: int) -> None:
     if not isinstance(averages, numbers.Integral):
         raise ValueError(f"averages must be an integer, got {averages!r}")
     if averages < 1:
         raise ValueError(f"averages must be at least 1, got {averages}")
+    _codebook_for(scene, owner, codebook, "codebook")
 
 
 def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = None,
@@ -284,7 +298,7 @@ def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = Non
 
     `next_nodes` restricts the sounded neighbors (default: every LoS one).
     """
-    _check_averages(averages)
+    _check_sounding(scene, 0, codebook, averages)
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=0, threshold=thr, reference_rss={None: 1.0})
     _sound(table, scene, None, [1.0] * averages, codebook,
@@ -303,9 +317,9 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
     `prev_nodes`/`next_nodes` restrict the sounded neighbor sets (default:
     every LoS neighbor).  ValueError for `irs` not a surface.
     """
-    _check_averages(averages)
     if not 1 <= irs <= scene.n_irs:
         raise ValueError(f"irs must name a surface (1..{scene.n_irs}), got {irs}")
+    _check_sounding(scene, irs, codebook, averages)
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=irs, threshold=thr)
     if prev_nodes is None or next_nodes is None:

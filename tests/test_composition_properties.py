@@ -20,7 +20,7 @@ from irsim.channels import (cascaded_path_channel, effective_channel,  # noqa: E
                             effective_channel_affine, enumerate_graph_paths,
                             synthesize_channels)
 from irsim.geometry import build_los_graph, build_scene  # noqa: E402
-from irsim.training import (GainEvaluator, beams_from_choices, dft_codebook,  # noqa: E402
+from irsim.training import (Codebook, GainEvaluator, beams_from_choices, dft_codebook,  # noqa: E402
                             planar_passive_codebook, sequential_search)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -110,7 +110,8 @@ def test_path_evaluator_matches_cascaded_path_channel(instance):
     target = scene.n_irs + user
     for seq in enumerate_graph_paths(build_los_graph(scene, user, require_los=False)):
         h = cascaded_path_channel(channels, seq, phases, user=user)
-        evaluator = GainEvaluator(channels, [user], seq, seq)
+        evaluator = GainEvaluator(channels, [user], seq,
+                                  {j: Codebook(beams=phases[j][None, :]) for j in seq})
         np.testing.assert_array_equal(evaluator._channel(user, phases), h)
         # independent reference: H_last diag(theta_n) ... diag(theta_1) H_first
         hops = [0, *seq, target]

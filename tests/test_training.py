@@ -57,6 +57,16 @@ def test_planar_codebook_kron_structure():
     assert np.allclose(cb.row(1 * 4 + 2), np.kron(line[1], line[2]))
 
 
+def test_dft_codebook_rejects_zero_elements():
+    with pytest.raises(ValueError, match="dim must be positive and finite, got 0"):
+        dft_codebook(0, 0)
+
+
+def test_planar_codebook_rejects_zero_elements_per_dimension():
+    with pytest.raises(ValueError, match="m0 must be positive and finite, got 0"):
+        planar_passive_codebook(8, 0)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive and sequential search
 # ---------------------------------------------------------------------------
@@ -120,6 +130,20 @@ def test_exhaustive_returns_brute_force_argmax(path):
         w, phases = beams_from_choices(bs_cb, irs_cbs, {0: bs_idx, **irs_idx})
         assert np.array_equal(result.w, w)
         assert all(np.array_equal(result.phases[j], phases[j]) for j in phases)
+
+
+@pytest.mark.parametrize("search", [exhaustive_search, sequential_search])
+def test_searches_reject_a_codebook_of_the_wrong_dimension_before_composing(search, monkeypatch):
+    _, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a channel was composed")
+
+    monkeypatch.setattr(training, "_compose", forbidden)
+    with pytest.raises(ValueError, match="bs_codebook beams must have node 0's 2 entries, got 4"):
+        search(channels, [1], dft_codebook(4, 4, kind="active"), irs_cbs, path=(1, 2))
+    with pytest.raises(ValueError, match=r"irs_codebooks\[2\] beams must have node 2's 4 entries, got 9"):
+        search(channels, [1], bs_cb, {**irs_cbs, 2: planar_passive_codebook(3, 3)}, path=(1, 2))
 
 
 def test_exhaustive_refuses_oversized_search():
@@ -326,6 +350,18 @@ def test_btt_rejects_non_integer_averages_before_any_draw(build, averages, monke
     scene = build_scene(chain_config(m0=2, n_bs=4))
     with pytest.raises(ValueError, match=f"averages must be an integer, got {averages!r}"):
         build(scene, averages)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda scene: build_bs_btt(scene, dft_codebook(8, 4, kind="active")),
+     "codebook beams must have node 0's 32 entries, got 4"),
+    (lambda scene: build_irs_btt(scene, 1, planar_passive_codebook(5, 5)),
+     "codebook beams must have node 1's 16 entries, got 25"),
+], ids=["bs", "irs"])
+def test_btt_rejects_a_codebook_of_the_wrong_dimension_before_any_draw(build, want, monkeypatch):
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match=want):
+        build(build_scene(chain_config(m0=4, n_bs=32, kappa_db=10)))
 
 
 def test_irs_btt_rows_and_reference():
