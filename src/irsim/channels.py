@@ -14,7 +14,12 @@ carrier phase of the nominal distance.  Rician mixing adds an i.i.d.
 circularly-symmetric Gaussian part.  `_rician_draws` mixes whole link
 matrices, and `_rician_rows` draws x @ H (or H @ w) alone, with H's law, for
 a consumer of fixed rows x (or a fixed beam w): the interference audit and
-the beam-training controller links.
+the beam-training controller links.  Both draw a link whose LoS part has no
+weight (blocked, or kappa = 0) as the scaled Gaussian part alone, with no
+outer product.  A link's scalar terms (distance, path loss, kappa, rho and
+whether it has LoS) depend on the scene alone and are computed once per
+scene and link, in `Scene._los` (see `geometry`); the array responses are
+built for each caller.
 
 Every path or graph composition (one explicit path, the full path sum, and
 the sweep of its affine forms in each surface's phases projected onto a BS
@@ -90,15 +95,14 @@ def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count:
     d, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
     n_rx, n_tx = scene.node_size(j), scene.node_size(i)
 
-    pure_los = rho is not None and math.isinf(kappa)
-    if pure_los:
+    if math.isinf(kappa):
         los = _los_matrix(rho, a_rx, a_tx)          # shared by every draw: never mutated
     else:
         units = iter(_unit_draws(rng, n_rx, n_tx, count, draws))
     for _ in range(count):
-        if pure_los:
+        if math.isinf(kappa):
             matrix = los
-        elif rho is None:         # a fresh z is scaled in place, a stored one copied
+        elif kappa == 0:          # z alone: a fresh z is scaled in place, a stored one copied
             z = next(units)
             matrix = (np.multiply(z, math.sqrt(pl), out=z) if draws is None
                       else z * math.sqrt(pl))
@@ -113,17 +117,26 @@ def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count:
 
 def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
     """(distance, path loss, kappa, rho, a_rx, a_tx) of link i -> j, the last three
-    None when it is geometrically blocked; with `rx_panel`/`tx_panel` false that
-    end is the node's single reference-point (controller) antenna."""
-    consts = scene.constants
-    lam = consts.wavelength
-    d = scene.distance(i, j)
-    alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
-    pl = path_loss(d, alpha, consts.beta)
-    if not has_geometric_los(scene, i, j):
+    None and kappa 0 when it is geometrically blocked (pure NLoS); with
+    `rx_panel`/`tx_panel` false that end is the node's single reference-point
+    (controller) antenna.  The scalars depend on the scene alone: they are
+    built once per scene and link and kept in `scene._los`."""
+    if (key := (i, j)) not in scene._los:
+        consts = scene.constants
+        d = scene.distance(i, j)
+        alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
+        pl = path_loss(d, alpha, consts.beta)
+        if has_geometric_los(scene, i, j):
+            terms = (d, pl, kappa, math.sqrt(pl) * np.exp(-2j * np.pi * d / consts.wavelength))
+        else:
+            terms = (d, pl, 0.0, None)
+        scene._los.setdefault(key, terms)
+    d, pl, kappa, rho = scene._los[key]
+    if rho is None:
         return d, pl, kappa, None, None, None
+    lam = scene.constants.wavelength
     u = (scene.node_position(j) - scene.node_position(i)) / d
-    return (d, pl, kappa, math.sqrt(pl) * np.exp(-2j * np.pi * d / lam),
+    return (d, pl, kappa, rho,
             _node_response(scene, j, -u, lam, rx_panel), _node_response(scene, i, u, lam, tx_panel))
 
 
@@ -136,11 +149,13 @@ def _rician_rows(scene: Scene, i: int, j: int, x: np.ndarray, rng: np.random.Gen
     _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
     out, panel, a_x, a_out = (j, rx_panel, a_tx, a_rx) if tx_side else (i, tx_panel, a_rx, a_tx)
     n = scene.node_size(out) if panel else 1       # the entries of each row drawn
-    los = 0.0 if rho is None else np.multiply.outer(rho * (x @ a_x), a_out)
-    kappa = 0.0 if rho is None else kappa          # a blocked link is pure NLoS
-    if math.isinf(kappa):
+    z = (None if math.isinf(kappa) else
+         _cn_rows(rng, x, n * count).reshape(len(x), count, n).swapaxes(0, 1))
+    if kappa == 0:                                 # no LoS part to weigh
+        return math.sqrt(pl) * z
+    los = np.multiply.outer(rho * (x @ a_x), a_out)
+    if z is None:
         return np.broadcast_to(los, (count, *los.shape))
-    z = _cn_rows(rng, x, n * count).reshape(len(x), count, n).swapaxes(0, 1)
     return math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z
 
 
@@ -183,12 +198,13 @@ def _unit_draws(rng: np.random.Generator, n_rx: int, n_tx: int, count: int, draw
 def _cn(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
     """i.i.d. unit-variance circularly-symmetric complex Gaussian matrix: every
     real part, then every imaginary part, drawn row block by row block (the
-    same sequence as one call per part, without its full-size temporary)."""
+    same sequence as one call per part, without its full-size temporary) and
+    scaled by 1/sqrt(2) as it is copied in (the bits of dividing the complex
+    matrix by sqrt(2): numpy divides by c + 0j as (a + b*0) * (1/c))."""
     z = np.empty((n_rx, n_tx), dtype=complex)
     for part in (z.real, z.imag):
         for rows in _row_blocks(n_rx, n_tx):
-            part[rows] = rng.standard_normal(part[rows].shape)
-    z /= math.sqrt(2.0)
+            np.multiply(rng.standard_normal(part[rows].shape), 1 / math.sqrt(2.0), out=part[rows])
     return z
 
 

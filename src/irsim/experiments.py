@@ -143,7 +143,7 @@ def run_fig6(config: ExperimentConfig) -> ResultTable:
         ray_scene = build_scene(ray_cfg)
 
         def ray_trial(t, s, sc=ray_scene):
-            ch = synthesize_channels(sc, s)
+            ch = synthesize_channels(sc, s, links=route_links([1, 2], sc.n_irs + 1))
             _, gain = optimize_path_phases(ch, [1, 2], user=1, max_sweeps=6)
             return shannon_rate(gain, sc)
 

@@ -9,8 +9,10 @@ see the other node inside its front half-space.  The LoS indicator adds the
 blockage test on top of admissibility.
 
 Scenes and graphs are immutable after construction and safe to share across
-threads.  A scene keeps each user's LoS graph once built; threads that race
-to build one build equal graphs, so the memo needs no lock.
+threads.  A scene keeps each user's LoS graph once built, and `channels` keeps
+each link's scalar terms (distance, path loss, Rician factor, LoS gain) in it
+the same way; threads that race to build one entry build equal ones and
+`setdefault` keeps the first, so neither memo needs a lock.
 """
 
 from __future__ import annotations
@@ -264,6 +266,7 @@ class Scene:
     constants: Constants
     effective_regions: tuple[frozenset, ...]  # per user, subset of 1..J
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _los: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_bs(self) -> int:

@@ -17,7 +17,7 @@ from irsim.beams import (ao_joint_beamforming, closed_form_path_gain, linear_rec
 from irsim.channels import (cascaded_path_channel, effective_channel,
                             synthesize_channels, unit_phases)
 from irsim.cli import main
-from irsim.geometry import build_los_graph, build_scene
+from irsim.geometry import build_los_graph, build_scene, route_links
 from irsim.scenarios import indoor_hall_config
 
 from conftest import double_chain_config, double_only_config, zigzag_config
@@ -286,13 +286,22 @@ def test_ao_round_is_one_sweep_and_one_closing_channel(monkeypatch):
         assert (calls["effective_channel"], calls["effective_channel_affine"]) == (k + 1, k)
 
 
-def test_fig6_csv_matches_its_golden_digest(capsys):
+def test_fig6_csv_matches_its_golden_digest(capsys, monkeypatch):
     """The CSV bytes of `irsim run --scenario fig6 --seed 0 --trials 10`, as
     computed when each surface of a path still took its own composition:
-    the sweep keeps the path optimizer's BS-first update order."""
+    the sweep keeps the path optimizer's BS-first update order.  They are
+    the same whether the Rayleigh trials draw every link of the scene or, as
+    they do, only the route's links."""
+    calls = collections.Counter()
+    real = irsim.channels._link_rng
+    monkeypatch.setattr(irsim.channels, "_link_rng", lambda seed, i, j: (
+        calls.update([(seed == 0, i, j)]) or real(seed, i, j)))
     assert main(["run", "--scenario", "fig6", "--seed", "0", "--trials", "10"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "db1019e49e3a10aff342f0552ee3b6af55e4cf0bc54e7d5092cf01ceacd7d8aa"
+    # the LoS channel sets draw at the run's seed 0, each Rayleigh trial at its own
+    rayleigh = {(i, j): n for (los, i, j), n in calls.items() if not los}
+    assert rayleigh == {link: 6 * 10 for link in route_links([1, 2], 3)}     # 6 sizes, 10 trials
 
 
 def test_uniform_channel_scaling_preserves_argmax():

@@ -1,5 +1,6 @@
 """Link synthesis, array responses, and multi-reflection composition."""
 
+import collections
 import itertools
 import math
 import re
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import irsim.channels
-from irsim.channels import (ChannelSet, _cn_rows, _graph_edges, _rician_draws, array_response,
-                            cascaded_path_channel,
+from irsim.channels import (ChannelSet, _cn_rows, _graph_edges, _los_terms, _rician_draws,
+                            _rician_rows, array_response, cascaded_path_channel,
                             effective_channel, effective_channel_affine, enumerate_graph_paths,
                             mrt_beam, path_loss, synth_link, synthesize_channels, unit_phases)
 from irsim.geometry import PanelArray, build_los_graph, build_scene, route_links
@@ -153,8 +154,10 @@ def test_blocked_link_is_pure_nlos(chain_scene):
 
 
 @pytest.mark.parametrize("kappa_db, i, j, blocked",
-                         [(0, 0, 1, False), (10, 0, 1, False), (10, 1, 2, False), (10, 0, 2, True)],
-                         ids=["kappa_0db", "kappa_10db", "kappa_10db_irs_user", "blocked"])
+                         [(0, 0, 1, False), (10, 0, 1, False), (10, 1, 2, False), (10, 0, 2, True),
+                          ("-inf", 0, 1, False)],
+                         ids=["kappa_0db", "kappa_10db", "kappa_10db_irs_user", "blocked",
+                              "rayleigh"])
 def test_rician_draws_match_the_out_of_place_formula_bit_for_bit(kappa_db, i, j, blocked):
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db))
     draws = list(_rician_draws(scene, i, j, np.random.default_rng(11), count=4))
@@ -173,6 +176,53 @@ def test_rician_draws_match_the_out_of_place_formula_bit_for_bit(kappa_db, i, j,
             want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(1 / (1 + kappa)) * nlos
         assert link.matrix.tobytes() == want.tobytes()
     assert (draws[0].los_gain is None) == blocked
+
+
+def test_a_zero_weight_los_part_is_never_built(monkeypatch):
+    # a Rayleigh link with geometric LoS keeps its LoS terms but mixes like a blocked one
+    scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db="-inf"))
+    monkeypatch.setattr(irsim.channels, "_los_matrix",
+                        lambda *args: pytest.fail("built the LoS matrix of a kappa = 0 link"))
+    for draws in (None, {}):
+        link = synth_link(scene, 0, 1, np.random.default_rng(4), draws)
+        assert link.los_gain is not None and np.all(link.matrix != 0)
+
+
+@pytest.mark.parametrize("kappa_db, j", [("-inf", 1), (10, 2)], ids=["rayleigh", "blocked"])
+def test_zero_weight_projected_rows_match_the_mix_formula_bit_for_bit(kappa_db, j):
+    scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db))
+    x = np.random.default_rng(7).standard_normal((2, 2 * scene.node_size(j))).view(complex)
+    rows = _rician_rows(scene, 0, j, x, np.random.default_rng(8), count=3)
+    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, 0, j)
+    los = 0.0 if rho is None else np.multiply.outer(rho * (x @ a_rx), a_tx)
+    z = _cn_rows(np.random.default_rng(8), x, scene.n_bs * 3).reshape(2, 3, scene.n_bs)
+    want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z.swapaxes(0, 1)
+    assert kappa == 0 and (rho is None) == (j == 2)
+    assert rows.tobytes() == want.tobytes()
+
+
+def test_link_terms_are_built_once_per_scene_and_link(monkeypatch):
+    scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=10))
+    calls = collections.Counter()
+    real = irsim.channels.has_geometric_los
+    monkeypatch.setattr(irsim.channels, "has_geometric_los",
+                        lambda sc, i, j: calls.update([(i, j)]) or real(sc, i, j))
+    for seed in range(3):
+        synthesize_channels(scene, seed)
+    assert calls == {link: 1 for link in scene._links[0]}
+    # the memo holds numbers alone: every array response is built afresh for its caller
+    assert all(v is None or np.isscalar(v) for terms in scene._los.values() for v in terms)
+    _los_terms(scene, 0, 1)[4][:] = 0
+    assert np.all(np.abs(_los_terms(scene, 0, 1)[4]) == 1)
+
+
+def test_scenes_differing_only_in_kappa_keep_their_own_link_terms():
+    scenes = {k: build_scene(chain_config(m0=3, n_bs=4, kappa_db=k)) for k in (0, 10)}
+    for k in (0, 10, 0):
+        terms = _los_terms(scenes[k], 0, 1)
+        assert terms[2] == scenes[k].constants.kappa == pytest.approx(10 ** (k / 10))
+        other = _los_terms(scenes[10 - k], 0, 1)
+        assert terms[:2] + terms[3:4] == other[:2] + other[3:4]      # d, path loss, rho
 
 
 def test_pure_los_draws_all_equal_the_los_matrix(chain_scene):
