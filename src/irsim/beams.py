@@ -16,9 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _irs_ids, _los_terms, _path_edges, _positive,
-                       _user_ids, check_unit_modulus, effective_channel, effective_channel_affine,
-                       mrt_beam, unit_phases)
+from .channels import (ChannelSet, _compose, _integer, _irs_ids, _los_terms, _path_edges,
+                       _positive, _user_ids, check_unit_modulus, effective_channel,
+                       effective_channel_affine, mrt_beam, unit_phases)
 from .geometry import route_links
 
 
@@ -83,10 +83,9 @@ def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float, cap="
     (j, a, b) with h @ w = a + phases[j] @ b.  Each step is exact, so
     |h @ w|^2 never decreases.  Updates `phases` in place until a round
     gains at most tol (relative), for at most max_iters rounds (a ValueError,
-    naming it `cap`, if negative); returns (w, objective, converged, iterations).
+    naming it `cap`, unless an integer >= 0); returns (w, objective, converged, iterations).
     """
-    if max_iters < 0:
-        raise ValueError(f"{cap} must be >= 0, got {max_iters}")
+    _integer(max_iters, cap, 0)
     h = compose(phases)
     w = mrt_beam(h)
     objective = float(np.linalg.norm(h) ** 2)
@@ -179,16 +178,17 @@ def linear_receivers(H: np.ndarray, noise_power: float, tx_power: float,
     zf uses the pseudo-inverse; when the channel is rank deficient the
     regularized inverse leaves residual interference and the SINRs
     saturate with power.  mmse solves (P H H^H + sigma^2 I)^{-1} h_k.
-    ValueError for a user (column of H) with an all-zero channel, or a
-    power that is not positive and finite.
+    ValueError unless H is 2-D, for a user (column of H) with an all-zero
+    channel, or for a power that is not positive and finite.
     """
     H = np.asarray(H)
-    K = H.shape[1]
+    if H.ndim != 2:
+        raise ValueError(f"H must be a 2-D (N_B x K) channel matrix, got shape {H.shape}")
     if not np.all(np.any(H != 0, axis=0)):
         raise ValueError("H has an all-zero column: a user with no channel has no SINR")
     _positive(noise_power, "noise_power")
     _positive(tx_power, "tx_power")
-    deficient = numerical_rank(H) < K
+    deficient = numerical_rank(H) < H.shape[1]
     if scheme == "mmse":
         gram = tx_power * (H @ H.conj().T) + noise_power * np.eye(H.shape[0])
         R = np.linalg.solve(gram, H)

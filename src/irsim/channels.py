@@ -11,15 +11,13 @@ a BS weight vector w; the matched (MRT) beam is conj(h)/norm(h).
 LoS components are far-field rank-one: H_los = rho * outer(a_rx, a_tx)
 with unit-modulus array responses and rho carrying the path gain and the
 carrier phase of the nominal distance.  Rician mixing adds an i.i.d.
-circularly-symmetric Gaussian part.  `_rician_draws` mixes whole link
-matrices, and `_rician_rows` draws x @ H (or H @ w) alone, with H's law, for
+circularly-symmetric Gaussian part.  `synth_link` draws one whole link
+matrix, and `_rician_rows` draws x @ H (or H @ w) alone, with H's law, for
 a consumer of fixed rows x (or a fixed beam w): the interference audit and
 the beam-training controller links.  Both draw a link whose LoS part has no
 weight (blocked, or kappa = 0) as the scaled Gaussian part alone, with no
-outer product.  A link's scalar terms (distance, path loss, kappa, rho and
-whether it has LoS) depend on the scene alone and are computed once per
-scene and link, in `Scene._los` (see `geometry`); the array responses are
-built for each caller.
+outer product.  Both read a link's scalar terms from `Scene._link_terms` (see
+`geometry`); the array responses are built for each caller.
 
 Every path or graph composition (one explicit path, the full path sum, and
 the sweep of its affine forms in each surface's phases projected onto a BS
@@ -29,12 +27,12 @@ beam) goes through one dynamic program over an ordered edge list, `_compose`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LosGraph, PanelArray, Scene, build_los_graph, has_geometric_los,
-                       route_links)
+from .geometry import LosGraph, PanelArray, Scene, build_los_graph, path_loss, route_links
 
 
 def array_response(panel: PanelArray, direction, wavelength: float) -> np.ndarray:
@@ -44,13 +42,6 @@ def array_response(panel: PanelArray, direction, wavelength: float) -> np.ndarra
         raise ValueError("array_response requires a unit direction vector")
     phase = (2.0 * np.pi / wavelength) * (panel.element_offsets @ d)
     return np.exp(1j * phase)
-
-
-def path_loss(distance_m: float, alpha: float, beta: float) -> float:
-    """Linear power gain beta * d**(-alpha); beta is the 1 m reference."""
-    if distance_m <= 0.0:
-        raise ValueError(f"path loss needs a positive distance, got {distance_m}")
-    return beta * distance_m ** (-alpha)
 
 
 @dataclass(frozen=True)
@@ -79,59 +70,28 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
 
     kappa = inf gives the pure LoS rank-one channel; a geometrically
     blocked link is pure NLoS regardless of kappa.  `draws` is a draw
-    store (see `synthesize_channels`).
-    """
-    return next(_rician_draws(scene, i, j, rng, draws=draws))
-
-
-def _rician_draws(scene: Scene, i: int, j: int, rng: np.random.Generator, count: int = 1,
-                  draws: dict | None = None):
-    """Yield `count` Rician realizations of link i -> j drawn from one stream.
-
-    `draws` is a draw store (see `synthesize_channels`): the stream's unit
-    Gaussian matrices are drawn into it once, keyed by the entropy `rng`
-    was freshly seeded with, and mixed from there on every later call.
+    store (see `synthesize_channels` and `_unit_draw`).
     """
     d, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
-    n_rx, n_tx = scene.node_size(j), scene.node_size(i)
-
-    if math.isinf(kappa):
-        los = _los_matrix(rho, a_rx, a_tx)          # shared by every draw: never mutated
-    else:
-        units = iter(_unit_draws(rng, n_rx, n_tx, count, draws))
-    for _ in range(count):
-        if math.isinf(kappa):
-            matrix = los
-        elif kappa == 0:          # z alone: a fresh z is scaled in place, a stored one copied
-            z = next(units)
-            matrix = (np.multiply(z, math.sqrt(pl), out=z) if draws is None
-                      else z * math.sqrt(pl))
+    # L before z, so the outer product's temporaries never meet z
+    matrix = None if kappa == 0 else _los_matrix(rho, a_rx, a_tx)
+    if not math.isinf(kappa):
+        z = _unit_draw(rng, scene.node_size(j), scene.node_size(i), draws)
+        if matrix is None:        # z alone: a fresh z is scaled in place, a stored one copied
+            matrix = np.multiply(z, math.sqrt(pl), out=z) if draws is None else z * math.sqrt(pl)
         else:
-            # L before z, so the outer product's temporaries never meet z
-            matrix = _los_matrix(rho, a_rx, a_tx)
             np.multiply(math.sqrt(kappa / (1 + kappa)), matrix, out=matrix)
-            _add_gaussian(matrix, next(units), math.sqrt(pl), math.sqrt(1 / (1 + kappa)))
-        yield LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
-                          los_gain=rho, los_rx=a_rx, los_tx=a_tx)
+            _add_gaussian(matrix, z, math.sqrt(pl), math.sqrt(1 / (1 + kappa)))
+    return LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
+                       los_gain=rho, los_rx=a_rx, los_tx=a_tx)
 
 
 def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
     """(distance, path loss, kappa, rho, a_rx, a_tx) of link i -> j, the last three
     None and kappa 0 when it is geometrically blocked (pure NLoS); with
     `rx_panel`/`tx_panel` false that end is the node's single reference-point
-    (controller) antenna.  The scalars depend on the scene alone: they are
-    built once per scene and link and kept in `scene._los`."""
-    if (key := (i, j)) not in scene._los:
-        consts = scene.constants
-        d = scene.distance(i, j)
-        alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
-        pl = path_loss(d, alpha, consts.beta)
-        if has_geometric_los(scene, i, j):
-            terms = (d, pl, kappa, math.sqrt(pl) * np.exp(-2j * np.pi * d / consts.wavelength))
-        else:
-            terms = (d, pl, 0.0, None)
-        scene._los.setdefault(key, terms)
-    d, pl, kappa, rho = scene._los[key]
+    (controller) antenna.  The scalars are `scene._link_terms(i, j)`."""
+    d, pl, kappa, rho = scene._link_terms(i, j)
     if rho is None:
         return d, pl, kappa, None, None, None
     lam = scene.constants.wavelength
@@ -184,14 +144,14 @@ def _row_blocks(n_rx: int, n_tx: int) -> list:
     return [np.s_[r:r + rows] for r in range(0, n_rx, rows)]
 
 
-def _unit_draws(rng: np.random.Generator, n_rx: int, n_tx: int, count: int, draws: dict | None):
-    """The `count` unit Gaussian matrices of one stream: drawn one at a time
-    without a store, or drawn into `draws` on the stream's first call."""
+def _unit_draw(rng: np.random.Generator, n_rx: int, n_tx: int, draws: dict | None):
+    """The unit Gaussian matrix of one stream: drawn afresh without a store, or
+    drawn into `draws` once, keyed by the entropy `rng` was freshly seeded with."""
     if draws is None:
-        return (_cn(rng, n_rx, n_tx) for _ in range(count))
-    key = (rng.bit_generator.seed_seq.entropy, n_rx, n_tx, count)
+        return _cn(rng, n_rx, n_tx)
+    key = (rng.bit_generator.seed_seq.entropy, n_rx, n_tx)
     if key not in draws:
-        draws[key] = [_cn(rng, n_rx, n_tx) for _ in range(count)]
+        draws[key] = _cn(rng, n_rx, n_tx)
     return draws[key]
 
 
@@ -349,6 +309,24 @@ def _user_ids(scene: Scene, users, name: str) -> list:
     return ids
 
 
+def _integer(value, name: str, least: int = 1):
+    """`value`; a ValueError naming `name` unless it is an integer >= `least`."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _check_phases(scene: Scene, phases: dict, ids, where: str) -> None:
+    """A ValueError naming `phases` unless it holds a full-length vector per surface of `ids`."""
+    if missing := sorted(set(ids) - set(phases)):
+        raise ValueError(f"phases lacks IRS {missing} of {where}")
+    for j in sorted(ids):
+        if (shape := np.shape(phases[j])) != (n := scene.irs[j - 1].size,):
+            raise ValueError(f"phases of IRS {j} must have {n} entries, got shape {shape}")
+
+
 def _positive(value, name: str):
     """`value`; a ValueError naming `name` unless its entries are positive and finite."""
     if not np.all((0 < (arr := np.asarray(value, dtype=float))) & (arr < np.inf)):
@@ -376,10 +354,12 @@ def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int = 
     """Effective BS-side channel vector of one reflection path.
 
     `path` is the ordered IRS index list; the terminal hop goes to `user`.
-    Returns h with received amplitude h @ w.
+    Returns h with received amplitude h @ w.  ValueError if `phases` lacks a
+    surface of the path or holds one of the wrong length.
     """
     _irs_ids(channels.scene, path, "path")
     target = channels.scene.n_irs + _user_ids(channels.scene, user, "user")[0]
+    _check_phases(channels.scene, phases, path, f"path {list(path)}")
     return _compose(channels, _path_edges(path, target), phases)
 
 
@@ -401,11 +381,11 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
     The path sum runs over every admissible path of the user's reflection
     graph; `irs_subset` restricts the graph to the named IRSs.  Computed by
     dynamic programming over the acyclic graph, which is equivalent to the
-    explicit path sum.  ValueError if `phases` lacks a surface of the graph.
+    explicit path sum.  ValueError if `phases` lacks a surface of the graph or
+    holds one of the wrong length.
     """
     edges = _graph_edges(channels, user, irs_subset)
-    if missing := sorted({a for a, _ in edges if a} - set(phases)):
-        raise ValueError(f"phases lacks IRS {missing} of user {user}'s graph")
+    _check_phases(channels.scene, phases, {a for a, _ in edges if a}, f"user {user}'s graph")
     h = _compose(channels, edges, phases)
     if include_direct:
         h = h + channels.direct(user)

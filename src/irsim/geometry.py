@@ -9,10 +9,10 @@ see the other node inside its front half-space.  The LoS indicator adds the
 blockage test on top of admissibility.
 
 Scenes and graphs are immutable after construction and safe to share across
-threads.  A scene keeps each user's LoS graph once built, and `channels` keeps
-each link's scalar terms (distance, path loss, Rician factor, LoS gain) in it
-the same way; threads that race to build one entry build equal ones and
-`setdefault` keeps the first, so neither memo needs a lock.
+threads.  A scene states each link's scalar terms once (`Scene._link_terms`,
+the obstacle test included) and keeps each user's LoS graph once built;
+threads that race to build one entry build equal ones and `setdefault` keeps
+the first, so neither memo needs a lock.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class Scene:
     constants: Constants
     effective_regions: tuple[frozenset, ...]  # per user, subset of 1..J
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _los: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_bs(self) -> int:
@@ -314,6 +314,21 @@ class Scene:
             return "bs_user" if self.is_user(j) else "bs_irs"
         return "irs_user" if self.is_user(j) else "irs_irs"
 
+    def _link_terms(self, i: int, j: int) -> tuple:
+        """(distance, path loss, kappa, rho) of link i -> j, rho its LoS gain, or
+        None with kappa 0 (pure NLoS) when the link is geometrically blocked.
+        Built once per scene and link and kept in `_terms`."""
+        if (key := (i, j)) in self._terms:
+            return self._terms[key]
+        consts = self.constants
+        d = self.distance(i, j)
+        alpha, kappa = consts.link_params(i, j, self.link_class(i, j))
+        pl = path_loss(d, alpha, consts.beta)
+        if not has_geometric_los(self, i, j):
+            return self._terms.setdefault(key, (d, pl, 0.0, None))
+        rho = math.sqrt(pl) * np.exp(-2j * np.pi * d / consts.wavelength)
+        return self._terms.setdefault(key, (d, pl, kappa, rho))
+
     @functools.cached_property
     def _links(self) -> tuple[tuple, frozenset]:
         """(admissible, los): every admissible directed link, direct BS-user
@@ -321,7 +336,8 @@ class Scene:
         those with geometric LoS.  Built once per scene (read-only)."""
         nodes = range(self.n_irs + self.n_users + 1)
         admissible = tuple((i, j) for j in nodes for i in nodes if is_admissible_link(self, i, j))
-        return admissible, frozenset(ij for ij in admissible if has_geometric_los(self, *ij))
+        los = frozenset(ij for ij in admissible if self._link_terms(*ij)[3] is not None)
+        return admissible, los
 
 
 def build_scene(config: dict) -> Scene:
@@ -515,6 +531,13 @@ def _parse_regions(cfg, n_irs: int, n_users: int):
             raise ConfigError(f"effective region of user {k} names unknown IRSs: {sorted(reg - full)}")
         regions.append(reg)
     return tuple(regions)
+
+
+def path_loss(distance_m: float, alpha: float, beta: float) -> float:
+    """Linear power gain beta * d**(-alpha); beta is the 1 m reference."""
+    if distance_m <= 0.0:
+        raise ValueError(f"path loss needs a positive distance, got {distance_m}")
+    return beta * distance_m ** (-alpha)
 
 
 def route_links(path, target: int) -> list[tuple[int, int]]:

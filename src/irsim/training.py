@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, _positive, _rician_rows,
-                       _user_ids)
+from .channels import (ChannelSet, _compose, _integer, _irs_ids, _path_edges, _positive,
+                       _rician_rows, _user_ids)
 from .geometry import Scene, route_links
 
 
@@ -60,8 +59,8 @@ class Codebook:
 
 
 def dft_codebook(n_points: int, dim: int, kind: str = "passive") -> Codebook:
-    """DFT steering grid with n_points beams over `dim` elements."""
-    if n_points < _positive(dim, "dim"):
+    """DFT steering grid with n_points beams over `dim` elements (both integers)."""
+    if _integer(_positive(dim, "dim"), "dim") > _integer(n_points, "n_points"):
         raise ValueError(f"codebook needs at least as many points ({n_points}) as elements ({dim})")
     m = np.arange(dim)
     d = np.arange(n_points)[:, None]
@@ -78,7 +77,7 @@ def planar_passive_codebook(n_points: int, m0: int) -> Codebook:
 
     Joint beam index d = d_h * n_points + d_v; each beam has m0^2 entries.
     """
-    return Codebook(line=dft_codebook(n_points, _positive(m0, "m0")).beams)
+    return Codebook(line=dft_codebook(n_points, _integer(_positive(m0, "m0"), "m0")).beams)
 
 
 def _codebook_for(scene: Scene, node: int, codebook: Codebook, name: str) -> Codebook:
@@ -198,10 +197,10 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
 
     Each sweep updates the BS and then each surface of the path in order,
     at D_B + sum_j D_I(j) evaluations over the path's surfaces; the
-    min-user SNR is nondecreasing across updates.  ValueError for max_sweeps below 1.
+    min-user SNR is nondecreasing across updates.  ValueError unless max_sweeps is an
+    integer >= 1.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    _integer(max_sweeps, "max_sweeps")
     _codebook_for(channels.scene, 0, bs_codebook, "bs_codebook")
     evaluator = GainEvaluator(channels, users, path, irs_codebooks)
     ids = evaluator.irs_ids
@@ -284,10 +283,7 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
 
 
 def _check_sounding(scene: Scene, owner: int, codebook: Codebook, averages: int) -> None:
-    if not isinstance(averages, numbers.Integral):
-        raise ValueError(f"averages must be an integer, got {averages!r}")
-    if averages < 1:
-        raise ValueError(f"averages must be at least 1, got {averages}")
+    _integer(averages, "averages")
     _codebook_for(scene, owner, codebook, "codebook")
 
 
@@ -317,7 +313,7 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
     `prev_nodes`/`next_nodes` restrict the sounded neighbor sets (default:
     every LoS neighbor).  ValueError for `irs` not a surface.
     """
-    if not 1 <= irs <= scene.n_irs:
+    if not 1 <= _integer(irs, "irs") <= scene.n_irs:
         raise ValueError(f"irs must name a surface (1..{scene.n_irs}), got {irs}")
     _check_sounding(scene, irs, codebook, averages)
     thr = scene.constants.noise_power if threshold is None else threshold

@@ -236,6 +236,18 @@ def test_optimize_path_phases_rejects_a_negative_sweep_cap_before_any_compositio
         optimize_path_phases(channels, [1], user=1, max_sweeps=-1)
 
 
+@pytest.mark.parametrize("cap", [1.5, "2"])
+def test_round_and_sweep_caps_must_be_integers_before_any_composition(double_scene, monkeypatch,
+                                                                       cap):
+    channels = synthesize_channels(double_scene, 43)
+    for name in ("effective_channel", "effective_channel_affine", "_compose"):
+        monkeypatch.setattr(beams, name, _no_composition)
+    with pytest.raises(ValueError, match=f"max_iters must be an integer, got {cap!r}"):
+        ao_joint_beamforming(channels, user=1, max_iters=cap)
+    with pytest.raises(ValueError, match=f"max_sweeps must be an integer, got {cap!r}"):
+        optimize_path_phases(channels, [1], user=1, max_sweeps=cap)
+
+
 @pytest.mark.parametrize("path", [[], [1, 99], [1, 1]])
 def test_optimize_path_phases_rejects_a_bad_path_before_any_composition(
         double_scene, monkeypatch, path):
@@ -375,6 +387,14 @@ def test_receivers_reject_a_power_that_is_not_positive_and_finite(name, value):
     powers = {"noise_power": 1e-3, "tx_power": 1.0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
         linear_receivers(np.eye(4, 2).astype(complex), scheme="zf", **powers)
+
+
+@pytest.mark.parametrize("H", [np.ones(3), np.array(1.0), np.ones((4, 2, 1))],
+                         ids=["vector", "scalar", "three_d"])
+def test_receivers_reject_a_channel_that_is_not_a_matrix(H):
+    message = rf"H must be a 2-D .* got shape {re.escape(str(H.shape))}"
+    with pytest.raises(ValueError, match=message):
+        linear_receivers(H, 1.0, 1.0)
 
 
 def test_rank_deficient_zf_saturates():

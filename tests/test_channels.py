@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import irsim.channels
-from irsim.channels import (ChannelSet, _cn_rows, _graph_edges, _los_terms, _rician_draws,
-                            _rician_rows, array_response, cascaded_path_channel,
-                            effective_channel, effective_channel_affine, enumerate_graph_paths,
-                            mrt_beam, path_loss, synth_link, synthesize_channels, unit_phases)
+import irsim.geometry
+from irsim.channels import (ChannelSet, _cn_rows, _graph_edges, _los_terms, _rician_rows,
+                            array_response, cascaded_path_channel, effective_channel,
+                            effective_channel_affine, enumerate_graph_paths, mrt_beam, path_loss,
+                            synth_link, synthesize_channels, unit_phases)
 from irsim.geometry import PanelArray, build_los_graph, build_scene, route_links
 from irsim.scenarios import indoor_hall_config
 
@@ -160,7 +161,8 @@ def test_blocked_link_is_pure_nlos(chain_scene):
                               "rayleigh"])
 def test_rician_draws_match_the_out_of_place_formula_bit_for_bit(kappa_db, i, j, blocked):
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db))
-    draws = list(_rician_draws(scene, i, j, np.random.default_rng(11), count=4))
+    stream = np.random.default_rng(11)
+    draws = [synth_link(scene, i, j, stream) for _ in range(4)]
     consts = scene.constants
     alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
     pl = path_loss(scene.distance(i, j), alpha, consts.beta)
@@ -204,14 +206,14 @@ def test_zero_weight_projected_rows_match_the_mix_formula_bit_for_bit(kappa_db, 
 def test_link_terms_are_built_once_per_scene_and_link(monkeypatch):
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=10))
     calls = collections.Counter()
-    real = irsim.channels.has_geometric_los
-    monkeypatch.setattr(irsim.channels, "has_geometric_los",
+    real = irsim.geometry.has_geometric_los
+    monkeypatch.setattr(irsim.geometry, "has_geometric_los",
                         lambda sc, i, j: calls.update([(i, j)]) or real(sc, i, j))
     for seed in range(3):
         synthesize_channels(scene, seed)
     assert calls == {link: 1 for link in scene._links[0]}
     # the memo holds numbers alone: every array response is built afresh for its caller
-    assert all(v is None or np.isscalar(v) for terms in scene._los.values() for v in terms)
+    assert all(v is None or np.isscalar(v) for terms in scene._terms.values() for v in terms)
     _los_terms(scene, 0, 1)[4][:] = 0
     assert np.all(np.abs(_los_terms(scene, 0, 1)[4]) == 1)
 
@@ -226,7 +228,8 @@ def test_scenes_differing_only_in_kappa_keep_their_own_link_terms():
 
 
 def test_pure_los_draws_all_equal_the_los_matrix(chain_scene):
-    draws = list(_rician_draws(chain_scene, 0, 1, np.random.default_rng(5), count=3))
+    stream = np.random.default_rng(5)
+    draws = [synth_link(chain_scene, 0, 1, stream) for _ in range(3)]
     link = draws[0]
     los = link.los_gain * np.outer(link.los_rx, link.los_tx)
     assert all(np.array_equal(d.matrix, los) for d in draws)
@@ -424,6 +427,21 @@ def test_effective_channel_rejects_phases_missing_a_surface_of_its_graph(monkeyp
         effective_channel(channels, 1, partial)
 
 
+def test_compositions_reject_phases_missing_a_surface_or_of_the_wrong_length(monkeypatch):
+    channels = synthesize_channels(build_scene(indoor_hall_config(m0=4)), 46)
+    monkeypatch.setattr(irsim.channels, "_compose", _no_composition)
+    phases = unit_phases(channels.scene)
+    with pytest.raises(ValueError, match=r"phases lacks IRS \[4, 5\] of path \[3, 4, 5\]"):
+        cascaded_path_channel(channels, [3, 4, 5], {3: phases[3]})
+    for bad in (phases[4][:-1], phases[4][None]):
+        wrong = {**phases, 4: bad}
+        message = rf"phases of IRS 4 must have 16 entries, got shape {re.escape(str(bad.shape))}"
+        with pytest.raises(ValueError, match=message):
+            cascaded_path_channel(channels, [3, 4, 5], wrong)
+        with pytest.raises(ValueError, match=message):
+            effective_channel(channels, 1, wrong)
+
+
 def test_common_phase_rotation_leaves_single_path_gain():
     scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=3))
     channels = synthesize_channels(scene, 16)
@@ -471,7 +489,7 @@ def test_kappas_of_one_trial_mix_the_same_stored_draw_by_the_formula():
         channels = synthesize_channels(scene, seed, links=links, draws=draws)
         consts = scene.constants
         for i, j in links:
-            z = draws[((seed, i, j), scene.node_size(j), scene.node_size(i), 1)][0]
+            z = draws[((seed, i, j), scene.node_size(j), scene.node_size(i))]
             assert unit.setdefault((i, j), z.tobytes()) == z.tobytes()   # never mutated
             link = channels.get(i, j)
             alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))

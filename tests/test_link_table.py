@@ -2,6 +2,7 @@
 per scene and pair, each graph is built once per scene, and concurrent first
 readers all get the same table and the same AO results."""
 
+import collections
 import sys
 import threading
 
@@ -41,6 +42,23 @@ def test_link_rule_evaluated_once_per_scene(monkeypatch):
     paths = {1: ReflectionPath((1,), 1, 1.0), 2: ReflectionPath((2,), 2, 1.0)}
     check_path_separation(scene, paths)
     assert len(calls) == first
+
+
+def test_each_link_tests_each_obstacle_once_per_scene(monkeypatch):
+    scene = build_scene(indoor_hall_config(m0=4))
+    tests = collections.Counter()
+    real = geometry.Box.intersects_segment
+
+    def counted(box, a, b):
+        tests[(id(box), tuple(a), tuple(b))] += 1
+        return real(box, a, b)
+
+    monkeypatch.setattr(geometry.Box, "intersects_segment", counted)
+    for seed in range(2):
+        synthesize_channels(scene, seed)
+    # one test per (link, obstacle) pair reached: each admissible link tests the
+    # boxes in turn up to the first that blocks it
+    assert set(tests.values()) == {1} and len(tests) == 183
 
 
 def test_link_table_built_once_under_concurrent_readers():

@@ -178,6 +178,23 @@ def test_sequential_rejects_a_sweep_cap_below_one_before_any_composition(max_swe
         sequential_search(channels, [1], bs_cb, irs_cbs, path=(1, 2), max_sweeps=max_sweeps)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda setup: dft_codebook(2.5, 2), "n_points"),
+    (lambda setup: dft_codebook(4, 2.5), "dim"),
+    (lambda setup: planar_passive_codebook(2, 1.5), "m0"),
+    (lambda setup: sequential_search(setup[1], [1], setup[2], setup[3], path=(1, 2),
+                                     max_sweeps=1.5), "max_sweeps"),
+], ids=["n_points", "dim", "m0", "max_sweeps"])
+def test_counts_must_be_integers_before_any_composition(call, name, monkeypatch):
+    def no_composition(*args, **kwargs):
+        raise AssertionError("a channel was composed")
+
+    setup = _tiny_setup(kappa_db=8)
+    monkeypatch.setattr(training, "_compose", no_composition)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got [12].5"):
+        call(setup)
+
+
 @pytest.mark.parametrize("search", [exhaustive_search, sequential_search])
 def test_searches_reject_an_empty_user_list_before_any_composition(search, monkeypatch):
     def no_composition(*args, **kwargs):
@@ -334,7 +351,7 @@ def _forbid_draws(monkeypatch):
 def test_btt_rejects_averages_below_one_before_any_draw(build, averages, monkeypatch):
     _forbid_draws(monkeypatch)
     scene = build_scene(chain_config(m0=2, n_bs=4))
-    with pytest.raises(ValueError, match=f"averages must be at least 1, got {averages}"):
+    with pytest.raises(ValueError, match=f"averages must be >= 1, got {averages}"):
         build(scene, averages)
 
 
@@ -654,7 +671,7 @@ def test_irs_btt_with_both_neighbor_lists_skips_neighbor_search(monkeypatch):
 def test_irs_btt_rejects_an_owner_that_is_not_a_surface_before_any_draw(monkeypatch):
     _forbid_draws(monkeypatch)
     scene = build_scene(zigzag_config(n_hops=2, m0=2, n_bs=2))
-    for irs in (0, scene.n_irs + 1):
+    for irs in (0, 1.5, scene.n_irs + 1):
         with pytest.raises(ValueError, match="irs"):
             build_irs_btt(scene, irs, planar_passive_codebook(2, 2))
 
