@@ -16,10 +16,10 @@ from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _integer, _irs_ids, _los_terms, _path_edges,
-                       _positive, _user_ids, check_unit_modulus, effective_channel,
+from .channels import (ChannelSet, _compose, _irs_ids, _los_terms, _path_edges, _positive,
+                       _user_ids, check_unit_modulus, effective_channel,
                        effective_channel_affine, mrt_beam, unit_phases)
-from .geometry import route_links
+from .geometry import _integer, route_links
 
 
 @dataclass
@@ -46,10 +46,10 @@ def multi_hop_phases(channels: ChannelSet, path, user: int = 1) -> dict:
     path = _irs_ids(scene, path, "path")
     hops = route_links(path, scene.n_irs + _user_ids(scene, user, "user")[0])
     terms = [_los_terms(scene, *hop) for hop in hops]       # (.., rho, a_rx, a_tx)
-    if blocked := [hop for hop, t in zip(hops, terms) if t[3] is None]:
+    if blocked := [hop for hop, t in zip(hops, terms) if t[2] is None]:
         raise ValueError(f"hop {blocked[0]} has no LoS decomposition; "
                          "use AO or beam training instead")
-    return {irs: np.conj(terms[idx][4] * terms[idx + 1][5]) for idx, irs in enumerate(path)}
+    return {irs: np.conj(terms[idx][3] * terms[idx + 1][4]) for idx, irs in enumerate(path)}
 
 
 def closed_form_path_gain(n: int, m_elements, n_bs: int, beta: float, distances) -> float:
@@ -154,28 +154,29 @@ def numerical_rank(matrix: np.ndarray) -> int:
 
 @dataclass
 class ReceiverResult:
-    beams: np.ndarray            # (N_B, K), column k serves user k
-    sinrs: np.ndarray            # (K,) linear uplink SINR
+    beams: np.ndarray            # (..., N_B, K), column k serves user k
+    sinrs: np.ndarray            # (..., K) linear uplink SINR
     scheme: str
     rank_deficient: bool = False
 
 
-def _uplink_sinrs(H: np.ndarray, R: np.ndarray, power: float, noise: float) -> np.ndarray:
-    K = H.shape[1]
-    cross = np.abs(R.conj().T @ H) ** 2        # (K users') power into beam k
-    sinrs = np.empty(K)
-    for k in range(K):
-        desired = power * cross[k, k]
-        interference = power * (cross[k].sum() - cross[k, k])
-        sinrs[k] = desired / (interference + noise * np.linalg.norm(R[:, k]) ** 2)
-    return sinrs
+def _uplink_sinrs(H: np.ndarray, R: np.ndarray, power: np.ndarray, noise: float) -> np.ndarray:
+    """SINR of each user k at each power: p c_kk / (p (sum_i c_ki - c_kk) + noise |r_k|^2)
+    with c_ki = |r_k^H h_i|^2, for receive beams R (N_B x K) or one set per power."""
+    cross = np.abs(np.swapaxes(R.conj(), -1, -2) @ H) ** 2     # [k, i]: user i's power into beam k
+    own = np.diagonal(cross, axis1=-2, axis2=-1)
+    p = power[..., None]
+    return p * own / (p * (cross.sum(axis=-1) - own) + noise * np.linalg.norm(R, axis=-2) ** 2)
 
 
-def linear_receivers(H: np.ndarray, noise_power: float, tx_power: float,
+def linear_receivers(H: np.ndarray, noise_power: float, tx_power,
                      scheme: str = "zf") -> ReceiverResult:
     """Uplink receive beams and per-user SINRs for a (N_B x K) channel.
 
-    zf uses the pseudo-inverse; when the channel is rank deficient the
+    `tx_power` is one power or an array of them; `sinrs` has shape
+    np.shape(tx_power) + (K,) and `beams`, a read-only view,
+    np.shape(tx_power) + (N_B, K).  zf uses the pseudo-inverse, one per
+    channel whatever the powers; when the channel is rank deficient the
     regularized inverse leaves residual interference and the SINRs
     saturate with power.  mmse solves (P H H^H + sigma^2 I)^{-1} h_k.
     ValueError unless H is 2-D, for a user (column of H) with an all-zero
@@ -187,15 +188,14 @@ def linear_receivers(H: np.ndarray, noise_power: float, tx_power: float,
     if not np.all(np.any(H != 0, axis=0)):
         raise ValueError("H has an all-zero column: a user with no channel has no SINR")
     _positive(noise_power, "noise_power")
-    _positive(tx_power, "tx_power")
-    deficient = numerical_rank(H) < H.shape[1]
+    power = np.asarray(_positive(tx_power, "tx_power"), dtype=float)
     if scheme == "mmse":
-        gram = tx_power * (H @ H.conj().T) + noise_power * np.eye(H.shape[0])
-        R = np.linalg.solve(gram, H)
+        gram = power[..., None, None] * (H @ H.conj().T) + noise_power * np.eye(H.shape[0])
+        R = np.linalg.solve(gram, np.broadcast_to(H, power.shape + H.shape))
     elif scheme == "zf":
         R = np.linalg.pinv(H, rcond=RANK_TOLERANCE).conj().T
     else:
         raise ValueError(f"unknown receiver scheme {scheme!r}")
-    sinrs = _uplink_sinrs(H, R, tx_power, noise_power)
-    return ReceiverResult(beams=R, sinrs=sinrs, scheme=scheme,
-                          rank_deficient=deficient and scheme == "zf")
+    return ReceiverResult(beams=np.broadcast_to(R, power.shape + H.shape),
+                          sinrs=_uplink_sinrs(H, R, power, noise_power), scheme=scheme,
+                          rank_deficient=scheme == "zf" and numerical_rank(H) < H.shape[1])

@@ -27,12 +27,12 @@ beam) goes through one dynamic program over an ordered edge list, `_compose`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LosGraph, PanelArray, Scene, build_los_graph, path_loss, route_links
+from .geometry import (LosGraph, PanelArray, Scene, _integer, build_los_graph, path_loss,
+                       route_links)
 
 
 def array_response(panel: PanelArray, direction, wavelength: float) -> np.ndarray:
@@ -51,8 +51,6 @@ class LinkChannel:
     i: int
     j: int
     matrix: np.ndarray          # (n_j, n_i)
-    distance_m: float
-    path_loss_linear: float
     los_gain: complex | None    # rho; None when geometrically blocked
     los_rx: np.ndarray | None   # response at node j
     los_tx: np.ndarray | None   # response at node i
@@ -72,7 +70,7 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
     blocked link is pure NLoS regardless of kappa.  `draws` is a draw
     store (see `synthesize_channels` and `_unit_draw`).
     """
-    d, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
+    pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
     # L before z, so the outer product's temporaries never meet z
     matrix = None if kappa == 0 else _los_matrix(rho, a_rx, a_tx)
     if not math.isinf(kappa):
@@ -82,21 +80,20 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
         else:
             np.multiply(math.sqrt(kappa / (1 + kappa)), matrix, out=matrix)
             _add_gaussian(matrix, z, math.sqrt(pl), math.sqrt(1 / (1 + kappa)))
-    return LinkChannel(i=i, j=j, matrix=matrix, distance_m=d, path_loss_linear=pl,
-                       los_gain=rho, los_rx=a_rx, los_tx=a_tx)
+    return LinkChannel(i=i, j=j, matrix=matrix, los_gain=rho, los_rx=a_rx, los_tx=a_tx)
 
 
 def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
-    """(distance, path loss, kappa, rho, a_rx, a_tx) of link i -> j, the last three
-    None and kappa 0 when it is geometrically blocked (pure NLoS); with
+    """(path loss, kappa, rho, a_rx, a_tx) of link i -> j, the last three None
+    and kappa 0 when it is geometrically blocked (pure NLoS); with
     `rx_panel`/`tx_panel` false that end is the node's single reference-point
     (controller) antenna.  The scalars are `scene._link_terms(i, j)`."""
     d, pl, kappa, rho = scene._link_terms(i, j)
     if rho is None:
-        return d, pl, kappa, None, None, None
+        return pl, kappa, None, None, None
     lam = scene.constants.wavelength
     u = (scene.node_position(j) - scene.node_position(i)) / d
-    return (d, pl, kappa, rho,
+    return (pl, kappa, rho,
             _node_response(scene, j, -u, lam, rx_panel), _node_response(scene, i, u, lam, tx_panel))
 
 
@@ -106,7 +103,7 @@ def _rician_rows(scene: Scene, i: int, j: int, x: np.ndarray, rng: np.random.Gen
     transposed) as one (count, len(x), n) array, H link i -> j's matrix from `rng` with
     its ends as in `_los_terms`, each drawn as that product alone, with H's law: the
     Gaussian parts of every draw come from one `_cn_rows` call."""
-    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
+    pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
     out, panel, a_x, a_out = (j, rx_panel, a_tx, a_rx) if tx_side else (i, tx_panel, a_rx, a_tx)
     n = scene.node_size(out) if panel else 1       # the entries of each row drawn
     z = (None if math.isinf(kappa) else
@@ -295,27 +292,19 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray 
 
 def _irs_ids(scene: Scene, ids, name: str) -> list:
     """`ids` as a list; a ValueError naming `name` unless it lists distinct surfaces."""
+    ids = [_integer(j, f"{name} entry", None) for j in ids]
     if not 0 < len(ids) == len(set(ids) & set(range(1, scene.n_irs + 1))):
-        raise ValueError(f"{name} must list distinct IRS ids in 1..{scene.n_irs}, got {list(ids)}")
-    return list(ids)
+        raise ValueError(f"{name} must list distinct IRS ids in 1..{scene.n_irs}, got {ids}")
+    return ids
 
 
 def _user_ids(scene: Scene, users, name: str) -> list:
     """`users` (one id, or several) as a list; a ValueError naming `name`
     unless it names distinct users."""
-    ids = list(users) if np.iterable(users) else [users]
+    ids = [_integer(k, name, None) for k in (users if np.iterable(users) else [users])]
     if not 0 < len(ids) == len(set(ids) & set(range(1, scene.n_users + 1))):
         raise ValueError(f"{name} must name distinct users in 1..{scene.n_users}, got {users!r}")
     return ids
-
-
-def _integer(value, name: str, least: int = 1):
-    """`value`; a ValueError naming `name` unless it is an integer >= `least`."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _check_phases(scene: Scene, phases: dict, ids, where: str) -> None:

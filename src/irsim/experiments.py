@@ -191,16 +191,11 @@ def run_fig7(config: ExperimentConfig) -> ResultTable:
         h_single = _fig7_channels(channels, [2], phases_s, n_users)
 
         noise = scene.constants.noise_power
-        out = {}
-        for p_dbm in FIG7_POWERS_DBM:
-            power = 10.0 ** ((p_dbm - 30.0) / 10.0)
-            zf_d = linear_receivers(h_double, noise, power, "zf")
-            zf_s = linear_receivers(h_single, noise, power, "zf")
-            mmse_s = linear_receivers(h_single, noise, power, "mmse")
-            out[p_dbm] = (math.log2(1 + zf_d.sinrs.min()),
-                          math.log2(1 + zf_s.sinrs.min()),
-                          math.log2(1 + mmse_s.sinrs.min()))
-        return out
+        powers = [10.0 ** ((p_dbm - 30.0) / 10.0) for p_dbm in FIG7_POWERS_DBM]
+        worst = [linear_receivers(h, noise, powers, scheme).sinrs.min(axis=1)
+                 for h, scheme in ((h_double, "zf"), (h_single, "zf"), (h_single, "mmse"))]
+        return {p_dbm: tuple(math.log2(1 + w[idx]) for w in worst)
+                for idx, p_dbm in enumerate(FIG7_POWERS_DBM)}
 
     results = run_trials(trial, config.trials, config.seed)
     table = ResultTable()

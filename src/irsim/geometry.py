@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,16 @@ def _count(value, what: str) -> int:
     if n < 1 or not n.is_integer():
         raise ConfigError(f"{what} must be a positive integer, got {value!r}")
     return int(n)
+
+
+def _integer(value, name: str, least: int | None = 1):
+    """`value`; a ValueError naming `name` unless it is an integer (>= `least`,
+    unless that is None).  The library's check, where `_count` is the scene file's."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _grid(value, what: str) -> tuple[int, int]:
@@ -638,7 +649,7 @@ def build_los_graph(scene: Scene, user: int, require_los: bool = True) -> LosGra
     are all admissible links (blocked links then carry scattered power
     only).  Built once per (user, require_los) and kept in `scene._graphs`.
     """
-    if not 1 <= user <= scene.n_users:
+    if not 1 <= _integer(user, "user", None) <= scene.n_users:
         raise ValueError(f"no user {user} in scene")
     if (key := (user, bool(require_los))) in scene._graphs:
         return scene._graphs[key]

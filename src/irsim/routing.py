@@ -224,7 +224,7 @@ def interference_audit(scene: Scene, seed: int, solutions) -> list[dict]:
         configs.append(unit_phases(scene))
         for k, path in sorted(sol.paths.items()):
             configs[-1].update(multi_hop_phases(channels, path.irs_sequence, user=k))
-        beams.append({k: mrt_beam(_los_terms(scene, 0, path.irs_sequence[0])[5])
+        beams.append({k: mrt_beam(_los_terms(scene, 0, path.irs_sequence[0])[4])
                       for k, path in sol.paths.items()})
     stacked = {j: np.array([configs[s][j] * (j in scene.effective_regions[k - 1])
                             for s, k in rows]) for j in configs[0]}

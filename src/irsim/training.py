@@ -20,9 +20,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channels import (ChannelSet, _compose, _integer, _irs_ids, _path_edges, _positive,
-                       _rician_rows, _user_ids)
-from .geometry import Scene, route_links
+from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, _positive, _rician_rows,
+                       _user_ids)
+from .geometry import Scene, _integer, route_links
 
 
 class NotTrainable(RuntimeError):

@@ -330,8 +330,7 @@ def test_uniform_channel_scaling_preserves_argmax():
         if key[1] != user_node:
             continue
         scaled.links[key] = type(link)(
-            i=link.i, j=link.j, matrix=4.0 * link.matrix, distance_m=link.distance_m,
-            path_loss_linear=link.path_loss_linear, los_gain=link.los_gain,
+            i=link.i, j=link.j, matrix=4.0 * link.matrix, los_gain=link.los_gain,
             los_rx=link.los_rx, los_tx=link.los_tx)
     sol2 = ao_joint_beamforming(scaled, user=1)
     align = abs(np.vdot(sol1.bs_beams[1], sol2.bs_beams[1]))
@@ -417,6 +416,48 @@ def test_mmse_dominates_zf_on_deficient_channel():
         zf = linear_receivers(h, 1e-6, power, "zf")
         mmse = linear_receivers(h, 1e-6, power, "mmse")
         assert np.all(mmse.sinrs >= zf.sinrs - 1e-9)
+
+
+def _receiver_channels():
+    rng = np.random.default_rng(47)
+    full = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    deficient = full.copy()
+    deficient[:, 2] = 0.5 * full[:, 0] - 2.0 * full[:, 1]       # rank two, K = 3
+    return {"full_rank": full, "rank_deficient": deficient}
+
+
+@pytest.mark.parametrize("scheme", ["zf", "mmse"])
+@pytest.mark.parametrize("kind", ["full_rank", "rank_deficient"])
+def test_receivers_at_an_array_of_powers_match_the_scalar_calls_bit_for_bit(kind, scheme):
+    h = _receiver_channels()[kind]
+    powers = np.array([1e-4, 1e-2, 1.0, 1e2, 1e4])
+    batch = linear_receivers(h, 1e-3, powers, scheme)
+    assert batch.sinrs.shape == (5, 3) and batch.beams.shape == (5, 6, 3)
+    assert batch.rank_deficient == (scheme == "zf" and kind == "rank_deficient")
+    for p, power in enumerate(powers):
+        one = linear_receivers(h, 1e-3, power, scheme)
+        assert one.sinrs.shape == (3,) and one.beams.shape == (6, 3)
+        assert np.array_equal(batch.sinrs[p], one.sinrs)
+        assert np.array_equal(batch.beams[p], one.beams)
+    grid = linear_receivers(h, 1e-3, powers.reshape(5, 1), scheme)
+    assert grid.sinrs.shape == (5, 1, 3) and np.array_equal(grid.sinrs[:, 0], batch.sinrs)
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan])
+@pytest.mark.parametrize("scheme", ["zf", "mmse"])
+def test_receivers_reject_an_array_of_powers_with_a_bad_entry(scheme, value):
+    with pytest.raises(ValueError, match="tx_power must be positive and finite"):
+        linear_receivers(np.eye(4, 2).astype(complex), 1e-3, [1.0, value, 2.0], scheme)
+
+
+def test_mmse_never_computes_a_rank(monkeypatch):
+    def forbidden(matrix):
+        raise AssertionError("mmse computed a rank")
+
+    monkeypatch.setattr(beams, "numerical_rank", forbidden)
+    h = _receiver_channels()["rank_deficient"]
+    assert not linear_receivers(h, 1e-3, 1.0, "mmse").rank_deficient
+    assert not linear_receivers(h, 1e-3, [1.0, 10.0], "mmse").rank_deficient
 
 
 def test_rank_gain_check_on_double_irs_instance():

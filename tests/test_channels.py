@@ -108,9 +108,8 @@ def test_path_loss_alpha_override_for_inter_irs_link():
     scene = build_scene(cfg)
     alpha, kappa = scene.constants.link_params(1, 2, "irs_irs")
     assert alpha == 2.5 and kappa == 0.0
-    link = synth_link(scene, 1, 2, np.random.default_rng(0))
-    d = scene.distance(1, 2)
-    assert link.path_loss_linear == pytest.approx(1e-3 * d ** -2.5)
+    d, pl, _, _ = scene._link_terms(1, 2)
+    assert d == scene.distance(1, 2) and pl == pytest.approx(1e-3 * d ** -2.5)
 
 
 def test_path_loss_requires_positive_distance():
@@ -126,7 +125,7 @@ def test_pure_los_link_equals_los_component(chain_scene):
     link = synth_link(chain_scene, 0, 1, np.random.default_rng(1))
     assert np.allclose(link.matrix, link.los_gain * np.outer(link.los_rx, link.los_tx))
     assert np.allclose(np.abs(link.los_rx), 1.0)
-    assert abs(link.los_gain) == pytest.approx(math.sqrt(link.path_loss_linear))
+    assert abs(link.los_gain) == pytest.approx(math.sqrt(chain_scene._link_terms(0, 1)[1]))
 
 
 def test_rayleigh_entry_power_matches_path_loss():
@@ -138,7 +137,7 @@ def test_rayleigh_entry_power_matches_path_loss():
         link = synth_link(scene, 0, 1, rng)
         acc += float(np.sum(np.abs(link.matrix) ** 2))
         n += link.matrix.size
-    assert acc / n == pytest.approx(link.path_loss_linear, rel=0.02)
+    assert acc / n == pytest.approx(scene._link_terms(0, 1)[1], rel=0.02)
 
 
 def test_rician_power_split_20db():
@@ -195,7 +194,7 @@ def test_zero_weight_projected_rows_match_the_mix_formula_bit_for_bit(kappa_db, 
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db))
     x = np.random.default_rng(7).standard_normal((2, 2 * scene.node_size(j))).view(complex)
     rows = _rician_rows(scene, 0, j, x, np.random.default_rng(8), count=3)
-    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, 0, j)
+    pl, kappa, rho, a_rx, a_tx = _los_terms(scene, 0, j)
     los = 0.0 if rho is None else np.multiply.outer(rho * (x @ a_rx), a_tx)
     z = _cn_rows(np.random.default_rng(8), x, scene.n_bs * 3).reshape(2, 3, scene.n_bs)
     want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z.swapaxes(0, 1)
@@ -214,17 +213,17 @@ def test_link_terms_are_built_once_per_scene_and_link(monkeypatch):
     assert calls == {link: 1 for link in scene._links[0]}
     # the memo holds numbers alone: every array response is built afresh for its caller
     assert all(v is None or np.isscalar(v) for terms in scene._terms.values() for v in terms)
-    _los_terms(scene, 0, 1)[4][:] = 0
-    assert np.all(np.abs(_los_terms(scene, 0, 1)[4]) == 1)
+    _los_terms(scene, 0, 1)[3][:] = 0
+    assert np.all(np.abs(_los_terms(scene, 0, 1)[3]) == 1)
 
 
 def test_scenes_differing_only_in_kappa_keep_their_own_link_terms():
     scenes = {k: build_scene(chain_config(m0=3, n_bs=4, kappa_db=k)) for k in (0, 10)}
     for k in (0, 10, 0):
         terms = _los_terms(scenes[k], 0, 1)
-        assert terms[2] == scenes[k].constants.kappa == pytest.approx(10 ** (k / 10))
+        assert terms[1] == scenes[k].constants.kappa == pytest.approx(10 ** (k / 10))
         other = _los_terms(scenes[10 - k], 0, 1)
-        assert terms[:2] + terms[3:4] == other[:2] + other[3:4]      # d, path loss, rho
+        assert terms[:1] + terms[2:3] == other[:1] + other[2:3]      # path loss, rho
 
 
 def test_pure_los_draws_all_equal_the_los_matrix(chain_scene):
@@ -415,6 +414,24 @@ def test_effective_channel_rejects_a_bad_subset_before_any_composition(monkeypat
     with pytest.raises(ValueError, match=message):
         effective_channel(channels, 1, unit_phases(channels.scene), include_direct=False,
                           irs_subset=subset)
+
+
+@pytest.mark.parametrize("case", ["path_channel_path", "path_channel_user", "hop_phases_path",
+                                  "effective_channel_user", "los_graph_user"])
+def test_a_float_id_is_rejected_naming_its_argument(case):
+    from irsim.beams import multi_hop_phases
+    channels = synthesize_channels(build_scene(indoor_hall_config(m0=4, kappa_db="inf")), 50)
+    phases = unit_phases(channels.scene)
+    call, message = {
+        "path_channel_path": (lambda: cascaded_path_channel(channels, [1.0], phases), "path"),
+        "path_channel_user": (lambda: cascaded_path_channel(channels, (3, 4, 5), phases, user=1.0),
+                              "user"),
+        "hop_phases_path": (lambda: multi_hop_phases(channels, [1.0]), "path"),
+        "effective_channel_user": (lambda: effective_channel(channels, 1.0, phases), "user"),
+        "los_graph_user": (lambda: build_los_graph(channels.scene, 1.0), "user"),
+    }[case]
+    with pytest.raises(ValueError, match=rf"^{message}\b.* must be an integer, got 1\.0"):
+        call()
 
 
 def test_effective_channel_rejects_phases_missing_a_surface_of_its_graph(monkeypatch):

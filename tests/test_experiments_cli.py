@@ -58,6 +58,23 @@ def test_scenario_reruns_byte_identical(scenario):
     assert hashlib.sha256(a.encode()).hexdigest() == RERUN_DIGESTS[scenario]
 
 
+def test_fig7_makes_one_receiver_call_per_scheme_and_channel(monkeypatch):
+    # each call serves every transmit power of the sweep
+    import irsim.experiments as experiments
+
+    calls = []
+    real = experiments.linear_receivers
+
+    def counted(H, noise_power, tx_power, scheme):
+        calls.append((scheme, np.shape(tx_power)))
+        return real(H, noise_power, tx_power, scheme)
+
+    monkeypatch.setattr(experiments, "linear_receivers", counted)
+    run_scenario(ExperimentConfig(scenario="fig7", seed=0, trials=2))
+    sweep = (len(experiments.FIG7_POWERS_DBM),)
+    assert calls == 2 * [("zf", sweep), ("zf", sweep), ("mmse", sweep)]
+
+
 def test_fig9_runs_without_channel_synthesis(monkeypatch):
     # fig9 is the closed-form m0 sweep alone: fig11's channels and audits stay out of it
     import irsim.experiments as experiments

@@ -753,7 +753,7 @@ def test_projected_sounding_has_the_law_of_the_projected_full_draw(config, j, rx
     n = 4000
     proj = _rician_rows(scene, 0, j, w, np.random.default_rng(31), n, rx_panel=rx_panel,
                         tx_side=True)[:, 0]
-    _, pl, kappa, rho, a_rx, a_tx = _los_terms(scene, 0, j, rx_panel)
+    pl, kappa, rho, a_rx, a_tx = _los_terms(scene, 0, j, rx_panel)
     assert (rho is None) == blocked and proj.shape == (n, scene.node_size(j) if rx_panel else 1)
     if blocked:
         los, kappa = np.zeros((proj.shape[1], scene.n_bs)), 0.0
