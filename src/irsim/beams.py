@@ -179,12 +179,14 @@ def linear_receivers(H: np.ndarray, noise_power: float, tx_power,
     channel whatever the powers; when the channel is rank deficient the
     regularized inverse leaves residual interference and the SINRs
     saturate with power.  mmse solves (P H H^H + sigma^2 I)^{-1} h_k.
-    ValueError unless H is 2-D, for a user (column of H) with an all-zero
-    channel, or for a power that is not positive and finite.
+    ValueError unless H is 2-D and finite, for a user (column of H) with an
+    all-zero channel, or for a power that is not positive and finite.
     """
     H = np.asarray(H)
     if H.ndim != 2:
         raise ValueError(f"H must be a 2-D (N_B x K) channel matrix, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("H must be finite, got a NaN or infinite entry")
     if not np.all(np.any(H != 0, axis=0)):
         raise ValueError("H has an all-zero column: a user with no channel has no SINR")
     _positive(noise_power, "noise_power")

@@ -10,13 +10,14 @@ a BS weight vector w; the matched (MRT) beam is conj(h)/norm(h).
 
 LoS components are far-field rank-one: H_los = rho * outer(a_rx, a_tx)
 with unit-modulus array responses and rho carrying the path gain and the
-carrier phase of the nominal distance.  Rician mixing adds an i.i.d.
-circularly-symmetric Gaussian part.  `synth_link` draws one whole link
-matrix, and `_rician_rows` draws x @ H (or H @ w) alone, with H's law, for
-a consumer of fixed rows x (or a fixed beam w): the interference audit and
-the beam-training controller links.  Both draw a link whose LoS part has no
-weight (blocked, or kappa = 0) as the scaled Gaussian part alone, with no
-outer product.  Both read a link's scalar terms from `Scene._link_terms` (see
+carrier phase of the nominal distance.  `_los` builds that part and `_mix`
+weighs it against an i.i.d. circularly-symmetric Gaussian part: the one
+Rician law.  `synth_link` draws one whole link matrix, and `_rician_rows`
+draws x @ H (or H @ w) alone, with H's law, for a consumer of fixed rows x
+(or a fixed beam w): the interference audit and the beam-training controller
+links.  Both only choose the parts to build, and build none with no weight
+(the LoS part of a blocked or kappa = 0 link, the Gaussian part at kappa =
+inf).  Both read a link's scalar terms from `Scene._link_terms` (see
 `geometry`); the array responses are built for each caller.
 
 Every path or graph composition (one explicit path, the full path sum, and
@@ -72,15 +73,10 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
     """
     pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
     # L before z, so the outer product's temporaries never meet z
-    matrix = None if kappa == 0 else _los_matrix(rho, a_rx, a_tx)
-    if not math.isinf(kappa):
-        z = _unit_draw(rng, scene.node_size(j), scene.node_size(i), draws)
-        if matrix is None:        # z alone: a fresh z is scaled in place, a stored one copied
-            matrix = np.multiply(z, math.sqrt(pl), out=z) if draws is None else z * math.sqrt(pl)
-        else:
-            np.multiply(math.sqrt(kappa / (1 + kappa)), matrix, out=matrix)
-            _add_gaussian(matrix, z, math.sqrt(pl), math.sqrt(1 / (1 + kappa)))
-    return LinkChannel(i=i, j=j, matrix=matrix, los_gain=rho, los_rx=a_rx, los_tx=a_tx)
+    los = None if kappa == 0 else _los(rho, a_rx, a_tx)
+    z = None if math.isinf(kappa) else _unit_draw(rng, scene.node_size(j), scene.node_size(i), draws)
+    return LinkChannel(i=i, j=j, matrix=_mix(pl, kappa, los, z), los_gain=rho, los_rx=a_rx,
+                       los_tx=a_tx)
 
 
 def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
@@ -106,31 +102,34 @@ def _rician_rows(scene: Scene, i: int, j: int, x: np.ndarray, rng: np.random.Gen
     pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
     out, panel, a_x, a_out = (j, rx_panel, a_tx, a_rx) if tx_side else (i, tx_panel, a_rx, a_tx)
     n = scene.node_size(out) if panel else 1       # the entries of each row drawn
+    los = None if kappa == 0 else _los(rho, x @ a_x, a_out)
     z = (None if math.isinf(kappa) else
          _cn_rows(rng, x, n * count).reshape(len(x), count, n).swapaxes(0, 1))
-    if kappa == 0:                                 # no LoS part to weigh
-        return math.sqrt(pl) * z
-    los = np.multiply.outer(rho * (x @ a_x), a_out)
+    return np.broadcast_to(_mix(pl, kappa, los, z), (count, len(x), n))
+
+
+def _los(rho: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rank-one LoS part rho * outer(u, v), rho applied to the vector u alone."""
+    return np.multiply.outer(rho * u, v)
+
+
+def _mix(pl: float, kappa: float, los, z):
+    """The Rician law: sqrt(kappa/(1+kappa)) * los + sqrt(pl/(1+kappa)) * z, for a
+    LoS part `los` and a unit Gaussian part `z` (z's weighted term alone when los is
+    None, los alone when z is None).  Built in place in z when it is writable; a
+    read-only (stored) z is read into los row block by row block, with no
+    full-size temporary."""
     if z is None:
-        return np.broadcast_to(los, (count, *los.shape))
-    return math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z
-
-
-def _los_matrix(rho: complex, a_rx: np.ndarray, a_tx: np.ndarray) -> np.ndarray:
-    """rho * outer(a_rx, a_tx), built in place (rho on the left: the product's
-    last bits depend on the operand order)."""
-    los = np.multiply.outer(a_rx, a_tx)
-    return np.multiply(rho, los, out=los)
-
-
-def _add_gaussian(out: np.ndarray, z: np.ndarray, amp: float, weight: float) -> None:
-    """out += (z * amp) * weight, row block by row block, with the rounding of
-    that in-place sequence on a copy of z; z is left as is, and no
-    full-size temporary is made."""
+        return los
+    weight = math.sqrt(pl / (1 + kappa))
+    if los is None:
+        return np.multiply(weight, z, out=z) if z.flags.writeable else weight * z
+    np.multiply(math.sqrt(kappa / (1 + kappa)), los, out=los)
+    if z.flags.writeable:
+        return np.add(los, np.multiply(weight, z, out=z), out=z)
     for rows in _row_blocks(*z.shape):
-        part = z[rows] * amp
-        part *= weight
-        np.add(part, out[rows], out=out[rows])
+        los[rows] += weight * z[rows]
+    return los
 
 
 _BLOCK_ENTRIES = 1 << 15       # entries per row block of a draw or a mix
@@ -143,12 +142,13 @@ def _row_blocks(n_rx: int, n_tx: int) -> list:
 
 def _unit_draw(rng: np.random.Generator, n_rx: int, n_tx: int, draws: dict | None):
     """The unit Gaussian matrix of one stream: drawn afresh without a store, or
-    drawn into `draws` once, keyed by the entropy `rng` was freshly seeded with."""
+    drawn into `draws` once, read-only, keyed by the entropy `rng` was seeded with."""
     if draws is None:
         return _cn(rng, n_rx, n_tx)
     key = (rng.bit_generator.seed_seq.entropy, n_rx, n_tx)
     if key not in draws:
         draws[key] = _cn(rng, n_rx, n_tx)
+        draws[key].flags.writeable = False         # so `_mix` never scales it in place
     return draws[key]
 
 

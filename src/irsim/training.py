@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import (ChannelSet, _compose, _irs_ids, _path_edges, _positive, _rician_rows,
                        _user_ids)
-from .geometry import Scene, _integer, route_links
+from .geometry import Scene, _integer, is_admissible_link, route_links
 
 
 class NotTrainable(RuntimeError):
@@ -268,6 +268,20 @@ def _bs_neighbors(scene: Scene) -> list[int]:
     return irs_neighbor_sets(scene, 0)[1]
 
 
+def _hop_nodes(scene: Scene, owner: int, nodes, name: str, incoming: bool) -> list[int]:
+    """The nodes `owner` sounds from (`incoming`) or toward: its LoS neighbors for
+    `nodes` None, else `nodes` as a list, a ValueError naming `name` unless each is a
+    node id with an admissible link into or out of `owner`."""
+    if nodes is None:
+        return irs_neighbor_sets(scene, owner)[0 if incoming else 1]
+    ids = [_integer(v, f"{name} entry", 0) for v in nodes]
+    for v in ids:
+        link = (v, owner) if incoming else (owner, v)
+        if v > scene.n_irs + scene.n_users or not is_admissible_link(scene, *link):
+            raise ValueError(f"{name} entry {v}: link {link} is not an admissible hop")
+    return ids
+
+
 def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Codebook,
            next_nodes, seed: int) -> None:
     """Store the time-averaged RSS of every beam of `table.owner` at each next
@@ -292,13 +306,14 @@ def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = Non
     """Offline BS table: time-averaged RSS at every next node's controller
     for each active beam, kept when it clears the threshold.
 
-    `next_nodes` restricts the sounded neighbors (default: every LoS one).
+    `next_nodes` restricts the sounded neighbors (default: every LoS one);
+    ValueError for an entry that is not an admissible hop from the BS.
     """
     _check_sounding(scene, 0, codebook, averages)
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=0, threshold=thr, reference_rss={None: 1.0})
     _sound(table, scene, None, [1.0] * averages, codebook,
-           _bs_neighbors(scene) if next_nodes is None else next_nodes, seed)
+           _hop_nodes(scene, 0, next_nodes, "next_nodes", False), seed)
     return table
 
 
@@ -311,18 +326,16 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
     rows toward a user are measured online.
 
     `prev_nodes`/`next_nodes` restrict the sounded neighbor sets (default:
-    every LoS neighbor).  ValueError for `irs` not a surface.
+    every LoS neighbor).  ValueError for `irs` not a surface, or for an entry
+    of either that is not an admissible hop into or out of it.
     """
     if not 1 <= _integer(irs, "irs") <= scene.n_irs:
         raise ValueError(f"irs must name a surface (1..{scene.n_irs}), got {irs}")
     _check_sounding(scene, irs, codebook, averages)
     thr = scene.constants.noise_power if threshold is None else threshold
     table = BeamTrainingTable(owner=irs, threshold=thr)
-    if prev_nodes is None or next_nodes is None:
-        default_prev, default_next = irs_neighbor_sets(scene, irs)
-        prev_nodes = default_prev if prev_nodes is None else prev_nodes
-        next_nodes = default_next if next_nodes is None else next_nodes
-    next_nodes = list(next_nodes)
+    prev_nodes = _hop_nodes(scene, irs, prev_nodes, "prev_nodes", True)
+    next_nodes = _hop_nodes(scene, irs, next_nodes, "next_nodes", False)
     for prev in prev_nodes:
         n = scene.n_bs if prev == 0 else 1   # sounding from the BS panel or a surface controller
         w = np.full((1, n), 1 / math.sqrt(n), dtype=complex)

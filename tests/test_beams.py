@@ -380,6 +380,16 @@ def test_receivers_reject_a_user_with_an_all_zero_channel(scheme):
         linear_receivers(h, 1e-3, 1.0, scheme)
 
 
+@pytest.mark.parametrize("entry", [complex(math.nan, 0.0), complex(0.0, math.inf)],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("scheme", ["zf", "mmse"])
+def test_receivers_reject_a_channel_with_a_non_finite_entry(scheme, entry):
+    h = np.eye(4, 2).astype(complex)
+    h[2, 1] = entry
+    with pytest.raises(ValueError, match="H must be finite"):
+        linear_receivers(h, 1e-3, 1.0, scheme)
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("name", ["noise_power", "tx_power"])
 def test_receivers_reject_a_power_that_is_not_positive_and_finite(name, value):

@@ -4,16 +4,18 @@ import collections
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import irsim.channels
 import irsim.geometry
-from irsim.channels import (ChannelSet, _cn_rows, _graph_edges, _los_terms, _rician_rows,
-                            array_response, cascaded_path_channel, effective_channel,
+from irsim.channels import (ChannelSet, _cn_rows, _graph_edges, _link_rng, _los_terms,
+                            _rician_rows, array_response, cascaded_path_channel, effective_channel,
                             effective_channel_affine, enumerate_graph_paths, mrt_beam, path_loss,
                             synth_link, synthesize_channels, unit_phases)
+from irsim.experiments import FIG13_KAPPAS_DB, FIG13_PATH
 from irsim.geometry import PanelArray, build_los_graph, build_scene, route_links
 from irsim.scenarios import indoor_hall_config
 
@@ -168,13 +170,12 @@ def test_rician_draws_match_the_out_of_place_formula_bit_for_bit(kappa_db, i, j,
     rng = np.random.default_rng(11)
     shape = (scene.node_size(j), scene.node_size(i))
     for link in draws:
-        nlos = math.sqrt(pl) * ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                                / math.sqrt(2.0))
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
         if link.los_gain is None:
-            want = nlos
+            want = math.sqrt(pl) * z
         else:
-            los = link.los_gain * np.outer(link.los_rx, link.los_tx)
-            want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(1 / (1 + kappa)) * nlos
+            los = np.outer(link.los_gain * link.los_rx, link.los_tx)
+            want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z
         assert link.matrix.tobytes() == want.tobytes()
     assert (draws[0].los_gain is None) == blocked
 
@@ -182,14 +183,15 @@ def test_rician_draws_match_the_out_of_place_formula_bit_for_bit(kappa_db, i, j,
 def test_a_zero_weight_los_part_is_never_built(monkeypatch):
     # a Rayleigh link with geometric LoS keeps its LoS terms but mixes like a blocked one
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db="-inf"))
-    monkeypatch.setattr(irsim.channels, "_los_matrix",
-                        lambda *args: pytest.fail("built the LoS matrix of a kappa = 0 link"))
+    monkeypatch.setattr(irsim.channels, "_los",
+                        lambda *args: pytest.fail("built the LoS part of a kappa = 0 link"))
     for draws in (None, {}):
         link = synth_link(scene, 0, 1, np.random.default_rng(4), draws)
         assert link.los_gain is not None and np.all(link.matrix != 0)
 
 
-@pytest.mark.parametrize("kappa_db, j", [("-inf", 1), (10, 2)], ids=["rayleigh", "blocked"])
+@pytest.mark.parametrize("kappa_db, j", [("-inf", 1), (10, 2), (10, 1)],
+                         ids=["rayleigh", "blocked", "rician"])
 def test_zero_weight_projected_rows_match_the_mix_formula_bit_for_bit(kappa_db, j):
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db))
     x = np.random.default_rng(7).standard_normal((2, 2 * scene.node_size(j))).view(complex)
@@ -198,7 +200,7 @@ def test_zero_weight_projected_rows_match_the_mix_formula_bit_for_bit(kappa_db, 
     los = 0.0 if rho is None else np.multiply.outer(rho * (x @ a_rx), a_tx)
     z = _cn_rows(np.random.default_rng(8), x, scene.n_bs * 3).reshape(2, 3, scene.n_bs)
     want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z.swapaxes(0, 1)
-    assert kappa == 0 and (rho is None) == (j == 2)
+    assert (kappa == 0) == (kappa_db == "-inf" or j == 2) and (rho is None) == (j == 2)
     assert rows.tobytes() == want.tobytes()
 
 
@@ -511,11 +513,36 @@ def test_kappas_of_one_trial_mix_the_same_stored_draw_by_the_formula():
             link = channels.get(i, j)
             alpha, kappa = consts.link_params(i, j, scene.link_class(i, j))
             pl = path_loss(scene.distance(i, j), alpha, consts.beta)
-            los = link.los_gain * np.outer(link.los_rx, link.los_tx)
-            want = (math.sqrt(kappa / (1 + kappa)) * los
-                    + math.sqrt(1 / (1 + kappa)) * (math.sqrt(pl) * z))
+            los = np.outer(link.los_gain * link.los_rx, link.los_tx)
+            want = math.sqrt(kappa / (1 + kappa)) * los + math.sqrt(pl / (1 + kappa)) * z
             assert link.matrix.tobytes() == want.tobytes()
     assert len(draws) == len(links)
+
+
+def test_a_stored_draw_is_read_only_and_no_finite_kappa_changes_it():
+    seed, draws, (i, j), seen = 6, {}, FIG13_PATH[:2], set()
+    for kappa_db in (*FIG13_KAPPAS_DB[:-1], "-inf"):      # fig13's five, and kappa = 0
+        scene = build_scene(indoor_hall_config(m0=4, kappa_db=kappa_db))
+        synthesize_channels(scene, seed, links=[(i, j)], draws=draws)
+        (z,) = draws.values()
+        seen.add(z.tobytes())
+    assert len(seen) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        z[0, 0] = 0
+
+
+def test_mixing_a_stored_draw_allocates_at_most_a_quarter_matrix_beyond_the_link():
+    scene = build_scene(indoor_hall_config(m0=24, kappa_db=10))
+    (i, j), draws = FIG13_PATH[:2], {}
+    synth_link(scene, i, j, _link_rng(0, i, j), draws)
+    tracemalloc.start()
+    try:
+        link = synth_link(scene, i, j, _link_rng(0, i, j), draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert link.matrix.shape == (576, 576) and link.los_gain is not None
+    assert peak <= 1.25 * link.matrix.nbytes
 
 
 def test_a_store_reused_with_another_seed_gives_that_seeds_channels():

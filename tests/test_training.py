@@ -676,6 +676,31 @@ def test_irs_btt_rejects_an_owner_that_is_not_a_surface_before_any_draw(monkeypa
             build_irs_btt(scene, irs, planar_passive_codebook(2, 2))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"prev_nodes": [5], "next_nodes": [0]}, "prev_nodes"),   # neither 5 -> 1 nor 1 -> 0
+    ({"next_nodes": [0]}, "next_nodes"),
+    ({"prev_nodes": [1]}, "prev_nodes"),
+    ({"next_nodes": [1]}, "next_nodes"),
+    ({"next_nodes": [1.0]}, "next_nodes"),
+    ({"prev_nodes": [-1]}, "prev_nodes"),
+    ({"next_nodes": [2, 11]}, "next_nodes"),                  # the hall has nodes 0..10
+], ids=["no_hop_either_way", "into_the_bs", "prev_self", "next_self", "float", "negative",
+        "unknown"])
+def test_irs_btt_sounds_only_admissible_hops(kwargs, name, monkeypatch):
+    _forbid_draws(monkeypatch)
+    scene = build_scene(indoor_hall_config(m0=4, kappa_db=10))
+    with pytest.raises(ValueError, match=f"{name} entry"):
+        build_irs_btt(scene, 1, planar_passive_codebook(4, 4), **kwargs)
+
+
+@pytest.mark.parametrize("next_nodes", [[0], [1.0], [1, 10, 11]], ids=["self", "float", "unknown"])
+def test_bs_btt_sounds_only_admissible_hops(next_nodes, monkeypatch):
+    _forbid_draws(monkeypatch)
+    scene = build_scene(indoor_hall_config(m0=4, kappa_db=10))
+    with pytest.raises(ValueError, match="next_nodes entry"):
+        build_bs_btt(scene, dft_codebook(32, 32, kind="active"), next_nodes=next_nodes)
+
+
 # ---------------------------------------------------------------------------
 # the per-trial draw store of fig13
 # ---------------------------------------------------------------------------
