@@ -78,21 +78,21 @@ def _align_phases(base: complex, coeff: np.ndarray, theta: np.ndarray) -> None:
 def _alternate(compose, phases: dict, irs_ids, max_iters: int, tol: float, cap="max_iters"):
     """Alternate MRT at the BS with the exact update of each surface in turn.
 
-    `compose(phases, irs=None, w=None)` follows `channels._compose`: h, or
-    the sweep over `irs_ids` projected onto the current beam w, yielding
-    (j, a, b) with h @ w = a + phases[j] @ b.  Each step is exact, so
+    `compose(phases)` returns (h, sweep) as `channels._compose` does.  Each
+    round runs the sweep over `irs_ids` of the composition that gave its MRT
+    beam, then composes once for the closing h.  Each step is exact, so
     |h @ w|^2 never decreases.  Updates `phases` in place until a round
     gains at most tol (relative), for at most max_iters rounds (a ValueError,
     naming it `cap`, unless an integer >= 0); returns (w, objective, converged, iterations).
     """
     _integer(max_iters, cap, 0)
-    h = compose(phases)
+    h, sweep = compose(phases)
     w = mrt_beam(h)
     objective = float(np.linalg.norm(h) ** 2)
     for it in range(1, max_iters + 1):
-        for j, base, coeff in compose(phases, irs_ids, w):
+        for j, base, coeff in sweep(irs_ids, w):
             _align_phases(complex(base), coeff, phases[j])
-        h = compose(phases)
+        h, sweep = compose(phases)
         w = mrt_beam(h)
         new_obj = float(np.linalg.norm(h) ** 2)
         if new_obj - objective <= tol * max(objective, 1e-300):
@@ -112,9 +112,9 @@ def ao_joint_beamforming(channels: ChannelSet, user: int = 1, max_iters: int = 2
     """
     phases = unit_phases(channels.scene)
 
-    def compose(phases, irs=None, w=None):
-        return (effective_channel(channels, user, phases, include_direct=False) if irs is None
-                else effective_channel_affine(channels, user, phases, irs, w))
+    def compose(phases):       # the sweep composes afresh: one more tail pass per round
+        return (effective_channel(channels, user, phases, include_direct=False),
+                partial(effective_channel_affine, channels, user, phases))
 
     w, objective, converged, it = _alternate(compose, phases, sorted(phases), max_iters, 1e-12)
     check_unit_modulus(phases)
@@ -179,12 +179,14 @@ def linear_receivers(H: np.ndarray, noise_power: float, tx_power,
     channel whatever the powers; when the channel is rank deficient the
     regularized inverse leaves residual interference and the SINRs
     saturate with power.  mmse solves (P H H^H + sigma^2 I)^{-1} h_k.
-    ValueError unless H is 2-D and finite, for a user (column of H) with an
+    ValueError unless H is 2-D, numeric and finite, for a user (column of H) with an
     all-zero channel, or for a power that is not positive and finite.
     """
     H = np.asarray(H)
     if H.ndim != 2:
         raise ValueError(f"H must be a 2-D (N_B x K) channel matrix, got shape {H.shape}")
+    if not np.issubdtype(H.dtype, np.number):
+        raise ValueError(f"H must be a numeric channel matrix, got dtype {H.dtype}")
     if not np.all(np.isfinite(H)):
         raise ValueError("H must be finite, got a NaN or infinite entry")
     if not np.all(np.any(H != 0, axis=0)):

@@ -20,9 +20,9 @@ links.  Both only choose the parts to build, and build none with no weight
 inf).  Both read a link's scalar terms from `Scene._link_terms` (see
 `geometry`); the array responses are built for each caller.
 
-Every path or graph composition (one explicit path, the full path sum, and
-the sweep of its affine forms in each surface's phases projected onto a BS
-beam) goes through one dynamic program over an ordered edge list, `_compose`.
+Every path or graph composition (one route's or a graph's path sum, and its
+affine forms projected onto a BS beam) is one dynamic program, `_compose`: its
+one tail pass over an ordered edge list gives h and the sweep that reads it.
 """
 
 from __future__ import annotations
@@ -251,27 +251,25 @@ def _tail_pass(scene: Scene, edges, phases: dict, link) -> dict:
     return down
 
 
-def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray | None = None):
+def _compose(channels: ChannelSet, edges, phases: dict):
     """Sum over every BS-to-user path of an ordered reflection edge list.
 
     `edges` holds directed (a, b) node pairs grouped by source, the sources
     in reverse topological order (the BS last) and each source's
     successors in ascending order.  One tail pass builds down[v], the row
     mapping the signal incident on v's elements to the user amplitude, and
-    returns h = down[0].  Given surfaces `irs` and a BS beam `w`, a generator
-    instead runs one head pass BS first, carrying the BS-to-v channel times w
-    (O(M^2) per hop), and yields (j, a, b) at each surface of `irs` a path
-    crosses: h @ w = a + phases[j] @ b, exact for the phases the caller has
-    moved so far (one Gauss-Seidel sweep; down[j] needs only the surfaces
-    after j, which the sweep has not reached)."""
+    returns (h = down[0], sweep).  The generator sweep(irs, w) runs one head
+    pass BS first, carrying the BS-to-v channel times a BS beam w (O(M^2)
+    per hop), and yields (j, a, b) at each surface of `irs` a path crosses:
+    h @ w = a + phases[j] @ b (one Gauss-Seidel sweep: down[j] reads only the
+    surfaces after j).  It is exact only while `phases` are the ones h was
+    composed with, apart from the surfaces the sweep itself has reached."""
     down = _tail_pass(channels.scene, edges, phases, lambda a, b, x: (
         channels.get(a, b).matrix if x is None else x @ channels.get(a, b).matrix))
     h = down[0][0] if 0 in down else np.zeros(channels.scene.n_bs, dtype=complex)
-    if irs is None:
-        return h
 
-    def sweep(named):
-        total, head = h @ w, {}
+    def sweep(irs, w: np.ndarray):
+        named, total, head = set(irs), h @ w, {}
         for v in reversed(down):       # the sources that reach a user, BS first
             for p in sorted(a for a, b in edges if b == v):
                 if p == 0:
@@ -287,7 +285,7 @@ def _compose(channels: ChannelSet, edges, phases: dict, irs=None, w: np.ndarray 
                 yield v, base, coeff
                 total = base + phases[v] @ coeff   # with the caller's new phases[v]
 
-    return sweep(set(irs))
+    return h, sweep
 
 
 def _irs_ids(scene: Scene, ids, name: str) -> list:
@@ -349,7 +347,7 @@ def cascaded_path_channel(channels: ChannelSet, path, phases: dict, user: int = 
     _irs_ids(channels.scene, path, "path")
     target = channels.scene.n_irs + _user_ids(channels.scene, user, "user")[0]
     _check_phases(channels.scene, phases, path, f"path {list(path)}")
-    return _compose(channels, _path_edges(path, target), phases)
+    return _compose(channels, _path_edges(path, target), phases)[0]
 
 
 def enumerate_graph_paths(graph: LosGraph):
@@ -375,17 +373,15 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
     """
     edges = _graph_edges(channels, user, irs_subset)
     _check_phases(channels.scene, phases, {a for a, _ in edges if a}, f"user {user}'s graph")
-    h = _compose(channels, edges, phases)
-    if include_direct:
-        h = h + channels.direct(user)
-    return h
+    h = _compose(channels, edges, phases)[0]
+    return h + channels.direct(user) if include_direct else h
 
 
 def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs, w: np.ndarray):
-    """`_compose`'s sweep over the user's reflection graph, the direct link
-    excluded: (j, a, b) BS first at each surface of `irs` a path crosses, with
+    """The sweep of a fresh `_compose` over the user's reflection graph, the direct
+    link excluded: (j, a, b) BS first at each surface of `irs` a path crosses, with
     h @ w = a + phases[j] @ b exact for the phases the caller has updated so far."""
-    return _compose(channels, _graph_edges(channels, user), phases, irs, w)
+    return _compose(channels, _graph_edges(channels, user), phases)[1](irs, w)
 
 
 def mrt_beam(h: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ class GainEvaluator:
         self.evaluations = 0
 
     def _channel(self, user: int, phases: dict) -> np.ndarray:
-        return _compose(self.channels, self._edges[user], phases)
+        return _compose(self.channels, self._edges[user], phases)[0]
 
     def _snrs(self, codebook: Codebook, amps) -> np.ndarray:
         consts = self.channels.scene.constants
@@ -128,13 +128,13 @@ class GainEvaluator:
     def search_sweep(self, codebooks: dict, choices: dict):
         """Yield (node, snrs) for the BS and then, BS first, each surface of
         the path, the other nodes at their beams in `choices` (which the
-        caller may move before resuming): one composition sweep per user,
-        opened with the chosen BS beam, run in lockstep over the same surfaces."""
+        caller may move before resuming): one composition per user scores the
+        BS beams, and its sweep, opened with the chosen one, the surfaces."""
         _, phases = beams_from_choices(codebooks[0], codebooks, choices)
-        yield 0, self.sweep(codebooks[0], phases)
+        hs, sweeps = zip(*(_compose(self.channels, self._edges[k], phases) for k in self.users))
+        yield 0, self._snrs(codebooks[0], [codebooks[0].apply(h) for h in hs])
         w = codebooks[0].row(choices[0])
-        for forms in zip(*(_compose(self.channels, self._edges[k], phases, self.irs_ids, w)
-                           for k in self.users)):
+        for forms in zip(*(sweep(self.irs_ids, w) for sweep in sweeps)):
             node, codebook = forms[0][0], codebooks[forms[0][0]]
             yield node, self._snrs(codebook, [codebook.apply(coeff) + base
                                               for _, base, coeff in forms])
@@ -271,10 +271,12 @@ def _bs_neighbors(scene: Scene) -> list[int]:
 def _hop_nodes(scene: Scene, owner: int, nodes, name: str, incoming: bool) -> list[int]:
     """The nodes `owner` sounds from (`incoming`) or toward: its LoS neighbors for
     `nodes` None, else `nodes` as a list, a ValueError naming `name` unless each is a
-    node id with an admissible link into or out of `owner`."""
+    node id with an admissible link into or out of `owner`, each listed once."""
     if nodes is None:
         return irs_neighbor_sets(scene, owner)[0 if incoming else 1]
     ids = [_integer(v, f"{name} entry", 0) for v in nodes]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{name} must list distinct nodes, got {ids}")
     for v in ids:
         link = (v, owner) if incoming else (owner, v)
         if v > scene.n_irs + scene.n_users or not is_admissible_link(scene, *link):

@@ -298,6 +298,20 @@ def test_ao_round_is_one_sweep_and_one_closing_channel(monkeypatch):
         assert (calls["effective_channel"], calls["effective_channel_affine"]) == (k + 1, k)
 
 
+def test_path_phase_round_is_one_composition(monkeypatch):
+    """Each round of `optimize_path_phases` sweeps the composition that gave its
+    MRT beam and composes once for the closing channel: 1 + rounds compositions."""
+    channels = synthesize_channels(build_scene(zigzag_config(n_hops=3, m0=3, n_bs=4,
+                                                             kappa_db=0)), 5)
+    calls = collections.Counter()
+    real = beams._compose
+    monkeypatch.setattr(beams, "_compose", lambda *args: calls.update(["compose"]) or real(*args))
+    _, capped = optimize_path_phases(channels, [1, 2, 3], user=1, max_sweeps=3)
+    assert calls["compose"] == 1 + 3
+    _, gain = optimize_path_phases(channels, [1, 2, 3], user=1)
+    assert gain > capped                 # the capped run stopped short of convergence
+
+
 def test_fig6_csv_matches_its_golden_digest(capsys, monkeypatch):
     """The CSV bytes of `irsim run --scenario fig6 --seed 0 --trials 10`, as
     computed when each surface of a path still took its own composition:
@@ -388,6 +402,15 @@ def test_receivers_reject_a_channel_with_a_non_finite_entry(scheme, entry):
     h[2, 1] = entry
     with pytest.raises(ValueError, match="H must be finite"):
         linear_receivers(h, 1e-3, 1.0, scheme)
+
+
+@pytest.mark.parametrize("H", [np.array([["1", "2"], ["3", "4"]]),
+                               np.array([[1.0, None], [0.0, 1.0]], dtype=object)],
+                         ids=["strings", "object_none"])
+@pytest.mark.parametrize("scheme", ["zf", "mmse"])
+def test_receivers_reject_a_channel_that_is_not_numeric(scheme, H):
+    with pytest.raises(ValueError, match=f"H must be a numeric channel matrix, got dtype {H.dtype}"):
+        linear_receivers(H, 1e-3, 1.0, scheme)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from irsim import training
-from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases
+from irsim.beams import mrt_beam, closed_form_path_gain, multi_hop_phases, optimize_path_phases
 from irsim.channels import _los_terms, _rician_rows, cascaded_path_channel, synthesize_channels
 from irsim.cli import main
 from irsim.experiments import FIG13_KAPPAS_DB, FIG13_PATH
@@ -242,8 +242,8 @@ def test_searches_reject_a_bad_path_or_codebook_map_before_any_composition(
 
 
 @pytest.mark.parametrize("users", [[1], [1, 2]])
-def test_sequential_composes_twice_per_user_per_sweep(users, monkeypatch):
-    # one channel for the BS sweep, then one composition sweep over the surfaces
+def test_sequential_composes_once_per_user_per_sweep(users, monkeypatch):
+    # one composition gives the BS sweep its channel and the surfaces their sweep
     calls = collections.Counter()
     real = training._compose
 
@@ -258,7 +258,32 @@ def test_sequential_composes_twice_per_user_per_sweep(users, monkeypatch):
     irs_cbs = {j: planar_passive_codebook(2, 2) for j in (1, 2, 3)}
     monkeypatch.setattr(training, "_compose", counting)
     result = sequential_search(channels, users, bs_cb, irs_cbs, path=(1, 2, 3))
-    assert result.sweeps == 2 and calls["compose"] == 2 * len(users) * result.sweeps
+    assert result.sweeps == 2 and calls["compose"] == len(users) * result.sweeps
+
+
+@pytest.mark.parametrize("config, seed, m0, digests", [
+    (with_users(zigzag_config(n_hops=3, m0=2, n_bs=2, kappa_db=8),
+                [[24, -2, 1.5], [26, -1, 1.5]]), 70, 2,
+     ("9845099103344651d5621e86e8bcb183db7f617b0a7ff6041333390cccc2c013",
+      "296805b0348c92313f227e985964035aca563a274feea3c2d29b4da252c6c556")),
+    (zigzag_config(n_hops=3, m0=3, n_bs=4, kappa_db=0), 5, 3,
+     ("bd664892a802035bbea60a210202ee351b4a412e3bac6ce3821dcb83bfdacfec",
+      "1e326e4a53651be78a27f95862d2a435dfffccc8c1374dcfcae2f20d178cd1ce")),
+], ids=["two_users_8db", "rayleigh"])
+def test_search_and_path_phases_on_faded_scenes_keep_their_bits(config, seed, m0, digests):
+    """The bits of a sequential search and of `optimize_path_phases` along (1, 2, 3),
+    as computed when each search sweep and each phase round composed every user twice."""
+    scene = build_scene(config)
+    channels = synthesize_channels(scene, seed)
+    result = sequential_search(channels, list(range(1, scene.n_users + 1)),
+                               dft_codebook(scene.n_bs, scene.n_bs, kind="active"),
+                               {j: planar_passive_codebook(m0 + 1, m0) for j in (1, 2, 3)},
+                               path=(1, 2, 3))
+    phases, gain = optimize_path_phases(channels, [1, 2, 3], user=1)
+    got = [b"".join(p[j].tobytes() for j in sorted(p)) + rest for p, rest in [
+        (result.phases, result.w.tobytes() + np.float64(result.objective).tobytes()),
+        (phases, np.float64(gain).tobytes())]]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests
 
 
 def test_exhaustive_finds_planted_optimum():
@@ -691,6 +716,24 @@ def test_irs_btt_sounds_only_admissible_hops(kwargs, name, monkeypatch):
     scene = build_scene(indoor_hall_config(m0=4, kappa_db=10))
     with pytest.raises(ValueError, match=f"{name} entry"):
         build_irs_btt(scene, 1, planar_passive_codebook(4, 4), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"prev_nodes": [0, 0, 0], "next_nodes": [2]}, "prev_nodes"),
+    ({"prev_nodes": [0], "next_nodes": [2, 2, 2]}, "next_nodes"),
+], ids=["prev_nodes", "next_nodes"])
+def test_irs_btt_sounds_each_hop_once(kwargs, name, monkeypatch):
+    _forbid_draws(monkeypatch)
+    scene = build_scene(indoor_hall_config(m0=4, kappa_db=10))
+    with pytest.raises(ValueError, match=rf"{name} must list distinct nodes, got \[(\d), \1, \1\]"):
+        build_irs_btt(scene, 1, planar_passive_codebook(4, 4), **kwargs)
+
+
+def test_bs_btt_sounds_each_hop_once(monkeypatch):
+    _forbid_draws(monkeypatch)
+    scene = build_scene(indoor_hall_config(m0=4, kappa_db=10))
+    with pytest.raises(ValueError, match=r"next_nodes must list distinct nodes, got \[1, 1\]"):
+        build_bs_btt(scene, dft_codebook(32, 32, kind="active"), next_nodes=[1, 1])
 
 
 @pytest.mark.parametrize("next_nodes", [[0], [1.0], [1, 10, 11]], ids=["self", "float", "unknown"])
