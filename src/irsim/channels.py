@@ -1,7 +1,7 @@
 """Link channel synthesis and multi-reflection channel composition.
 
-Every directed link (i, j) is stored as an (rx x tx) complex matrix in the
-downlink propagation direction, so a reflection chain composes as
+Every directed link (i, j) is an (rx x tx) complex matrix in the downlink
+propagation direction, so a reflection chain composes as
 
     amplitude at user = H_last @ Phi_n @ ... @ Phi_1 @ H_first @ w.
 
@@ -11,13 +11,15 @@ a BS weight vector w; the matched (MRT) beam is conj(h)/norm(h).
 LoS components are far-field rank-one: H_los = rho * outer(a_rx, a_tx)
 with unit-modulus array responses and rho carrying the path gain and the
 carrier phase of the nominal distance.  `_los` builds that part and `_mix`
-weighs it against an i.i.d. circularly-symmetric Gaussian part: the one
-Rician law.  `synth_link` draws one whole link matrix, and `_rician_rows`
-draws x @ H (or H @ w) alone, with H's law, for a consumer of fixed rows x
-(or a fixed beam w): the interference audit and the beam-training controller
-links.  Both only choose the parts to build, and build none with no weight
-(the LoS part of a blocked or kappa = 0 link, the Gaussian part at kappa =
-inf).  Both read a link's scalar terms from `Scene._link_terms` (see
+weighs it against an i.i.d. circularly-symmetric Gaussian part by `_weights`:
+the one Rician law.  `synth_link` draws one whole link, read only as x @ H and
+H @ w: a fresh draw mixed into a dense matrix, or, when the Gaussian part is a
+stored draw or absent (kappa = inf), its parts weighed inside the products.
+`_rician_rows` draws x @ H (or H @ w) alone, with H's law, for a consumer of
+fixed rows x (or a fixed beam w): the interference audit and the beam-training
+controller links.  Both only choose the parts to build, and build none with no
+weight (the LoS part of a blocked or kappa = 0 link, the Gaussian part at
+kappa = inf).  Both read a link's scalar terms from `Scene._link_terms` (see
 `geometry`); the array responses are built for each caller.
 
 Every path or graph composition (one route's or a graph's path sum, and its
@@ -45,16 +47,43 @@ def array_response(panel: PanelArray, direction, wavelength: float) -> np.ndarra
     return np.exp(1j * phase)
 
 
-@dataclass(frozen=True)
 class LinkChannel:
-    """One directed link channel with its LoS decomposition when present."""
+    """One directed link channel i -> j (n_j x n_i) with its LoS decomposition
+    rho * outer(los_rx, los_tx) when present (los_gain None when blocked).  Held
+    as its dense `matrix`, or, built with `parts` = (wl, wz, z) instead, as the
+    Rician parts that `left(x)` = x @ H and `right(w)` = H @ w weigh inside them
+    and `.matrix` mixes with `_mix`'s arithmetic (z None at kappa = inf)."""
 
-    i: int
-    j: int
-    matrix: np.ndarray          # (n_j, n_i)
-    los_gain: complex | None    # rho; None when geometrically blocked
-    los_rx: np.ndarray | None   # response at node j
-    los_tx: np.ndarray | None   # response at node i
+    __slots__ = ("i", "j", "los_gain", "los_rx", "los_tx", "_dense", "_parts")
+
+    def __init__(self, i, j, matrix=None, los_gain=None, los_rx=None, los_tx=None, *, parts=None):
+        self.i, self.j, self.los_gain, self.los_rx, self.los_tx = i, j, los_gain, los_rx, los_tx
+        self._dense, self._parts = matrix, parts
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._parts is None:
+            return self._dense
+        wl, wz, z = self._parts
+        return _mix(wl, wz, None if wl == 0 else _los(self.los_gain, self.los_rx, self.los_tx), z)
+
+    def left(self, x: np.ndarray) -> np.ndarray:
+        """x @ H, for x of shape (n_j,) or (rows, n_j)."""
+        return x @ self._dense if self._parts is None else self._weigh(x, self.los_rx, self.los_tx, False)
+
+    def right(self, w: np.ndarray) -> np.ndarray:
+        """H @ w, for w of shape (n_i,) or (n_i, columns): (w.T @ H.T).T."""
+        return self._dense @ w if self._parts is None else self._weigh(w.T, self.los_tx, self.los_rx, True).T
+
+    def _weigh(self, x, a_in, a_out, transposed: bool):
+        """x @ (wl * rho * outer(a_in, a_out) + wz * z), z transposed with `transposed`,
+        a term of weight zero skipped: a pure-LoS product is O(M) per row, not O(M^2)."""
+        wl, wz, z = self._parts
+        los = None if wl == 0 else _los(wl * self.los_gain, x @ a_in, a_out)
+        if z is None:
+            return los
+        gz = wz * (x @ (z.T if transposed else z))
+        return gz if los is None else np.add(los, gz, out=gz)
 
 
 def _node_response(scene: Scene, node: int, direction, lam: float, panel: bool) -> np.ndarray:
@@ -69,14 +98,18 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
 
     kappa = inf gives the pure LoS rank-one channel; a geometrically
     blocked link is pure NLoS regardless of kappa.  `draws` is a draw
-    store (see `synthesize_channels` and `_unit_draw`).
+    store (see `synthesize_channels` and `_unit_draw`).  A fresh draw is
+    mixed into a dense matrix; a pure-LoS link, or one whose Gaussian part is
+    a stored draw, is kept as its parts (see `LinkChannel`): no matrix built.
     """
     pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
+    weights, shape = _weights(pl, kappa), (scene.node_size(j), scene.node_size(i))
+    if math.isinf(kappa) or draws is not None:      # no z, or a shared read-only one
+        z = None if math.isinf(kappa) else _unit_draw(rng, *shape, draws)
+        return LinkChannel(i, j, None, rho, a_rx, a_tx, parts=(*weights, z))
     # L before z, so the outer product's temporaries never meet z
     los = None if kappa == 0 else _los(rho, a_rx, a_tx)
-    z = None if math.isinf(kappa) else _unit_draw(rng, scene.node_size(j), scene.node_size(i), draws)
-    return LinkChannel(i=i, j=j, matrix=_mix(pl, kappa, los, z), los_gain=rho, los_rx=a_rx,
-                       los_tx=a_tx)
+    return LinkChannel(i, j, _mix(*weights, los, _cn(rng, *shape)), rho, a_rx, a_tx)
 
 
 def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
@@ -105,7 +138,7 @@ def _rician_rows(scene: Scene, i: int, j: int, x: np.ndarray, rng: np.random.Gen
     los = None if kappa == 0 else _los(rho, x @ a_x, a_out)
     z = (None if math.isinf(kappa) else
          _cn_rows(rng, x, n * count).reshape(len(x), count, n).swapaxes(0, 1))
-    return np.broadcast_to(_mix(pl, kappa, los, z), (count, len(x), n))
+    return np.broadcast_to(_mix(*_weights(pl, kappa), los, z), (count, len(x), n))
 
 
 def _los(rho: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -113,38 +146,30 @@ def _los(rho: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.multiply.outer(rho * u, v)
 
 
-def _mix(pl: float, kappa: float, los, z):
-    """The Rician law: sqrt(kappa/(1+kappa)) * los + sqrt(pl/(1+kappa)) * z, for a
-    LoS part `los` and a unit Gaussian part `z` (z's weighted term alone when los is
-    None, los alone when z is None).  Built in place in z when it is writable; a
-    read-only (stored) z is read into los row block by row block, with no
-    full-size temporary."""
+def _weights(pl: float, kappa: float) -> tuple:
+    """The Rician law's weights (wl, wz) of a LoS part and a unit Gaussian part:
+    sqrt(kappa/(1+kappa)) and sqrt(pl/(1+kappa)), (1, 0) at kappa = inf."""
+    return (1.0, 0.0) if math.isinf(kappa) else (math.sqrt(kappa / (1 + kappa)),
+                                                   math.sqrt(pl / (1 + kappa)))
+
+
+def _mix(wl: float, wz: float, los, z):
+    """The Rician law: wl * los + wz * z (`_weights`), for a LoS part `los` and a
+    unit Gaussian part `z` (z's weighted term alone when los is None, los alone
+    when z is None).  Built in place in z when it is writable (a fresh draw);
+    a read-only (stored) z is left as it is."""
     if z is None:
         return los
-    weight = math.sqrt(pl / (1 + kappa))
-    if los is None:
-        return np.multiply(weight, z, out=z) if z.flags.writeable else weight * z
-    np.multiply(math.sqrt(kappa / (1 + kappa)), los, out=los)
-    if z.flags.writeable:
-        return np.add(los, np.multiply(weight, z, out=z), out=z)
-    for rows in _row_blocks(*z.shape):
-        los[rows] += weight * z[rows]
-    return los
+    gz = np.multiply(wz, z, out=z if z.flags.writeable else None)
+    return gz if los is None else np.add(np.multiply(wl, los, out=los), gz, out=gz)
 
 
-_BLOCK_ENTRIES = 1 << 15       # entries per row block of a draw or a mix
+_BLOCK_ENTRIES = 1 << 15       # entries per row block of a draw
 
 
-def _row_blocks(n_rx: int, n_tx: int) -> list:
-    rows = max(1, _BLOCK_ENTRIES // n_tx)
-    return [np.s_[r:r + rows] for r in range(0, n_rx, rows)]
-
-
-def _unit_draw(rng: np.random.Generator, n_rx: int, n_tx: int, draws: dict | None):
-    """The unit Gaussian matrix of one stream: drawn afresh without a store, or
-    drawn into `draws` once, read-only, keyed by the entropy `rng` was seeded with."""
-    if draws is None:
-        return _cn(rng, n_rx, n_tx)
+def _unit_draw(rng: np.random.Generator, n_rx: int, n_tx: int, draws: dict):
+    """The unit Gaussian matrix of one stream, drawn into the store `draws` once,
+    read-only, keyed by the entropy `rng` was seeded with."""
     key = (rng.bit_generator.seed_seq.entropy, n_rx, n_tx)
     if key not in draws:
         draws[key] = _cn(rng, n_rx, n_tx)
@@ -158,10 +183,10 @@ def _cn(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
     same sequence as one call per part, without its full-size temporary) and
     scaled by 1/sqrt(2) as it is copied in (the bits of dividing the complex
     matrix by sqrt(2): numpy divides by c + 0j as (a + b*0) * (1/c))."""
-    z = np.empty((n_rx, n_tx), dtype=complex)
+    z, step = np.empty((n_rx, n_tx), dtype=complex), max(1, _BLOCK_ENTRIES // n_tx)
     for part in (z.real, z.imag):
-        for rows in _row_blocks(n_rx, n_tx):
-            np.multiply(rng.standard_normal(part[rows].shape), 1 / math.sqrt(2.0), out=part[rows])
+        for block in (part[r:r + step] for r in range(0, n_rx, step)):
+            np.multiply(rng.standard_normal(block.shape), 1 / math.sqrt(2.0), out=block)
     return z
 
 
@@ -210,8 +235,8 @@ def synthesize_channels(scene: Scene, seed: int, links=None,
     `draws` is a draw store: a dict the caller makes empty for one trial and
     passes to every synthesis of that trial.  Each link's unit Gaussian
     matrix is drawn into it on first use, and later calls on scenes that
-    differ only in their Rician factors mix that one instead of drawing it
-    again.  The channels are identical either way.
+    differ only in their Rician factors weigh that one instead of drawing it
+    again.  Each link's `.matrix` is identical either way (see `synth_link`).
     """
     cs = ChannelSet(scene=scene, seed=seed)
     for (i, j) in (scene._links[0] if links is None else links):
@@ -265,7 +290,7 @@ def _compose(channels: ChannelSet, edges, phases: dict):
     surfaces after j).  It is exact only while `phases` are the ones h was
     composed with, apart from the surfaces the sweep itself has reached."""
     down = _tail_pass(channels.scene, edges, phases, lambda a, b, x: (
-        channels.get(a, b).matrix if x is None else x @ channels.get(a, b).matrix))
+        channels.get(a, b).matrix if x is None else channels.get(a, b).left(x)))
     h = down[0][0] if 0 in down else np.zeros(channels.scene.n_bs, dtype=complex)
 
     def sweep(irs, w: np.ndarray):
@@ -273,9 +298,9 @@ def _compose(channels: ChannelSet, edges, phases: dict):
         for v in reversed(down):       # the sources that reach a user, BS first
             for p in sorted(a for a, b in edges if b == v):
                 if p == 0:
-                    term = channels.get(0, v).matrix @ w
+                    term = channels.get(0, v).right(w)
                 elif p in head:
-                    term = channels.get(p, v).matrix @ (head[p] * phases[p])
+                    term = channels.get(p, v).right(head[p] * phases[p])
                 else:
                     continue                       # p is out of the BS's reach
                 head[v] = head[v] + term if v in head else term

@@ -545,6 +545,55 @@ def test_mixing_a_stored_draw_allocates_at_most_a_quarter_matrix_beyond_the_link
     assert peak <= 1.25 * link.matrix.nbytes
 
 
+@pytest.mark.parametrize("kappa_db", [10, "inf"])
+def test_a_stored_or_pure_los_route_link_allocates_under_a_hundredth_of_its_matrix(kappa_db):
+    scene = build_scene(indoor_hall_config(m0=24, kappa_db=kappa_db))
+    (i, j), draws = FIG13_PATH[:2], {}
+    synth_link(scene, i, j, _link_rng(0, i, j), draws)      # the store's draw, and the panels
+    rng = _link_rng(0, i, j)
+    tracemalloc.start()
+    try:
+        link = synth_link(scene, i, j, rng, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert link.matrix.shape == (576, 576) and link.los_gain is not None
+    assert len(draws) == (0 if kappa_db == "inf" else 1)
+    assert peak < 0.01 * link.matrix.nbytes
+
+
+def _products(link, rng):
+    """(got, want) for x @ H and H @ w with 1 and 3 random rows x and columns w,
+    and a 1-D w: each product method of `link` against its dense `.matrix`."""
+    dense, cn = link.matrix, lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for rows in (1, 3):
+        x, w = cn(rows, dense.shape[0]), cn(dense.shape[1], rows)
+        yield link.left(x), x @ dense
+        yield link.right(w), dense @ w
+    yield link.right(w[:, 0]), dense @ w[:, 0]
+
+
+@pytest.mark.parametrize("kappa_db", ["-inf", 10, "inf"])
+def test_the_products_of_a_stored_or_pure_los_link_match_its_matrix(kappa_db):
+    channels = synthesize_channels(build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db)),
+                                   seed=4, draws={})
+    assert channels.get(0, 2).los_gain is None                # a blocked link too
+    rng = np.random.default_rng(1)
+    for link in channels.links.values():
+        for got, want in _products(link, rng):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (link.i, link.j)
+
+
+@pytest.mark.parametrize("kappa_db", ["-inf", 10])
+def test_the_products_of_a_freshly_drawn_link_are_its_matmuls_bit_for_bit(kappa_db):
+    channels = synthesize_channels(build_scene(chain_config(m0=3, n_bs=4, kappa_db=kappa_db)), seed=4)
+    rng = np.random.default_rng(2)
+    for link in channels.links.values():
+        for got, want in _products(link, rng):
+            assert got.tobytes() == want.tobytes(), (link.i, link.j)
+
+
 def test_a_store_reused_with_another_seed_gives_that_seeds_channels():
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=10))
     draws = {}
