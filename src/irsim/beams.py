@@ -57,8 +57,9 @@ def closed_form_path_gain(n: int, m_elements, n_bs: int, beta: float, distances)
 
     `m_elements` is the per-surface element count, either a scalar shared
     by the whole path or one value per hop.  ValueError unless the counts,
-    `beta` and the distances are positive and finite.
+    `n_bs`, `beta` and the distances are positive and finite.
     """
+    _positive(n_bs, "n_bs")
     distances = np.asarray(_positive(distances, "distances"), dtype=float)
     if n < 1 or len(distances) != n + 1:
         raise ValueError("need n >= 1 and n + 1 link distances")

@@ -10,16 +10,16 @@ a BS weight vector w; the matched (MRT) beam is conj(h)/norm(h).
 
 LoS components are far-field rank-one: H_los = rho * outer(a_rx, a_tx)
 with unit-modulus array responses and rho carrying the path gain and the
-carrier phase of the nominal distance.  `_los` builds that part and `_mix`
-weighs it against an i.i.d. circularly-symmetric Gaussian part by `_weights`:
-the one Rician law.  `synth_link` draws one whole link, read only as x @ H and
-H @ w: a fresh draw mixed into a dense matrix, or, when the Gaussian part is a
-stored draw or absent (kappa = inf), its parts weighed inside the products.
-`_rician_rows` draws x @ H (or H @ w) alone, with H's law, for a consumer of
-fixed rows x (or a fixed beam w): the interference audit and the beam-training
-controller links.  Both only choose the parts to build, and build none with no
-weight (the LoS part of a blocked or kappa = 0 link, the Gaussian part at
-kappa = inf).  Both read a link's scalar terms from `Scene._link_terms` (see
+carrier phase of the nominal distance.  The one Rician law, `_rician`, weighs
+a product x @ H of that part (built by `_los`) against the same product of an
+i.i.d. circularly-symmetric Gaussian part Z, by `_weights`, and builds no part of
+weight zero (the LoS part of a blocked or kappa = 0 link, the Gaussian part at
+kappa = inf).  Every link product goes through it: `synth_link`'s fresh draw,
+mixed into a dense matrix; a link kept as its parts (Z a stored draw, or none at
+kappa = inf), weighed inside `.matrix`, x @ H and H @ w; and `_rician_rows`,
+which draws x @ H (or H @ w) alone, with H's law, for a consumer of fixed rows x
+(or a fixed beam w): the interference audit and the beam-training controller
+links.  Both samplers read a link's scalar terms from `Scene._link_terms` (see
 `geometry`); the array responses are built for each caller.
 
 Every path or graph composition (one route's or a graph's path sum, and its
@@ -51,8 +51,8 @@ class LinkChannel:
     """One directed link channel i -> j (n_j x n_i) with its LoS decomposition
     rho * outer(los_rx, los_tx) when present (los_gain None when blocked).  Held
     as its dense `matrix`, or, built with `parts` = (wl, wz, z) instead, as the
-    Rician parts that `left(x)` = x @ H and `right(w)` = H @ w weigh inside them
-    and `.matrix` mixes with `_mix`'s arithmetic (z None at kappa = inf)."""
+    Rician parts (z None at kappa = inf) that `.matrix`, `left(x)` = x @ H and
+    `right(w)` = H @ w each weigh with `_rician`, the one law, inside the product."""
 
     __slots__ = ("i", "j", "los_gain", "los_rx", "los_tx", "_dense", "_parts")
 
@@ -62,28 +62,23 @@ class LinkChannel:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._parts is None:
-            return self._dense
-        wl, wz, z = self._parts
-        return _mix(wl, wz, None if wl == 0 else _los(self.los_gain, self.los_rx, self.los_tx), z)
+        return self._dense if self._parts is None else self._weigh(None, False)
 
     def left(self, x: np.ndarray) -> np.ndarray:
         """x @ H, for x of shape (n_j,) or (rows, n_j)."""
-        return x @ self._dense if self._parts is None else self._weigh(x, self.los_rx, self.los_tx, False)
+        return x @ self._dense if self._parts is None else self._weigh(x, False)
 
     def right(self, w: np.ndarray) -> np.ndarray:
         """H @ w, for w of shape (n_i,) or (n_i, columns): (w.T @ H.T).T."""
-        return self._dense @ w if self._parts is None else self._weigh(w.T, self.los_tx, self.los_rx, True).T
+        return self._dense @ w if self._parts is None else self._weigh(w.T, True).T
 
-    def _weigh(self, x, a_in, a_out, transposed: bool):
-        """x @ (wl * rho * outer(a_in, a_out) + wz * z), z transposed with `transposed`,
-        a term of weight zero skipped: a pure-LoS product is O(M) per row, not O(M^2)."""
+    def _weigh(self, x, transposed: bool):
+        """`_rician` of the parts for rows x (None: the whole matrix), of H.T with
+        `transposed`: a pure-LoS product is O(M) per row, not O(M^2)."""
         wl, wz, z = self._parts
-        los = None if wl == 0 else _los(wl * self.los_gain, x @ a_in, a_out)
-        if z is None:
-            return los
-        gz = wz * (x @ (z.T if transposed else z))
-        return gz if los is None else np.add(los, gz, out=gz)
+        ends = (self.los_tx, self.los_rx) if transposed else (self.los_rx, self.los_tx)
+        gz = z if z is None or x is None else x @ (z.T if transposed else z)
+        return _rician(wl, wz, self.los_gain, x, *ends, gz)
 
 
 def _node_response(scene: Scene, node: int, direction, lam: float, panel: bool) -> np.ndarray:
@@ -107,9 +102,8 @@ def synth_link(scene: Scene, i: int, j: int, rng: np.random.Generator,
     if math.isinf(kappa) or draws is not None:      # no z, or a shared read-only one
         z = None if math.isinf(kappa) else _unit_draw(rng, *shape, draws)
         return LinkChannel(i, j, None, rho, a_rx, a_tx, parts=(*weights, z))
-    # L before z, so the outer product's temporaries never meet z
-    los = None if kappa == 0 else _los(rho, a_rx, a_tx)
-    return LinkChannel(i, j, _mix(*weights, los, _cn(rng, *shape)), rho, a_rx, a_tx)
+    return LinkChannel(i, j, _rician(*weights, rho, None, a_rx, a_tx, _cn(rng, *shape)),
+                       rho, a_rx, a_tx)
 
 
 def _los_terms(scene: Scene, i: int, j: int, rx_panel: bool = True, tx_panel: bool = True):
@@ -135,10 +129,10 @@ def _rician_rows(scene: Scene, i: int, j: int, x: np.ndarray, rng: np.random.Gen
     pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j, rx_panel, tx_panel)
     out, panel, a_x, a_out = (j, rx_panel, a_tx, a_rx) if tx_side else (i, tx_panel, a_rx, a_tx)
     n = scene.node_size(out) if panel else 1       # the entries of each row drawn
-    los = None if kappa == 0 else _los(rho, x @ a_x, a_out)
-    z = (None if math.isinf(kappa) else
-         _cn_rows(rng, x, n * count).reshape(len(x), count, n).swapaxes(0, 1))
-    return np.broadcast_to(_mix(*_weights(pl, kappa), los, z), (count, len(x), n))
+    gz = (None if math.isinf(kappa) else
+          _cn_rows(rng, x, n * count).reshape(len(x), count, n).swapaxes(0, 1))
+    return np.broadcast_to(_rician(*_weights(pl, kappa), rho, x, a_x, a_out, gz),
+                           (count, len(x), n))
 
 
 def _los(rho: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -153,14 +147,17 @@ def _weights(pl: float, kappa: float) -> tuple:
                                                    math.sqrt(pl / (1 + kappa)))
 
 
-def _mix(wl: float, wz: float, los, z):
-    """The Rician law: wl * los + wz * z (`_weights`), for a LoS part `los` and a
-    unit Gaussian part `z` (z's weighted term alone when los is None, los alone
-    when z is None).  Built in place in z when it is writable (a fresh draw);
-    a read-only (stored) z is left as it is."""
-    if z is None:
+def _rician(wl: float, wz: float, rho, x, a_in: np.ndarray, a_out: np.ndarray, gz):
+    """The Rician law applied to a link product: wl * outer(rho * (x @ a_in), a_out)
+    + wz * gz (`_weights`), gz = x @ Z for the link's unit Gaussian part Z, and x None
+    for the whole matrix (x @ a_in read as a_in, gz as Z).  No part of weight zero is
+    built: no LoS part at wl = 0 (a blocked or kappa = 0 link), no Gaussian term for
+    gz None (kappa = inf, where wl = 1).  Built in place in gz when it is writable (a
+    fresh draw or product); a read-only (stored) draw is left as it is."""
+    los = None if wl == 0 else _los(rho, a_in if x is None else x @ a_in, a_out)
+    if gz is None:
         return los
-    gz = np.multiply(wz, z, out=z if z.flags.writeable else None)
+    gz = np.multiply(wz, gz, out=gz if gz.flags.writeable else None)
     return gz if los is None else np.add(np.multiply(wl, los, out=los), gz, out=gz)
 
 
@@ -173,7 +170,7 @@ def _unit_draw(rng: np.random.Generator, n_rx: int, n_tx: int, draws: dict):
     key = (rng.bit_generator.seed_seq.entropy, n_rx, n_tx)
     if key not in draws:
         draws[key] = _cn(rng, n_rx, n_tx)
-        draws[key].flags.writeable = False         # so `_mix` never scales it in place
+        draws[key].flags.writeable = False         # so `_rician` never scales it in place
     return draws[key]
 
 

@@ -54,9 +54,13 @@ class RoutingSolution:
 
 
 def _irs_elements(j: int, m_elements) -> float:
-    """Element count of surface j: the common scalar, or its own entry."""
-    return _positive(float(m_elements if np.isscalar(m_elements) else m_elements[j]),
-                     "m_elements")
+    """Element count of surface j: the common scalar, or its own entry (a
+    ValueError naming `m_elements` when it has none)."""
+    try:
+        m = m_elements if np.isscalar(m_elements) else m_elements[j]
+    except (KeyError, IndexError):
+        raise ValueError(f"m_elements has no entry for IRS {j}") from None
+    return _positive(float(m), "m_elements")
 
 
 def edge_weight(edge, distance: float, m_elements, beta: float) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -165,8 +166,9 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
     counts one evaluation per combination.  The highest min-user SNR wins,
     ties going to the lowest BS index, then the lowest surface indices (in
     path order).  Refuses when the combination count D_B * prod(D_I)
-    exceeds max_combinations.
+    exceeds max_combinations (a ValueError unless that is an integer >= 1).
     """
+    _integer(max_combinations, "max_combinations")
     _codebook_for(channels.scene, 0, bs_codebook, "bs_codebook")
     evaluator = GainEvaluator(channels, users, path, irs_codebooks)
     ids = evaluator.irs_ids
@@ -298,9 +300,17 @@ def _sound(table: BeamTrainingTable, scene: Scene, prev, incident, codebook: Cod
         table.rss[(prev, nxt)] = np.where(rss >= table.threshold, rss, -np.inf)
 
 
-def _check_sounding(scene: Scene, owner: int, codebook: Codebook, averages: int) -> None:
+def _check_sounding(scene: Scene, owner: int, codebook: Codebook, averages: int,
+                    threshold) -> float:
+    """The table's threshold, the noise power for None; a ValueError naming
+    `threshold` unless it is a real number other than NaN."""
     _integer(averages, "averages")
     _codebook_for(scene, owner, codebook, "codebook")
+    if threshold is None:
+        return scene.constants.noise_power
+    if not isinstance(threshold, numbers.Real) or math.isnan(threshold):
+        raise ValueError(f"threshold must be a real number, got {threshold!r}")
+    return threshold
 
 
 def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = None,
@@ -311,8 +321,7 @@ def build_bs_btt(scene: Scene, codebook: Codebook, threshold: float | None = Non
     `next_nodes` restricts the sounded neighbors (default: every LoS one);
     ValueError for an entry that is not an admissible hop from the BS.
     """
-    _check_sounding(scene, 0, codebook, averages)
-    thr = scene.constants.noise_power if threshold is None else threshold
+    thr = _check_sounding(scene, 0, codebook, averages, threshold)
     table = BeamTrainingTable(owner=0, threshold=thr, reference_rss={None: 1.0})
     _sound(table, scene, None, [1.0] * averages, codebook,
            _hop_nodes(scene, 0, next_nodes, "next_nodes", False), seed)
@@ -333,8 +342,7 @@ def build_irs_btt(scene: Scene, irs: int, codebook: Codebook, threshold: float |
     """
     if not 1 <= _integer(irs, "irs") <= scene.n_irs:
         raise ValueError(f"irs must name a surface (1..{scene.n_irs}), got {irs}")
-    _check_sounding(scene, irs, codebook, averages)
-    thr = scene.constants.noise_power if threshold is None else threshold
+    thr = _check_sounding(scene, irs, codebook, averages, threshold)
     table = BeamTrainingTable(owner=irs, threshold=thr)
     prev_nodes = _hop_nodes(scene, irs, prev_nodes, "prev_nodes", True)
     next_nodes = _hop_nodes(scene, irs, next_nodes, "next_nodes", False)

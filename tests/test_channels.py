@@ -594,6 +594,33 @@ def test_the_products_of_a_freshly_drawn_link_are_its_matmuls_bit_for_bit(kappa_
             assert got.tobytes() == want.tobytes(), (link.i, link.j)
 
 
+def test_the_products_of_a_stored_draw_link_are_the_rician_formula_bit_for_bit():
+    scene = build_scene(indoor_hall_config(m0=8, kappa_db=10))
+    (i, j), draws = FIG13_PATH[:2], {}
+    link = synth_link(scene, i, j, _link_rng(0, i, j), draws)
+    (z,) = draws.values()
+    pl, kappa, rho, a_rx, a_tx = _los_terms(scene, i, j)
+    wl, wz = math.sqrt(kappa / (1 + kappa)), math.sqrt(pl / (1 + kappa))
+    assert link.los_gain == rho and 0 < wl < 1
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 2 * z.shape[0])).view(complex)
+    w = rng.standard_normal((z.shape[1], 4)).view(complex)
+    want = wl * np.outer(rho * (x @ a_rx), a_tx) + wz * (x @ z)
+    assert link.left(x).tobytes() == want.tobytes()
+    want = wl * np.outer(rho * (w.T @ a_tx), a_rx) + wz * (w.T @ z.T)
+    assert link.right(w).tobytes() == want.T.tobytes()
+
+
+@pytest.mark.parametrize("kappa_db", [10, "inf"])
+def test_a_parts_link_into_a_user_weighs_a_unit_row_as_its_matrix_bit_for_bit(kappa_db):
+    scene = build_scene(indoor_hall_config(m0=8, kappa_db=kappa_db))
+    (i, j), draws = route_links(FIG13_PATH, scene.n_irs + 1)[-1], {}
+    link = synth_link(scene, i, j, _link_rng(0, i, j), draws)
+    assert scene.is_user(j) and link.los_gain is not None
+    assert len(draws) == (0 if kappa_db == "inf" else 1)
+    assert link.left(np.ones((1, 1))).tobytes() == link.matrix.tobytes()
+
+
 def test_a_store_reused_with_another_seed_gives_that_seeds_channels():
     scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=10))
     draws = {}

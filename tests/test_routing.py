@@ -173,6 +173,29 @@ def test_single_route_rejects_a_value_that_is_not_positive_and_finite(m, beta, n
         optimal_single_route(graph, m, beta)
 
 
+@pytest.mark.parametrize("n_bs", [-2, 0, math.nan], ids=["negative", "zero", "nan"])
+def test_every_router_rejects_an_n_bs_that_is_not_positive_and_finite(n_bs):
+    scene = build_scene(indoor_hall_config(m0=4))
+    graph, beta = build_los_graph(scene, 1), scene.constants.beta
+    message = "n_bs must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        closed_form_path_gain(1, 16, n_bs, 1e-3, [10, 10])
+    with pytest.raises(ValueError, match=message):
+        path_gain(graph, (2,), 16, beta, n_bs)
+    with pytest.raises(ValueError, match=message):
+        optimal_single_route(graph, 16, beta, n_bs)
+    for router in (optimal_multi_route, unconstrained_multi_route):
+        with pytest.raises(ValueError, match=message):
+            router(scene, {1: graph}, 16, beta, n_bs=n_bs)
+
+
+@pytest.mark.parametrize("m", [{1: 16}, [16] * 3], ids=["dict", "list"])
+def test_element_counts_lacking_a_routed_surface_name_m_elements_and_the_surface(m):
+    scene = build_scene(indoor_hall_config(m0=4))
+    with pytest.raises(ValueError, match=r"m_elements has no entry for IRS \d+"):
+        optimal_single_route(build_los_graph(scene, 1), m, scene.constants.beta)
+
+
 def _recursive_routes(graph):
     """BS-to-user routes by depth-first recursion over each vertex's sorted
     successors: the walk the one pass over the edge order replaced."""

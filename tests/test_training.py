@@ -152,6 +152,14 @@ def test_exhaustive_refuses_oversized_search():
         exhaustive_search(channels, [1], bs_cb, irs_cbs, path=(1, 2), max_combinations=3)
 
 
+@pytest.mark.parametrize("cap", [math.nan, "x", 2.5, 0], ids=["nan", "str", "float", "zero"])
+def test_exhaustive_rejects_a_cap_that_is_not_a_positive_integer(cap, monkeypatch):
+    _, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
+    monkeypatch.setattr(GainEvaluator, "sweep", lambda *args: pytest.fail("the search started"))
+    with pytest.raises(ValueError, match="max_combinations must be"):
+        exhaustive_search(channels, [1], bs_cb, irs_cbs, path=(1, 2), max_combinations=cap)
+
+
 def test_exhaustive_refuses_a_combination_count_beyond_int64(monkeypatch):
     # 32 * 256**8 = 2**69 combinations; a 64-bit product wraps 256**8 to 0
     def no_sweep(*args, **kwargs):
@@ -434,6 +442,27 @@ def test_online_rows_flagged_by_user_target():
     cb = planar_passive_codebook(2, 2)
     table = build_irs_btt(scene, 2, cb, threshold=0.0, seed=5)
     assert any(scene.is_user(nxt) for _, _, nxt in table.rows)   # online rows exist
+
+
+@pytest.mark.parametrize("threshold", [math.nan, "a", None, [0.0]],
+                         ids=["nan", "str", "none", "list"])
+def test_both_table_builders_reject_a_threshold_that_is_not_a_real_number(threshold):
+    scene = build_scene(indoor_hall_config(m0=4))
+    builders = (lambda thr: build_bs_btt(scene, dft_codebook(32, 32, kind="active"), thr),
+                lambda thr: build_irs_btt(scene, 3, planar_passive_codebook(4, 4), thr))
+    for build in builders:
+        if threshold is None:          # the noise power
+            assert build(threshold).threshold == scene.constants.noise_power
+            continue
+        with pytest.raises(ValueError, match="threshold must be a real number"):
+            build(threshold)
+
+
+@pytest.mark.parametrize("threshold", [-math.inf, -1.0, math.inf])
+def test_a_negative_or_infinite_threshold_keeps_every_row_or_none(threshold):
+    scene = build_scene(chain_config(m0=3, n_bs=4, kappa_db=10))
+    table = build_bs_btt(scene, dft_codebook(4, 4, kind="active"), threshold, averages=1)
+    assert len(table.rows) == (0 if threshold > 0 else 4 * len(table.rss))
 
 
 def test_raising_threshold_never_adds_rows():
