@@ -29,6 +29,7 @@ one tail pass over an ordered edge list gives h and the sweep that reads it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -214,10 +215,6 @@ class ChannelSet:
         except KeyError:
             raise KeyError(f"no link channel ({i}, {j}) in this set") from None
 
-    def direct(self, user: int) -> np.ndarray:
-        """Direct BS-to-user channel as a length-N_B row (flow form)."""
-        return self.get(0, self.scene.n_irs + user).matrix[0]
-
 
 def _link_rng(seed: int, i: int, j: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, i, j)))
@@ -338,9 +335,10 @@ def _check_phases(scene: Scene, phases: dict, ids, where: str) -> None:
 
 def _positive(value, name: str):
     """`value`; a ValueError naming `name` unless its entries are positive and finite."""
-    if not np.all((0 < (arr := np.asarray(value, dtype=float))) & (arr < np.inf)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+    with contextlib.suppress(TypeError, ValueError):     # not readable as floats
+        if np.all((0 < (arr := np.asarray(value, dtype=float))) & (arr < np.inf)):
+            return value
+    raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _path_edges(path, target: int) -> list:
@@ -396,7 +394,7 @@ def effective_channel(channels: ChannelSet, user: int, phases: dict,
     edges = _graph_edges(channels, user, irs_subset)
     _check_phases(channels.scene, phases, {a for a, _ in edges if a}, f"user {user}'s graph")
     h = _compose(channels, edges, phases)[0]
-    return h + channels.direct(user) if include_direct else h
+    return h + channels.get(0, channels.scene.n_irs + user).matrix[0] if include_direct else h
 
 
 def effective_channel_affine(channels: ChannelSet, user: int, phases: dict, irs, w: np.ndarray):

@@ -9,6 +9,7 @@ toward fewer hops, then the lexicographically smallest IRS sequence.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +55,21 @@ class RoutingSolution:
 
 
 def _irs_elements(j: int, m_elements) -> float:
-    """Element count of surface j: the common scalar, or its own entry (a
-    ValueError naming `m_elements` when it has none)."""
+    """Element count of surface j: a shared scalar, a mapping's entry j or a
+    sequence's entry j - 1 (a ValueError naming `m_elements` when it has none)."""
     try:
-        m = m_elements if np.isscalar(m_elements) else m_elements[j]
+        m = (m_elements if np.isscalar(m_elements) else
+             m_elements[j if isinstance(m_elements, Mapping) else j - 1])
     except (KeyError, IndexError):
         raise ValueError(f"m_elements has no entry for IRS {j}") from None
-    return _positive(float(m), "m_elements")
+    return float(_positive(m, "m_elements"))
 
 
 def edge_weight(edge, distance: float, m_elements, beta: float) -> float:
     """Additive weight of one LoS edge: the negative log of its gain
     contribution.  Hops into a surface earn the squared aperture factor of
-    that surface; the final hop into the user only pays propagation."""
+    that surface; the final hop into the user only pays propagation.
+    `m_elements`: a shared count, a mapping by surface id or a surface-order sequence."""
     i, j, into_user = edge
     w = 2.0 * math.log(distance) - math.log(beta)
     if not into_user:
@@ -82,7 +85,8 @@ def path_distances(graph: LosGraph, path) -> list[float]:
 
 
 def path_gain(graph: LosGraph, path, m_elements, beta: float, n_bs: int = 1) -> float:
-    """Closed-form LoS gain of a route in the graph."""
+    """Closed-form LoS gain of a route in the graph.  `m_elements`: a shared
+    count, a mapping by surface id or a surface-order sequence."""
     return closed_form_path_gain(len(path), [_irs_elements(j, m_elements) for j in path],
                                  n_bs, beta, path_distances(graph, path))
 
@@ -94,7 +98,8 @@ def optimal_single_route(graph: LosGraph, m_elements, beta: float, n_bs: int = 1
     the worst-case assumption).  Each edge is relaxed once, in topological
     order (the reverse of `graph.edge_order`), so a node's label is final
     before its edges are walked.  Ties prefer fewer hops, then the smallest
-    IRS sequence.  ValueError unless `beta` and the element counts are positive and finite.
+    IRS sequence.  `m_elements`: a shared count, a mapping by surface id or a
+    surface-order sequence.  ValueError unless `beta` and the counts are positive and finite.
     """
     _positive(beta, "beta")
     best = {0: (0.0, 0, ())}           # node -> (weight, hops, sequence)
@@ -140,8 +145,9 @@ def optimal_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
     Exact recursive enumeration: users are ordered by their best
     single-route gain, each keeps all its routes (ranked by closed-form
     gain, then fewer hops, then the smaller surface sequence), and
-    assignments are searched depth-first with min-gain pruning.  ValueError
-    when `graphs` is empty or files a graph under another user.
+    assignments are searched depth-first with min-gain pruning.  `m_elements`:
+    a shared count, a mapping by surface id or a surface-order sequence.
+    ValueError when `graphs` is empty or files a graph under another user.
     """
     _check_graphs(graphs)
     users = sorted(graphs)
@@ -194,7 +200,8 @@ def _routes_separated(scene: Scene, pa: ReflectionPath, pb: ReflectionPath) -> b
 def unconstrained_multi_route(scene: Scene, graphs: dict, m_elements, beta: float,
                               n_bs: int = 1) -> RoutingSolution:
     """Independent per-user optima, ignoring separation (for comparison).
-    ValueError when `graphs` is empty or files a graph under another user."""
+    `m_elements`: a shared count, a mapping by surface id or a surface-order
+    sequence.  ValueError when `graphs` is empty or files a graph under another user."""
     _check_graphs(graphs)
     paths = {k: optimal_single_route(graph, m_elements, beta, n_bs)
              for k, graph in sorted(graphs.items())}

@@ -96,41 +96,39 @@ def _codebook_for(scene: Scene, node: int, codebook: Codebook, name: str) -> Cod
 class GainEvaluator:
     """Scores codebook beams by their min-user SNR on realized channels,
     composed along one reflection route `path`, the direct link excluded.
+    `codebooks` maps each node of the route to its codebook, the BS as node 0.
 
     ValueError unless `users` names distinct users, `path` distinct surfaces,
-    and `irs_codebooks` (keyed by surface id) a codebook of each surface of `path`.
+    `irs_codebooks` (keyed by surface id) a codebook of each surface of `path`,
+    and every codebook's beams have its node's element count.
     """
 
-    def __init__(self, channels: ChannelSet, users, path, irs_codebooks):
+    def __init__(self, channels: ChannelSet, users, bs_codebook: Codebook,
+                 irs_codebooks: dict, path):
         scene = channels.scene
         self.channels = channels
         self.users = _user_ids(scene, users, "users")
         self.irs_ids = _irs_ids(scene, path, "path")
         if not set(self.irs_ids) <= set(_irs_ids(scene, irs_codebooks, "irs_codebooks")):
             raise ValueError(f"irs_codebooks lacks a surface of path {self.irs_ids}")
+        self.codebooks = {0: _codebook_for(scene, 0, bs_codebook, "bs_codebook")}
         for j in self.irs_ids:
-            _codebook_for(scene, j, irs_codebooks[j], f"irs_codebooks[{j}]")
+            self.codebooks[j] = _codebook_for(scene, j, irs_codebooks[j], f"irs_codebooks[{j}]")
         self._edges = {k: _path_edges(path, scene.n_irs + k) for k in self.users}
         self.evaluations = 0
-
-    def _channel(self, user: int, phases: dict) -> np.ndarray:
-        return _compose(self.channels, self._edges[user], phases)[0]
 
     def _snrs(self, codebook: Codebook, amps) -> np.ndarray:
         consts = self.channels.scene.constants
         self.evaluations += codebook.size
         return np.min([consts.tx_power * np.abs(a) ** 2 / consts.noise_power for a in amps], axis=0)
 
-    def sweep(self, codebook: Codebook, phases: dict) -> np.ndarray:
-        """Min-user SNR of every BS beam in `codebook`, the surfaces held at
-        `phases`; like `search_sweep`, counts one evaluation per beam."""
-        return self._snrs(codebook, [codebook.apply(self._channel(k, phases)) for k in self.users])
-
-    def search_sweep(self, codebooks: dict, choices: dict):
+    def search_sweep(self, choices: dict):
         """Yield (node, snrs) for the BS and then, BS first, each surface of
         the path, the other nodes at their beams in `choices` (which the
-        caller may move before resuming): one composition per user scores the
-        BS beams, and its sweep, opened with the chosen one, the surfaces."""
+        caller may move before resuming), counting one evaluation per beam:
+        one composition per user scores the BS beams, and its sweep, opened
+        with the chosen one, the surfaces."""
+        codebooks = self.codebooks
         _, phases = beams_from_choices(codebooks[0], codebooks, choices)
         hs, sweeps = zip(*(_compose(self.channels, self._edges[k], phases) for k in self.users))
         yield 0, self._snrs(codebooks[0], [codebooks[0].apply(h) for h in hs])
@@ -169,18 +167,16 @@ def exhaustive_search(channels: ChannelSet, users, bs_codebook: Codebook,
     exceeds max_combinations (a ValueError unless that is an integer >= 1).
     """
     _integer(max_combinations, "max_combinations")
-    _codebook_for(channels.scene, 0, bs_codebook, "bs_codebook")
-    evaluator = GainEvaluator(channels, users, path, irs_codebooks)
+    evaluator = GainEvaluator(channels, users, bs_codebook, irs_codebooks, path)
     ids = evaluator.irs_ids
-    combos = bs_codebook.size * math.prod(irs_codebooks[j].size for j in ids)   # no int64 wrap
+    combos = math.prod(cb.size for cb in evaluator.codebooks.values())   # no int64 wrap
     if combos > max_combinations:
         raise ValueError(f"exhaustive search would need {combos} combinations "
                          f"(cap {max_combinations})")
     best = None
     for choice in itertools.product(*(range(irs_codebooks[j].size) for j in ids)):
         irs_idx = dict(zip(ids, choice))
-        _, phases = beams_from_choices(bs_codebook, irs_codebooks, {0: 0, **irs_idx})
-        snrs = evaluator.sweep(bs_codebook, phases)
+        _, snrs = next(evaluator.search_sweep({0: 0, **irs_idx}))
         bs_idx = int(np.argmax(snrs))                # the lowest BS index among ties
         key = (float(snrs[bs_idx]), -bs_idx)
         if best is None or key > best[0]:            # strict: earlier surface indices win ties
@@ -203,14 +199,11 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
     integer >= 1.
     """
     _integer(max_sweeps, "max_sweeps")
-    _codebook_for(channels.scene, 0, bs_codebook, "bs_codebook")
-    evaluator = GainEvaluator(channels, users, path, irs_codebooks)
-    ids = evaluator.irs_ids
-    codebooks = {0: bs_codebook, **{j: irs_codebooks[j] for j in ids}}
-    choices = dict.fromkeys(codebooks, 0)          # node -> beam index, the BS first
+    evaluator = GainEvaluator(channels, users, bs_codebook, irs_codebooks, path)
+    choices = dict.fromkeys(evaluator.codebooks, 0)   # node -> beam index, the BS first
     for sweeps in range(1, max_sweeps + 1):
         changed = False
-        for node, snrs in evaluator.search_sweep(codebooks, choices):
+        for node, snrs in evaluator.search_sweep(choices):
             new = int(np.argmax(snrs))
             if snrs[new] > snrs[choices[node]]:
                 choices[node], changed = new, True
@@ -218,7 +211,7 @@ def sequential_search(channels: ChannelSet, users, bs_codebook: Codebook,
         if not changed:
             break
     w, phases = beams_from_choices(bs_codebook, irs_codebooks, choices)
-    return TrainedBeams(bs_index=choices[0], irs_indices={j: choices[j] for j in ids},
+    return TrainedBeams(bs_index=choices[0], irs_indices={j: choices[j] for j in evaluator.irs_ids},
                         w=w, phases=phases, objective=objective,
                         evaluations=evaluator.evaluations, sweeps=sweeps)
 

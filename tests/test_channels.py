@@ -347,7 +347,7 @@ def test_effective_channel_without_surfaces_is_direct():
     scene = build_scene(cfg)
     channels = synthesize_channels(scene, 8)
     h = effective_channel(channels, 1, {})
-    assert np.array_equal(h, channels.direct(1))
+    assert np.array_equal(h, channels.get(0, scene.n_irs + 1).matrix[0])
 
 
 def test_double_irs_effective_channel_is_four_term_sum():
@@ -360,7 +360,7 @@ def test_double_irs_effective_channel_is_four_term_sum():
     phases = {j: np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for j in (1, 2)}
     assert build_los_graph(scene, 1, True) == build_los_graph(scene, 1, False)
     h = effective_channel(channels, 1, phases)
-    t_direct = channels.direct(1)
+    t_direct = channels.get(0, scene.n_irs + 1).matrix[0]
     t_single1 = cascaded_path_channel(channels, [1], phases)
     t_single2 = cascaded_path_channel(channels, [2], phases)
     t_double = cascaded_path_channel(channels, [1, 2], phases)
@@ -376,7 +376,7 @@ def test_effective_channel_matches_path_enumeration():
     assert graph == build_los_graph(scene, 1, False)
     paths = enumerate_graph_paths(graph)
     assert len(paths) > 3
-    want = channels.direct(1).copy()
+    want = channels.get(0, scene.n_irs + 1).matrix[0].copy()
     for p in paths:
         want = want + cascaded_path_channel(channels, list(p), phases)
     got = effective_channel(channels, 1, phases)

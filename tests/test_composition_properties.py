@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from irsim.channels import (cascaded_path_channel, effective_channel,  # noqa: E402
+from irsim.channels import (_compose, cascaded_path_channel, effective_channel,  # noqa: E402
                             effective_channel_affine, enumerate_graph_paths,
                             synthesize_channels)
 from irsim.geometry import build_los_graph, build_scene  # noqa: E402
@@ -76,7 +76,8 @@ def test_dp_equals_explicit_path_sum(instance):
     h = effective_channel(channels, user, phases, include_direct=False, irs_subset=subset)
     _assert_close(h, want, sum(np.linalg.norm(t) for t in terms))
     h_direct = effective_channel(channels, user, phases, irs_subset=subset)
-    _assert_close(h_direct - h, channels.direct(user), np.linalg.norm(h_direct))
+    direct = channels.get(0, channels.scene.n_irs + user).matrix[0]
+    _assert_close(h_direct - h, direct, np.linalg.norm(h_direct))
 
 
 def _unit_beam(rng, n):
@@ -110,9 +111,9 @@ def test_path_evaluator_matches_cascaded_path_channel(instance):
     target = scene.n_irs + user
     for seq in enumerate_graph_paths(build_los_graph(scene, user, require_los=False)):
         h = cascaded_path_channel(channels, seq, phases, user=user)
-        evaluator = GainEvaluator(channels, [user], seq,
-                                  {j: Codebook(beams=phases[j][None, :]) for j in seq})
-        np.testing.assert_array_equal(evaluator._channel(user, phases), h)
+        evaluator = GainEvaluator(channels, [user], dft_codebook(scene.n_bs, scene.n_bs),
+                                  {j: Codebook(beams=phases[j][None, :]) for j in seq}, seq)
+        np.testing.assert_array_equal(_compose(channels, evaluator._edges[user], phases)[0], h)
         # independent reference: H_last diag(theta_n) ... diag(theta_1) H_first
         hops = [0, *seq, target]
         ref = channels.get(0, seq[0]).matrix

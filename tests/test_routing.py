@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import irsim.channels
-from irsim.beams import closed_form_path_gain, multi_hop_phases
+from irsim.beams import closed_form_path_gain, linear_receivers, multi_hop_phases
 from irsim.geometry import LosGraph, build_los_graph, build_scene, los_indicator
 from irsim import routing
 from irsim.routing import (Infeasible, NoFeasiblePath, ReflectionPath, RoutingSolution,
@@ -20,6 +20,7 @@ from irsim.routing import (Infeasible, NoFeasiblePath, ReflectionPath, RoutingSo
                            unconstrained_multi_route)
 from irsim.channels import effective_channel, mrt_beam, synthesize_channels, unit_phases
 from irsim.scenarios import indoor_hall_config
+from irsim.training import dft_codebook
 
 from conftest import random_two_user_config, synthetic_graph, zigzag_config
 
@@ -173,6 +174,19 @@ def test_single_route_rejects_a_value_that_is_not_positive_and_finite(m, beta, n
         optimal_single_route(graph, m, beta)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda graph: closed_form_path_gain(1, "x", 1, 1e-3, [10, 10]), "m_elements"),
+    (lambda graph: linear_receivers(np.ones((2, 2)), "x", 1.0), "noise_power"),
+    (lambda graph: dft_codebook(4, "x"), "dim"),
+    (lambda graph: optimal_single_route(graph, 16, {}), "beta"),
+    (lambda graph: optimal_single_route(graph, "x", BETA), "m_elements"),
+], ids=["path_gain", "receivers", "codebook", "route_beta", "route_m_elements"])
+def test_a_value_that_is_not_a_number_names_its_argument(call, name):
+    graph = _hand_built_graph({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)})
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        call(graph)
+
+
 @pytest.mark.parametrize("n_bs", [-2, 0, math.nan], ids=["negative", "zero", "nan"])
 def test_every_router_rejects_an_n_bs_that_is_not_positive_and_finite(n_bs):
     scene = build_scene(indoor_hall_config(m0=4))
@@ -194,6 +208,16 @@ def test_element_counts_lacking_a_routed_surface_name_m_elements_and_the_surface
     scene = build_scene(indoor_hall_config(m0=4))
     with pytest.raises(ValueError, match=r"m_elements has no entry for IRS \d+"):
         optimal_single_route(build_los_graph(scene, 1), m, scene.constants.beta)
+
+
+def test_a_sequence_of_element_counts_is_read_in_surface_order():
+    scene = build_scene(indoor_hall_config(m0=4))
+    graph, beta = build_los_graph(scene, 1), scene.constants.beta
+    counts = [16] * 8
+    counts[1] = 1                                  # surface 2's entry
+    gain = path_gain(graph, (2,), counts, beta)
+    assert gain == path_gain(graph, (2,), {2: 1}, beta)
+    assert gain != path_gain(graph, (2,), 16, beta)
 
 
 def _recursive_routes(graph):

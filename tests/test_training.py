@@ -103,20 +103,35 @@ def test_exhaustive_counts_one_evaluation_per_combination_for_two_users():
 
 def _brute_force_search(channels, users, bs_cb, irs_cbs, path):
     """(objective, BS index, surface indices) of the best combination, each
-    scored alone by an evaluator sweep over a one-beam BS codebook; ties go
-    to the lowest BS index, then the lowest surface indices."""
-    evaluator = GainEvaluator(channels, users, path, irs_cbs)
-    ids = evaluator.irs_ids
+    scored alone by the BS step of a search sweep over a one-beam BS codebook;
+    ties go to the lowest BS index, then the lowest surface indices."""
     best = None
     for b in range(bs_cb.size):
-        one_beam = Codebook(beams=bs_cb.beams[b:b + 1])
+        evaluator = GainEvaluator(channels, users, Codebook(beams=bs_cb.beams[b:b + 1]),
+                                  irs_cbs, path)
+        ids = evaluator.irs_ids
         for choice in itertools.product(*(range(irs_cbs[j].size) for j in ids)):
             irs_idx = dict(zip(ids, choice))
-            _, phases = beams_from_choices(bs_cb, irs_cbs, {0: b, **irs_idx})
-            obj = float(evaluator.sweep(one_beam, phases)[0])
+            node, snrs = next(evaluator.search_sweep({0: 0, **irs_idx}))
+            assert node == 0 and snrs.shape == (1,)
+            obj = float(snrs[0])
             if best is None or obj > best[0]:
                 best = (obj, b, irs_idx)
     return best
+
+
+def test_exhaustive_composes_each_user_once_per_surface_combination(monkeypatch):
+    scene, channels, bs_cb, irs_cbs = _two_user_setup(seed=72, n_hops=2)
+    calls = collections.Counter()
+    compose = training._compose
+
+    def counted(channels, edges, phases):
+        calls[edges[0][1]] += 1                    # the last hop, listed first, ends at the user
+        return compose(channels, edges, phases)
+
+    monkeypatch.setattr(training, "_compose", counted)
+    exhaustive_search(channels, [1, 2], bs_cb, irs_cbs, path=(1, 2))
+    assert calls == {scene.n_irs + k: 4 * 4 for k in (1, 2)}
 
 
 @pytest.mark.parametrize("path", [(1,), (1, 2)], ids=["path-1", "path-2"])
@@ -155,7 +170,8 @@ def test_exhaustive_refuses_oversized_search():
 @pytest.mark.parametrize("cap", [math.nan, "x", 2.5, 0], ids=["nan", "str", "float", "zero"])
 def test_exhaustive_rejects_a_cap_that_is_not_a_positive_integer(cap, monkeypatch):
     _, channels, bs_cb, irs_cbs = _tiny_setup(n_hops=2)
-    monkeypatch.setattr(GainEvaluator, "sweep", lambda *args: pytest.fail("the search started"))
+    monkeypatch.setattr(GainEvaluator, "search_sweep",
+                        lambda *args: pytest.fail("the search started"))
     with pytest.raises(ValueError, match="max_combinations must be"):
         exhaustive_search(channels, [1], bs_cb, irs_cbs, path=(1, 2), max_combinations=cap)
 
@@ -165,7 +181,7 @@ def test_exhaustive_refuses_a_combination_count_beyond_int64(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(GainEvaluator, "sweep", no_sweep)
+    monkeypatch.setattr(GainEvaluator, "search_sweep", no_sweep)
     scene = build_scene(indoor_hall_config(m0=4))
     channels = synthesize_channels(scene, 0)
     irs_cbs = {j: planar_passive_codebook(16, 4) for j in range(1, scene.n_irs + 1)}
